@@ -226,17 +226,16 @@ def _write_text_atomic(text, path):
 
 
 def _cmd_offsets(args):
-    from .geometry import curvature_transport
+    from .geometry import curvature_transport, embeddedness_horizon
     from .intersect import self_intersection_test
     from .mesh import discrete_shape_operator, offset_mesh
 
     mesh = _build_mesh(args)
     ts = _float_list(args.ts) if args.ts else [0.1, 0.2, 0.3]
     if mesh.kappas is not None:
-        from .geometry import embeddedness_horizon
         horizon = embeddedness_horizon(mesh.kappas.ravel())
     else:
-        horizon = math.inf
+        horizon = embeddedness_horizon([discrete_shape_operator(mesh).lam_max])
     print(f"surface: {mesh.name}   horizon T = {horizon:.6f}")
     print(f"{'t':>8s} {'status':>16s} {'minH(disc)':>12s} {'maxH(disc)':>12s} "
           f"{'H(analytic)':>12s}")

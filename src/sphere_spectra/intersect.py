@@ -23,6 +23,7 @@ __all__ = ["PoleSelectionError", "select_pole", "stereographic_project",
            "self_intersection_test", "triangles_intersect"]
 
 _ORIENT_EPS = 1e-14
+_POLE_CHUNK = 256     # vertices per chunk in select_pole: an 8 MB product
 
 
 class PoleSelectionError(RuntimeError):
@@ -39,8 +40,12 @@ def select_pole(vertices, samples=4096, seed=20240317):
     cand = rng.standard_normal((samples, 4))
     cand = np.concatenate([cand, np.eye(4), -np.eye(4)])
     cand /= np.linalg.norm(cand, axis=1)[:, None]
-    # max_i <pole, v_i> -> cos of distance to the nearest vertex
-    worst = np.max(cand @ vertices.T, axis=1)
+    # max_i <pole, v_i> -> cos of distance to the nearest vertex, over
+    # vertex chunks so that no (candidates x vertices) matrix is formed
+    worst = np.full(len(cand), -np.inf)
+    for lo in range(0, len(vertices), _POLE_CHUNK):
+        np.maximum(worst, (cand @ vertices[lo:lo + _POLE_CHUNK].T).max(axis=1),
+                   out=worst)
     best = int(np.argmin(worst))
     clearance = math.acos(min(1.0, max(-1.0, worst[best])))
     return cand[best], clearance

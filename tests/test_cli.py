@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sphere_spectra.cli import main
-from sphere_spectra.generators import gen_geodesic_sphere
+from sphere_spectra.generators import gen_clifford_torus, gen_geodesic_sphere
 from sphere_spectra.report import load_report
 from sphere_spectra.s3off import write_s3off
 
@@ -93,6 +93,17 @@ def test_offsets_table(capsys):
     out = capsys.readouterr().out
     assert "embedded" in out
     assert "beyond T=0.7854" in out
+
+
+def test_offsets_table_from_s3off_uses_discrete_horizon(tmp_path, capsys):
+    # a mesh file carries no curvatures: t=0.7 is past the discrete horizon
+    mesh_path = tmp_path / "clifford.s3off"
+    write_s3off(gen_clifford_torus(32, 32), mesh_path)
+    assert main(["offsets", "--mesh", str(mesh_path),
+                 "--ts", "0.1,0.7"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "embedded" in rows[2]
+    assert rows[3].split()[:2] == ["0.700", "beyond"]
 
 
 def test_verify_oracles_pass(capsys):

@@ -80,6 +80,24 @@ def test_select_pole_clears_mesh():
     assert clearance > 0.1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_clifford_torus(32, 32),
+    lambda: gen_geodesic_sphere(math.pi / 4.0, 4),    # V = 2562, partial chunk
+])
+def test_select_pole_matches_full_matrix(make):
+    vertices = make().vertices
+    # reference: the whole (candidates x vertices) matrix at once
+    rng = np.random.default_rng(20240317)
+    cand = np.concatenate([rng.standard_normal((4096, 4)), np.eye(4),
+                           -np.eye(4)])
+    cand /= np.linalg.norm(cand, axis=1)[:, None]
+    worst = np.max(cand @ vertices.T, axis=1)
+    best = int(np.argmin(worst))
+    pole, clearance = select_pole(vertices)
+    assert np.array_equal(pole, cand[best])
+    assert clearance == math.acos(min(1.0, max(-1.0, worst[best])))
+
+
 def test_stereographic_preserves_structure():
     mesh = gen_geodesic_sphere(0.6, 3)
     pole, _ = select_pole(mesh.vertices)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import sphere_spectra
 from sphere_spectra.generators import (
     gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
 )
@@ -44,14 +48,39 @@ def test_flat_torus_lambda1():
     assert res.multiplicity == 2
 
 
-def test_cross_check_against_arpack(clifford_pair):
-    res = smallest_nonzero_eig(clifford_pair, tol=1e-10)
-    mass_mat = sp.diags(clifford_pair.mass).tocsc()
-    vals = spla.eigsh(clifford_pair.stiffness.tocsc(), k=6, M=mass_mat,
+# lambda1 multiplicities 4, 3 and 2, and a non-minimal surface
+ARPACK_CASES = {
+    "clifford-64": lambda: gen_clifford_torus(64, 64),
+    "equator-4": lambda: gen_geodesic_sphere(math.pi / 2.0, 4),
+    "flat-torus-0.5": lambda: gen_flat_torus(0.5, 64, 64),
+    "sphere-pi_4-4": lambda: gen_geodesic_sphere(math.pi / 4.0, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(ARPACK_CASES))
+def test_cross_check_against_arpack(case):
+    pair = assemble_laplacian(ARPACK_CASES[case]())
+    res = smallest_nonzero_eig(pair, tol=1e-10)
+    mass_mat = sp.diags(pair.mass).tocsc()
+    vals = spla.eigsh(pair.stiffness.tocsc(), k=6, M=mass_mat,
                       sigma=-1e-2, which="LM",
-                      v0=np.ones(clifford_pair.size))[0]
+                      v0=np.ones(pair.size))[0]
     smallest_nonzero = np.sort(vals)[1]     # vals[0] ~ 0 (constants)
     assert res.lambda1 == pytest.approx(smallest_nonzero, rel=1e-7)
+
+
+def test_one_factorization_per_call(clifford_pair, monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    res = smallest_nonzero_eig(clifford_pair, tol=1e-10)
+    assert res.iterations > 1
+    assert len(calls) == 1
 
 
 def test_rayleigh_quotient_properties(clifford_pair):
@@ -109,6 +138,31 @@ def test_nonconvergence_carries_best_iterate():
     assert err.best_vector is not None
     assert err.iterations == 1
     assert err.best_value == pytest.approx(2.0, rel=0.5)
+
+
+_THREADS_CHILD = """
+import hashlib
+from sphere_spectra.generators import gen_clifford_torus
+from sphere_spectra.mesh import assemble_laplacian
+from sphere_spectra.spectral import smallest_nonzero_eig
+res = smallest_nonzero_eig(assemble_laplacian(gen_clifford_torus(104, 104)))
+print(repr(res.lambda1), hashlib.sha256(res.eigenvector.tobytes()).hexdigest())
+"""
+
+
+def test_blas_thread_count_invariance():
+    # clifford 104x104 (V = 10816) is large enough for OpenBLAS to split
+    # its dot products between threads; at 96x96 even BLAS reductions in
+    # the solver gave the same lambda1 under 1 and 2 threads
+    src = os.path.dirname(os.path.dirname(sphere_spectra.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120)
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1]
 
 
 def test_tol_floor_rejected():
