@@ -8,14 +8,15 @@ diffeomorphism of S^3 minus the pole, so embeddedness is preserved).
 The projected mesh goes through a uniform spatial hash (broad phase) and
 a triangle-triangle intersection test between non-adjacent triangles
 (narrow phase).  Narrow-phase predicates are evaluated in floating point
-with a conservative error bound; any sign decision within the bound is
-re-evaluated in exact rational arithmetic, so the reported verdict is
-exact for the projected coordinates.  Touching configurations count as
+with a conservative error bound; a pair with any sign decision within
+the bound is re-run through exact predicates, which use exact integer
+arithmetic for only the signs floats cannot decide (every float is an
+integer over a power of two).  The reported verdict is therefore exact
+for the projected coordinates.  Touching configurations count as
 intersections.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +24,10 @@ __all__ = ["PoleSelectionError", "select_pole", "stereographic_project",
            "self_intersection_test", "triangles_intersect"]
 
 _ORIENT_EPS = 1e-14
+# the float filter of the exact predicates is trusted only where under-
+# and overflow cannot outweigh the rounding bound
+_FILTER_TINY = 2.0 ** -600
+_FILTER_HUGE = 2.0 ** 300
 _POLE_CHUNK = 256     # vertices per chunk in select_pole: an 8 MB product
 
 
@@ -93,21 +98,66 @@ def _orient3d_float(a, b, c, d):
     return det, _ORIENT_EPS * perm
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _scaled_ints(*points):
+    """Float points as integer points over one power-of-two denominator.
+
+    Every finite float is num / 2^k, so shifting each numerator up to
+    the largest k scales all coordinates by the same positive factor,
+    which leaves the sign of an orientation determinant unchanged.
+    """
+    ratios = [[x.as_integer_ratio() for x in p] for p in points]
+    top = max(den for p in ratios for _, den in p).bit_length()
+    return [[num << (top - den.bit_length()) for num, den in p]
+            for p in ratios]
+
+
+def _det3(a, b, c, d):
+    """det[b-a, c-a, d-a], its permanent and max |b-a| (floats or ints)."""
+    ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
+    p0, q0 = vy * wz, vz * wy
+    p1, q1 = vx * wz, vz * wx
+    p2, q2 = vx * wy, vy * wx
+    det = ux * (p0 - q0) - uy * (p1 - q1) + uz * (p2 - q2)
+    perm = (abs(ux) * (abs(p0) + abs(q0)) + abs(uy) * (abs(p1) + abs(q1))
+            + abs(uz) * (abs(p2) + abs(q2)))
+    return det, perm, max(abs(ux), abs(uy), abs(uz))
+
+
+def _det2(a, b, c):
+    """det[b-a, c-a] in 2D and its permanent (floats or ints)."""
+    p = (b[0] - a[0]) * (c[1] - a[1])
+    q = (b[1] - a[1]) * (c[0] - a[0])
+    return p - q, abs(p) + abs(q)
+
+
 def _orient3d_exact(a, b, c, d):
-    """Exact sign of det[b-a, c-a, d-a] using rational arithmetic."""
-    u = [Fraction(b[k]) - Fraction(a[k]) for k in range(3)]
-    v = [Fraction(c[k]) - Fraction(a[k]) for k in range(3)]
-    w = [Fraction(d[k]) - Fraction(a[k]) for k in range(3)]
-    det = (u[0] * (v[1] * w[2] - v[2] * w[1])
-           - u[1] * (v[0] * w[2] - v[2] * w[0])
-           + u[2] * (v[0] * w[1] - v[1] * w[0]))
-    return (det > 0) - (det < 0)
+    """Exact sign of det[b-a, c-a, d-a].
+
+    The float determinant decides when it clears the `_ORIENT_EPS`
+    permanent bound of `_orient3d_float`.  That bound covers rounding
+    only: overflow gives inf/nan and fails the comparison, and the
+    range checks keep underflow (at most 2^-1074 per product, times
+    |b-a|) far below it.  Otherwise the sign comes from integers.
+    """
+    det, perm, u_max = _det3(a, b, c, d)
+    if (abs(det) > _ORIENT_EPS * perm and perm > _FILTER_TINY
+            and u_max < _FILTER_HUGE):
+        return _sign(det)
+    return _sign(_det3(*_scaled_ints(a, b, c, d))[0])
 
 
 def _orient2d_exact(a, b, c):
-    det = ((Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1]))
-           - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0])))
-    return (det > 0) - (det < 0)
+    """Exact sign of det[b-a, c-a] in 2D, filtered as `_orient3d_exact`."""
+    det, perm = _det2(a, b, c)
+    if abs(det) > _ORIENT_EPS * perm and perm > _FILTER_TINY:
+        return _sign(det)
+    return _sign(_det2(*_scaled_ints(a, b, c))[0])
 
 
 def _segment_hits_triangle_exact(p, q, tri):
@@ -132,8 +182,8 @@ def _drop_axis(tri3, extra):
     n = np.cross(b - a, c - a)
     axis = int(np.argmax(np.abs(n)))
     keep = [k for k in range(3) if k != axis]
-    return ([tuple(np.asarray(p)[keep]) for p in tri3],
-            [tuple(np.asarray(p)[keep]) for p in extra])
+    return ([tuple(float(p[k]) for k in keep) for p in tri3],
+            [tuple(float(p[k]) for k in keep) for p in extra])
 
 
 def _point_in_triangle_2d(p, tri2):
@@ -191,53 +241,62 @@ def triangles_intersect(tri1, tri2):
 
 
 def _broad_phase(points, triangles):
-    """Uniform spatial hash of triangle AABBs -> candidate non-adjacent pairs."""
+    """Uniform spatial hash of triangle AABBs -> candidate non-adjacent pairs.
+
+    Returns the pairs (i < j) as a sorted (P, 2) int64 array.
+    """
     tp = points[triangles]
     lo = tp.min(axis=1)
     hi = tp.max(axis=1)
+    n_tri = len(triangles)
     ext = (hi - lo).max(axis=1)
     cell = max(float(np.median(ext)), 1e-12)
     lo_idx = np.floor(lo / cell).astype(np.int64)
-    hi_idx = np.floor(hi / cell).astype(np.int64)
-    buckets = {}
-    for t in range(len(triangles)):
-        x0, y0, z0 = lo_idx[t]
-        x1, y1, z1 = hi_idx[t]
-        for ix in range(x0, x1 + 1):
-            for iy in range(y0, y1 + 1):
-                for iz in range(z0, z1 + 1):
-                    buckets.setdefault((ix, iy, iz), []).append(t)
-    tri_sets = [set(row) for row in triangles]
-    pairs = set()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for i in range(len(members)):
-            ti = members[i]
-            for j in range(i + 1, len(members)):
-                tj = members[j]
-                key = (ti, tj) if ti < tj else (tj, ti)
-                if key in pairs:
-                    continue
-                if tri_sets[ti] & tri_sets[tj]:
-                    continue
-                # AABB overlap re-check (hash cells over-approximate)
-                if (lo[ti] <= hi[tj]).all() and (lo[tj] <= hi[ti]).all():
-                    pairs.add(key)
-    return pairs
+    span = np.floor(hi / cell).astype(np.int64) - lo_idx + 1
+    # one (cell, triangle) entry per cell a triangle's AABB touches: the
+    # k-th entry of a triangle is k unravelled in its own span
+    count = span.prod(axis=1)
+    owners = np.repeat(np.arange(n_tri), count)
+    k = np.arange(len(owners)) - np.repeat(np.cumsum(count) - count, count)
+    cells = lo_idx[owners]
+    for axis in (2, 1, 0):
+        size = span[owners, axis]
+        cells[:, axis] += k % size
+        k //= size
+    # stable: within a bucket the owners stay ascending, so i < j below
+    order = np.lexsort(cells.T)
+    cells, owners = cells[order], owners[order]
+    new_bucket = np.ones(len(cells), dtype=bool)
+    new_bucket[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    starts = np.nonzero(new_bucket)[0]
+    sizes = np.diff(np.append(starts, len(cells)))
+    keys = [np.empty(0, dtype=np.int64)]
+    for size in np.unique(sizes[sizes > 1]):
+        first = starts[sizes == size]
+        members = owners[first[:, None] + np.arange(size)]
+        iu, ju = np.triu_indices(size, 1)
+        ti, tj = members[:, iu].ravel(), members[:, ju].ravel()
+        # AABB overlap re-check (hash cells over-approximate), then no
+        # shared vertex
+        keep = (lo[ti] <= hi[tj]).all(axis=1) & (lo[tj] <= hi[ti]).all(axis=1)
+        ti, tj = ti[keep], tj[keep]
+        shared = (triangles[ti][:, :, None] == triangles[tj][:, None, :])
+        keep = ~shared.any(axis=(1, 2))
+        keys.append(ti[keep] * n_tri + tj[keep])
+    keys = np.unique(np.concatenate(keys))
+    return np.stack([keys // n_tri, keys % n_tri], axis=1)
 
 
 def _narrow_phase(points, triangles, pairs):
-    """Split candidate pairs into certain hits and uncertain pairs.
+    """Split the (P, 2) candidate pairs into certain hits and uncertain pairs.
 
     Vectorized float predicates with conservative error bounds; anything
     not decidable at the bound goes to the exact fallback.
     """
-    if not pairs:
+    if len(pairs) == 0:
         return [], []
-    pair_arr = np.array(sorted(pairs), dtype=np.int64)
-    p1 = points[triangles[pair_arr[:, 0]]]
-    p2 = points[triangles[pair_arr[:, 1]]]
+    p1 = points[triangles[pairs[:, 0]]]
+    p2 = points[triangles[pairs[:, 1]]]
     a, b, c = p1[:, 0], p1[:, 1], p1[:, 2]
     d, e, f = p2[:, 0], p2[:, 1], p2[:, 2]
 
@@ -294,8 +353,8 @@ def _narrow_phase(points, triangles, pairs):
             uncertain |= fuzzy
             uncertain |= cross & pierce_fuzzy & ~(all_pos | all_neg)
     uncertain &= ~hits
-    hit_pairs = [tuple(pair_arr[i]) for i in idx[hits]]
-    fuzzy_pairs = [tuple(pair_arr[i]) for i in idx[uncertain]]
+    hit_pairs = [tuple(pairs[i]) for i in idx[hits]]
+    fuzzy_pairs = [tuple(pairs[i]) for i in idx[uncertain]]
     return hit_pairs, fuzzy_pairs
 
 

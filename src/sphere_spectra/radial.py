@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .constants import sphere_volume
+from .constants import _check_dim, sphere_volume
 from .quadrature import integrate
 
 __all__ = [
@@ -85,12 +85,6 @@ class InequalityReport:
     tol: float
     passed: bool
     extras: dict = field(default_factory=dict)
-
-
-def _check_dim(n):
-    if not float(n).is_integer() or n < 2:
-        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    return int(n)
 
 
 def _quad(f, a, b, tol):

@@ -136,10 +136,10 @@ def rayleigh_quotient(x, pair):
     """
     x = np.asarray(x, dtype=float)
     mass = np.asarray(pair.mass, dtype=float)
-    before = float(x @ (mass * x))
+    before = float(np.einsum("i,i->", x, mass * x))
     e_const = np.ones(len(x)) / np.sqrt(mass.sum())
-    x = x - e_const * float((mass * e_const) @ x)
-    xmx = float(x @ (mass * x))
+    x = x - e_const * float(np.einsum("i,i->", mass * e_const, x))
+    xmx = float(np.einsum("i,i->", x, mass * x))
     if not np.isfinite(xmx) or xmx <= 1e-24 * max(before, 1e-300):
         raise ValueError("vector has zero mass norm after deflation")
-    return float(x @ (pair.stiffness @ x)) / xmx
+    return float(np.einsum("i,i->", x, pair.stiffness @ x)) / xmx

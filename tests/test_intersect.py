@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from sphere_spectra.generators import (
     rotate_mesh,
 )
 from sphere_spectra.intersect import (
-    PoleSelectionError, select_pole, self_intersection_test,
+    PoleSelectionError, _broad_phase, _orient2d_exact, _orient3d_exact,
+    _orient3d_float, select_pole, self_intersection_test,
     stereographic_project, triangles_intersect,
 )
 from sphere_spectra.mesh import SphericalTriMesh, offset_mesh
@@ -28,6 +30,9 @@ T_BASE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     ([(0.0, 0.0, 0.0), (-1.0, 0.0, 1.0), (0.0, -1.0, 1.0)], True),  # vertex touch
     ([(0.3, 0.3, -1.0), (0.3, 0.3, 1.0), (5.0, 5.0, 3.0)], True),   # edge stab
     ([(0.5, 0.5, 1e-12), (1.5, 0.5, 1.0), (0.5, 1.5, 1.0)], False), # near miss
+    # coplanar, no vertex inside the other triangle: only edges cross
+    ([(-0.5, 0.2, 0.0), (1.5, 0.2, 0.0), (-0.5, 0.3, 0.0)], True),
+    ([(0.6, 0.5, 0.0), (1.0, 0.5, 0.0), (0.6, 0.9, 0.0)], False),   # coplanar miss
 ])
 def test_triangle_predicate_cases(other, expected):
     assert triangles_intersect(T_BASE, other) is expected
@@ -57,6 +62,136 @@ def _float_reference(tri_a, tri_b):
     edges = [(a[0], a[1], b), (a[1], a[2], b), (a[2], a[0], b),
              (b[0], b[1], a), (b[1], b[2], a), (b[2], b[0], a)]
     return any(seg_tri(p, q, tri) for p, q, tri in edges)
+
+
+# ---------------------------------------------------------------------------
+# filtered integer orientation predicates against rational arithmetic
+
+def _orient3d_fraction(a, b, c, d):
+    u = [Fraction(b[k]) - Fraction(a[k]) for k in range(3)]
+    v = [Fraction(c[k]) - Fraction(a[k]) for k in range(3)]
+    w = [Fraction(d[k]) - Fraction(a[k]) for k in range(3)]
+    det = (u[0] * (v[1] * w[2] - v[2] * w[1])
+           - u[1] * (v[0] * w[2] - v[2] * w[0])
+           + u[2] * (v[0] * w[1] - v[1] * w[0]))
+    return (det > 0) - (det < 0)
+
+
+def _orient2d_fraction(a, b, c):
+    det = ((Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1]))
+           - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0])))
+    return (det > 0) - (det < 0)
+
+
+def _points(arr):
+    return [tuple(map(float, p)) for p in arr]
+
+
+def _assert_orient3d_agrees(quads):
+    signs = []
+    for quad in quads:
+        a, b, c, d = _points(quad)
+        for args in [(a, b, c, d), (b, a, c, d), (d, c, b, a), (c, d, a, b)]:
+            expected = _orient3d_fraction(*args)
+            assert _orient3d_exact(*args) == expected, args
+            signs.append(expected)
+    return signs
+
+
+def _assert_orient2d_agrees(triples):
+    signs = []
+    for triple in triples:
+        a, b, c = _points(triple)
+        for args in [(a, b, c), (b, a, c), (c, a, b)]:
+            expected = _orient2d_fraction(*args)
+            assert _orient2d_exact(*args) == expected, args
+            signs.append(expected)
+    return signs
+
+
+@pytest.fixture(scope="module")
+def clifford_rectangles():
+    # vertices (i, j), (i+1, j), (i, j+k), (i+1, j+k) of the product torus
+    # are concyclic in S^3, so coplanar after stereographic projection --
+    # up to the rounding of the projected coordinates
+    n = 16
+    mesh = gen_clifford_torus(n, n)
+    pole, _ = select_pole(mesh.vertices)
+    pts = stereographic_project(mesh.vertices, pole).reshape(n, n, 3)
+    quads = [(pts[i, j], pts[(i + 1) % n, j], pts[i, (j + k) % n],
+              pts[(i + 1) % n, (j + k) % n])
+             for i in range(0, n, 3) for j in range(0, n, 5)
+             for k in (1, 2, 7)]
+    return np.array(quads)
+
+
+def test_orient3d_projected_clifford_rectangles(clifford_rectangles):
+    quads = clifford_rectangles
+    det, bound = _orient3d_float(quads[:, 0], quads[:, 1], quads[:, 2],
+                                 quads[:, 3])
+    assert (np.abs(det) <= bound).mean() > 0.9     # floats cannot decide
+    _assert_orient3d_agrees(quads)
+
+
+def test_orient3d_exactly_coplanar(clifford_rectangles):
+    # on a 2^-20 grid, d = b + c - a is exact: a planar parallelogram
+    grid = np.round(clifford_rectangles * 2.0 ** 20) / 2.0 ** 20
+    grid[:, 3] = grid[:, 1] + grid[:, 2] - grid[:, 0]
+    assert set(_assert_orient3d_agrees(grid)) == {0}
+
+
+def test_orient2d_collinear():
+    rng = np.random.default_rng(7)
+    a = np.round(rng.uniform(-3.0, 3.0, (200, 2)) * 2.0 ** 24) / 2.0 ** 24
+    b = np.round(rng.uniform(-3.0, 3.0, (200, 2)) * 2.0 ** 24) / 2.0 ** 24
+    step = rng.integers(-4, 5, (200, 1)).astype(float)
+    c = a + step * (b - a)                       # exact on this grid
+    assert set(_assert_orient2d_agrees(np.stack([a, b, c], axis=1))) == {0}
+    # one ulp off the line
+    c_off = np.nextafter(c, np.inf)
+    signs = _assert_orient2d_agrees(np.stack([a, b, c_off], axis=1))
+    assert {-1, 1} <= set(signs)
+
+
+def test_orient_extreme_exponents():
+    rng = np.random.default_rng(8)
+    mant = rng.uniform(-1.0, 1.0, (400, 4, 3))
+    expo = rng.integers(-1000, 1001, (400, 4, 3))
+    quads = np.ldexp(mant, expo)
+    _assert_orient3d_agrees(quads)
+    _assert_orient2d_agrees(quads[:, :3, :2])
+    # one exponent per point: large, tiny and mixed-scale quadruples
+    quads = np.ldexp(mant, rng.integers(-1000, 1001, (400, 4, 1)))
+    _assert_orient3d_agrees(quads)
+    _assert_orient2d_agrees(quads[:, :3, :2])
+
+
+def test_orient3d_underflow_times_long_edge():
+    # (c-a)_y (d-a)_z = 2^-1080 underflows to 0, and |b-a| = 2^700 turns
+    # that into a 2^-380 error: the float determinant is -2^-540 while the
+    # true one is 2^-380 - 2^-540 > 0
+    a, b = (0.0, 0.0, 0.0), (2.0 ** 700, 1.0, 0.0)
+    c, d = (1.0, 2.0 ** -540, 0.0), (0.0, 0.0, 2.0 ** -540)
+    assert _orient3d_fraction(a, b, c, d) == 1
+    assert _orient3d_exact(a, b, c, d) == 1
+    _assert_orient3d_agrees([[a, b, c, d]])
+
+
+def test_orient_signed_zeros():
+    quads = np.array([
+        [(0.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (1.0, 0.0, -0.0), (0.5, 0.5, -0.0)],
+        [(-0.0, -0.0, -0.0), (1.0, -0.0, 0.0), (0.0, 1.0, -0.0), (0.0, 0.0, 1.0)],
+        [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, 1.0)],
+    ])
+    _assert_orient3d_agrees(quads)
+    _assert_orient2d_agrees(quads[:, :3, :2])
+
+
+def test_orient_random_generic():
+    rng = np.random.default_rng(9)
+    quads = rng.uniform(-1.0, 1.0, (500, 4, 3))
+    assert 0 not in _assert_orient3d_agrees(quads)
+    assert 0 not in _assert_orient2d_agrees(quads[:, :3, :2])
 
 
 def test_triangle_predicate_random_agreement():
@@ -168,6 +303,40 @@ def test_dense_mesh_rejected():
         self_intersection_test(combine_meshes(tetra, anti))
 
 
+def _projected(mesh):
+    pole, _ = select_pole(mesh.vertices)
+    return stereographic_project(mesh.vertices, pole)
+
+
+def _sweep_pairs(points, triangles):
+    """Plain O(n^2) sweep: non-adjacent pairs (i < j) whose AABBs overlap."""
+    tp = points[triangles]
+    lo, hi = tp.min(axis=1), tp.max(axis=1)
+    sets = [set(t) for t in triangles]
+    pairs = []
+    for i in range(len(triangles)):
+        overlap = np.all(lo[i] <= hi[i + 1:], axis=1) \
+            & np.all(lo[i + 1:] <= hi[i], axis=1)
+        for j in np.nonzero(overlap)[0] + i + 1:
+            if not sets[i] & sets[j]:
+                pairs.append((i, int(j)))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: combine_meshes(gen_clifford_torus(32, 32),
+                           rotate_mesh(gen_clifford_torus(32, 32), 0, 2, 0.9)),
+    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.7),
+    lambda: offset_mesh(gen_geodesic_sphere(math.pi / 4.0, 4), 0.2),
+], ids=["crossed-clifford-32", "clifford-16-t0.7", "sphere-4-t0.2"])
+def test_broad_phase_matches_sweep(make):
+    mesh = make()
+    points = _projected(mesh)
+    pairs = _broad_phase(points, mesh.triangles)
+    assert pairs.dtype == np.int64
+    assert np.array_equal(pairs, _sweep_pairs(points, mesh.triangles))
+
+
 def test_pipeline_matches_brute_force_enumeration():
     # full pipeline (hash broad phase + filtered narrow phase) against a
     # plain O(n^2) sweep with the exact predicate, witness-for-witness
@@ -177,21 +346,8 @@ def test_pipeline_matches_brute_force_enumeration():
     embedded, witnesses = self_intersection_test(union, max_witnesses=10**6)
     assert not embedded
 
-    pole, _ = select_pole(union.vertices)
-    pts = stereographic_project(union.vertices, pole)
-    tris = union.triangles
-    tp = pts[tris]
-    lo, hi = tp.min(axis=1), tp.max(axis=1)
-    sets = [set(t) for t in tris]
-    ref = set()
-    for i in range(len(tris)):
-        overlap = np.all(lo[i] <= hi[i + 1:], axis=1) \
-            & np.all(lo[i + 1:] <= hi[i], axis=1)
-        for j in np.nonzero(overlap)[0] + i + 1:
-            j = int(j)
-            if sets[i] & sets[j]:
-                continue
-            if triangles_intersect(tp[i], tp[j]):
-                ref.add((i, j))
+    tp = _projected(union)[union.triangles]
+    ref = {(i, j) for i, j in _sweep_pairs(_projected(union), union.triangles)
+           if triangles_intersect(tp[i], tp[j])}
     assert set(map(tuple, witnesses)) == ref
     assert len(ref) > 100

@@ -144,16 +144,20 @@ _THREADS_CHILD = """
 import hashlib
 from sphere_spectra.generators import gen_clifford_torus
 from sphere_spectra.mesh import assemble_laplacian
-from sphere_spectra.spectral import smallest_nonzero_eig
+from sphere_spectra.spectral import rayleigh_quotient, smallest_nonzero_eig
 res = smallest_nonzero_eig(assemble_laplacian(gen_clifford_torus(104, 104)))
 print(repr(res.lambda1), hashlib.sha256(res.eigenvector.tobytes()).hexdigest())
+mesh = gen_clifford_torus(128, 128)
+print(repr(rayleigh_quotient(mesh.vertices[:, 0], assemble_laplacian(mesh))))
 """
 
 
 def test_blas_thread_count_invariance():
     # clifford 104x104 (V = 10816) is large enough for OpenBLAS to split
     # its dot products between threads; at 96x96 even BLAS reductions in
-    # the solver gave the same lambda1 under 1 and 2 threads
+    # the solver gave the same lambda1 under 1 and 2 threads.  A BLAS dot
+    # in the Rayleigh quotient of x0 gave different values at 128x128
+    # (not at 104x104).
     src = os.path.dirname(os.path.dirname(sphere_spectra.__file__))
     outputs = []
     for threads in ("1", "2"):
