@@ -29,7 +29,7 @@ from . import radial, report as rep
 from .generators import gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere
 from .geometry import HorizonError
 from .intersect import PoleSelectionError
-from .mesh import MeshError
+from .mesh import MeshError, write_text_atomic
 from .s3off import read_s3off
 from .spectral import ConvergenceError
 
@@ -207,22 +207,9 @@ def _cmd_verify_surface(args):
         print(f"wrote {args.out}")
     if args.csv:
         text = rep.merged_csv_text([data])
-        _write_text_atomic(text, args.csv)
+        write_text_atomic(text, args.csv)
         print(f"wrote {args.csv}")
     return 0
-
-
-def _write_text_atomic(text, path):
-    import tempfile
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _cmd_offsets(args):
@@ -334,7 +321,7 @@ def _cmd_report(args):
         return EXIT_SCHEMA
     text = rep.merged_csv_text(reports)
     if args.csv:
-        _write_text_atomic(text, args.csv)
+        write_text_atomic(text, args.csv)
         print(f"wrote {args.csv} ({len(reports)} rows)")
     else:
         sys.stdout.write(text)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import offset_mean_curvature_bound
 from .quadrature import integrate
 
 __all__ = [
@@ -147,11 +148,9 @@ def build_parameter_chain(n, lam, eps=None, beta=None):
         eps = d_eps_default
     if beta is None:
         beta = d_beta_default
-    if not (0 < eps <= lam / 2.0):
-        raise ValueError(f"need 0 < eps <= lam/2, got eps={eps}, lam={lam}")
+    eps_tilde = offset_mean_curvature_bound(n, lam, eps)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    eps_tilde = lam * eps / (lam - eps) * (n / lam ** 2 + 1.0)
     gamma = math.sqrt(2.0 * n) - eps_tilde - beta
     delta = n * math.atan(eps / n)
     t_collar = delta / (2.0 * lam ** 2)

@@ -382,10 +382,10 @@ def self_intersection_test(mesh, max_witnesses=64):
     hits, fuzzy = _narrow_phase(points, mesh.triangles, pairs)
     witnesses = list(hits)
     for (i, j) in fuzzy:
-        if len(witnesses) >= max_witnesses:
+        # one witness decides the verdict even when none are to be listed
+        if len(witnesses) >= max(max_witnesses, 1):
             break
         if triangles_intersect(points[mesh.triangles[i]],
                                points[mesh.triangles[j]]):
             witnesses.append((i, j))
-    witnesses = sorted(set(witnesses))[:max_witnesses]
-    return len(witnesses) == 0, witnesses
+    return not witnesses, sorted(set(witnesses))[:max_witnesses]

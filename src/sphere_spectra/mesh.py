@@ -11,6 +11,8 @@ which side the normal field points to (each generator documents its
 choice).
 """
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +25,28 @@ __all__ = [
     "MeshError", "MeshQualityError", "SphericalTriMesh",
     "LaplacePair", "DiscreteGeometry",
     "assemble_laplacian", "discrete_shape_operator", "offset_mesh",
-    "vertex_areas",
+    "vertex_areas", "write_text_atomic",
 ]
 
 _UNIT_TOL = 1e-9
+
+
+def write_text_atomic(text, path):
+    """Write text to path via a temp file in its directory and a rename.
+
+    A failed write leaves any earlier file at path as it was and no temp
+    file behind.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class MeshError(ValueError):

@@ -12,15 +12,14 @@ import csv
 import io
 import json
 import math
-import os
-import tempfile
 import time
 from importlib import metadata as _im
 
 import numpy as np
 
 from . import constants, geometry, intersect, spectral
-from .mesh import assemble_laplacian, discrete_shape_operator, offset_mesh
+from .mesh import (assemble_laplacian, discrete_shape_operator, offset_mesh,
+                   write_text_atomic)
 
 __all__ = [
     "SCHEMA_VERSION", "SchemaMismatchError", "tool_version",
@@ -316,17 +315,7 @@ def report_to_csv_row(report):
 
 def write_json_atomic(data, path):
     """Serialize to JSON and move into place (temp file + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text_atomic(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
 
 
 def load_report(path):

@@ -13,11 +13,10 @@ via the SphericalTriMesh constructor.
 """
 
 import os
-import tempfile
 
 import numpy as np
 
-from .mesh import MeshError, SphericalTriMesh
+from .mesh import MeshError, SphericalTriMesh, write_text_atomic
 
 __all__ = ["read_s3off", "write_s3off"]
 
@@ -55,18 +54,7 @@ def read_s3off(path):
 
 def write_s3off(mesh, path):
     """Write a mesh as S3OFF (atomically: temp file + rename)."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".s3off.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("S3OFF\n")
-            fh.write(f"{mesh.vertex_count} {mesh.triangle_count}\n")
-            for v in mesh.vertices:
-                fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
-            for t in mesh.triangles:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = ["S3OFF", f"{mesh.vertex_count} {mesh.triangle_count}"]
+    lines += [" ".join(f"{x:.17g}" for x in v) for v in mesh.vertices]
+    lines += [f"3 {t[0]} {t[1]} {t[2]}" for t in mesh.triangles]
+    write_text_atomic("\n".join(lines) + "\n", path)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sphere_spectra import intersect
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
     rotate_mesh,
@@ -337,12 +338,16 @@ def test_broad_phase_matches_sweep(make):
     assert np.array_equal(pairs, _sweep_pairs(points, mesh.triangles))
 
 
+def _crossed_flat_tori():
+    return combine_meshes(
+        gen_flat_torus(0.3, 10, 10),
+        rotate_mesh(gen_flat_torus(0.3, 10, 10), 0, 2, 0.1))
+
+
 def test_pipeline_matches_brute_force_enumeration():
     # full pipeline (hash broad phase + filtered narrow phase) against a
     # plain O(n^2) sweep with the exact predicate, witness-for-witness
-    union = combine_meshes(
-        gen_flat_torus(0.3, 10, 10),
-        rotate_mesh(gen_flat_torus(0.3, 10, 10), 0, 2, 0.1))
+    union = _crossed_flat_tori()
     embedded, witnesses = self_intersection_test(union, max_witnesses=10**6)
     assert not embedded
 
@@ -351,3 +356,15 @@ def test_pipeline_matches_brute_force_enumeration():
            if triangles_intersect(tp[i], tp[j])}
     assert set(map(tuple, witnesses)) == ref
     assert len(ref) > 100
+
+
+def test_witness_cap_does_not_decide_embeddedness(monkeypatch):
+    union = _crossed_flat_tori()
+    assert self_intersection_test(union, max_witnesses=0) == (False, [])
+    embedded, witnesses = self_intersection_test(union, max_witnesses=1)
+    assert not embedded and len(witnesses) == 1
+    # the same with every pair left to the exact fallback
+    monkeypatch.setattr(intersect, "_narrow_phase",
+                        lambda points, triangles, pairs:
+                        ([], list(map(tuple, pairs))))
+    assert self_intersection_test(union, max_witnesses=0) == (False, [])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from sphere_spectra.generators import (
 )
 from sphere_spectra.mesh import (
     MeshError, MeshQualityError, SphericalTriMesh, assemble_laplacian,
-    discrete_shape_operator, offset_mesh, vertex_areas,
+    discrete_shape_operator, offset_mesh, vertex_areas, write_text_atomic,
 )
+from sphere_spectra.report import write_json_atomic
+from sphere_spectra.s3off import write_s3off
 
 SQRT2 = math.sqrt(2.0)
 
@@ -301,3 +304,31 @@ def test_clifford_discrete_convergence():
     # area error genuinely decreases under refinement
     assert errors_area[1] < errors_area[0]
     assert errors_area[2] < errors_area[1]
+
+
+# ---------------------------------------------------------------------------
+# atomic text writer (JSON reports, CSV tables and S3OFF meshes use it)
+
+def _fail_replace(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_text_atomic("a,b\n1,2\n", path),
+    lambda path: write_json_atomic({"schema": 1}, path),
+    lambda path: write_s3off(gen_flat_torus(0.5, 8, 8), path),
+], ids=["text", "json", "s3off"])
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, write):
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write(tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_earlier_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text_atomic("old\n", path)
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic("\ud800", path)   # a lone surrogate cannot encode
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old\n"
