@@ -8,12 +8,13 @@ diffeomorphism of S^3 minus the pole, so embeddedness is preserved).
 The projected mesh goes through a uniform spatial hash (broad phase) and
 a triangle-triangle intersection test between non-adjacent triangles
 (narrow phase).  Narrow-phase predicates are evaluated in floating point
-with a conservative error bound; a pair with any sign decision within
-the bound is re-run through exact predicates, which use exact integer
-arithmetic for only the signs floats cannot decide (every float is an
-integer over a power of two).  The reported verdict is therefore exact
-for the projected coordinates.  Touching configurations count as
-intersections.
+with a conservative error bound.  The pairs with any sign decision
+within the bound go, in one batched call, through the exact predicate:
+numpy re-checks every sign it needs against the same bound, and exact
+integer arithmetic computes only the signs floats leave undecided
+(every float is an integer over a power of two).  The reported verdict
+is therefore exact for the projected coordinates.  Touching
+configurations count as intersections.
 """
 
 import math
@@ -98,6 +99,22 @@ def _orient3d_float(a, b, c, d):
     return det, _ORIENT_EPS * perm
 
 
+def _orient3d_filter(a, b, c, d):
+    """Signs of det[b-a, c-a, d-a] that floats prove, 0 where they cannot.
+
+    A sign is proved when |det| clears the bound of `_orient3d_float`.
+    That bound covers rounding only: overflow gives inf/nan and fails
+    the comparison, and the range checks (permanent above 2^-600,
+    max |b-a| below 2^300) keep underflow -- at most 2^-1074 per
+    product, times |b-a| -- far below it.  A proved sign is never 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, bound = _orient3d_float(a, b, c, d)
+        ok = ((bound > _ORIENT_EPS * _FILTER_TINY)
+              & (np.abs(b - a).max(axis=-1) < _FILTER_HUGE))
+        return (ok & (det > bound)).astype(np.int8) - (ok & (det < -bound))
+
+
 def _sign(x):
     return (x > 0) - (x < 0)
 
@@ -116,17 +133,12 @@ def _scaled_ints(*points):
 
 
 def _det3(a, b, c, d):
-    """det[b-a, c-a, d-a], its permanent and max |b-a| (floats or ints)."""
+    """det[b-a, c-a, d-a] of integer points."""
     ux, uy, uz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
     vx, vy, vz = c[0] - a[0], c[1] - a[1], c[2] - a[2]
     wx, wy, wz = d[0] - a[0], d[1] - a[1], d[2] - a[2]
-    p0, q0 = vy * wz, vz * wy
-    p1, q1 = vx * wz, vz * wx
-    p2, q2 = vx * wy, vy * wx
-    det = ux * (p0 - q0) - uy * (p1 - q1) + uz * (p2 - q2)
-    perm = (abs(ux) * (abs(p0) + abs(q0)) + abs(uy) * (abs(p1) + abs(q1))
-            + abs(uz) * (abs(p2) + abs(q2)))
-    return det, perm, max(abs(ux), abs(uy), abs(uz))
+    return (ux * (vy * wz - vz * wy) - uy * (vx * wz - vz * wx)
+            + uz * (vx * wy - vy * wx))
 
 
 def _det2(a, b, c):
@@ -137,43 +149,33 @@ def _det2(a, b, c):
 
 
 def _orient3d_exact(a, b, c, d):
-    """Exact sign of det[b-a, c-a, d-a].
+    """Exact signs of det[b-a, c-a, d-a] over broadcast stacks (..., 3).
 
-    The float determinant decides when it clears the `_ORIENT_EPS`
-    permanent bound of `_orient3d_float`.  That bound covers rounding
-    only: overflow gives inf/nan and fails the comparison, and the
-    range checks keep underflow (at most 2^-1074 per product, times
-    |b-a|) far below it.  Otherwise the sign comes from integers.
+    `_orient3d_filter` proves what it can; each sign it leaves open is
+    the sign of the determinant in Python integers.
     """
-    det, perm, u_max = _det3(a, b, c, d)
-    if (abs(det) > _ORIENT_EPS * perm and perm > _FILTER_TINY
-            and u_max < _FILTER_HUGE):
-        return _sign(det)
-    return _sign(_det3(*_scaled_ints(a, b, c, d))[0])
+    pts = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                for x in (a, b, c, d)))
+    shape = pts[0].shape[:-1]
+    pts = [x.reshape(-1, 3) for x in pts]
+    sign = _orient3d_filter(*pts)
+    todo = sign == 0
+    sign[todo] = [_sign(_det3(*_scaled_ints(*quad)))
+                  for quad in zip(*(x[todo].tolist() for x in pts))]
+    return sign.reshape(shape)
 
 
 def _orient2d_exact(a, b, c):
-    """Exact sign of det[b-a, c-a] in 2D, filtered as `_orient3d_exact`."""
+    """Exact sign of det[b-a, c-a] in 2D.
+
+    Filtered as `_orient3d_filter`, one sign at a time; no edge length
+    multiplies an underflowed product here, so only the permanent is
+    range-checked.
+    """
     det, perm = _det2(a, b, c)
     if abs(det) > _ORIENT_EPS * perm and perm > _FILTER_TINY:
         return _sign(det)
     return _sign(_det2(*_scaled_ints(a, b, c))[0])
-
-
-def _segment_hits_triangle_exact(p, q, tri):
-    """Exact: does segment pq meet triangle tri (boundary contact counts)?"""
-    a, b, c = tri
-    sp = _orient3d_exact(a, b, c, p)
-    sq = _orient3d_exact(a, b, c, q)
-    if sp == 0 and sq == 0:
-        return _coplanar_segment_hits_exact(p, q, tri)
-    if sp * sq > 0:
-        return False
-    u = _orient3d_exact(p, a, b, q)
-    v = _orient3d_exact(p, b, c, q)
-    w = _orient3d_exact(p, c, a, q)
-    signs = {u, v, w}
-    return not (1 in signs and -1 in signs)
 
 
 def _drop_axis(tri3, extra):
@@ -223,21 +225,56 @@ def _coplanar_segment_hits_exact(p, q, tri):
                for (u, v) in [(a, b), (b, c), (c, a)])
 
 
+def _edges_and_triangles(t1, t2):
+    """Each edge of either triangle of a pair, with the other triangle.
+
+    t1, t2 are (P, 3, 3) stacks.  Returns p, q and tri, (2, P, 3, 3)
+    each: edge k of side s runs from p[s, :, k] to q[s, :, k] and is
+    tested against the triangle tri[s] (side 0: edges of t1 against t2).
+    """
+    p = np.stack([t1, t2])
+    return p, np.roll(p, -1, axis=2), p[::-1]
+
+
+def _side_args(p, tri):
+    """orient3d arguments of every edge end p against its triangle's plane."""
+    return tri[:, :, None, 0], tri[:, :, None, 1], tri[:, :, None, 2], p
+
+
+def _line_args(p, q, tri, mask):
+    """orient3d arguments of the masked edges' lines against the edges
+    (a, b), (b, c), (c, a) of their triangles: (p, a, b, q) and so on."""
+    t = np.broadcast_to(tri[:, :, None], p.shape[:3] + (3, 3))[mask]
+    return p[mask][:, None], t, np.roll(t, -1, axis=1), q[mask][:, None]
+
+
 def triangles_intersect(tri1, tri2):
     """Exact triangle-triangle intersection in R^3 (contact counts).
 
-    Reference predicate used for the exact narrow-phase fallback: any of
-    the six edges meeting the other triangle, or coplanar overlap.
+    Takes two triangles (3, 3) and returns a bool, or two stacks of them
+    (P, 3, 3) and returns a (P,) bool array.  A pair meets when an edge
+    of either triangle meets the other one: its ends are not strictly on
+    one side of the plane and its line passes the triangle's three edges
+    the same way round, or both ends lie in the plane and the 2D test
+    finds contact.  Each of the six plane-side signs of a pair is
+    computed once, the line signs only for edges that reach the plane.
     """
-    t1 = [tuple(map(float, p)) for p in tri1]
-    t2 = [tuple(map(float, p)) for p in tri2]
-    for (p, q) in [(t1[0], t1[1]), (t1[1], t1[2]), (t1[2], t1[0])]:
-        if _segment_hits_triangle_exact(p, q, t2):
-            return True
-    for (p, q) in [(t2[0], t2[1]), (t2[1], t2[2]), (t2[2], t2[0])]:
-        if _segment_hits_triangle_exact(p, q, t1):
-            return True
-    return False
+    t1 = np.asarray(tri1, dtype=float)
+    t2 = np.asarray(tri2, dtype=float)
+    p, q, tri = _edges_and_triangles(t1.reshape(-1, 3, 3),
+                                     t2.reshape(-1, 3, 3))
+    sp = _orient3d_exact(*_side_args(p, tri))
+    sq = np.roll(sp, -1, axis=2)
+    coplanar = (sp == 0) & (sq == 0)
+    reach = (sp * sq <= 0) & ~coplanar
+    meets = np.zeros(sp.shape, dtype=bool)
+    uvw = _orient3d_exact(*_line_args(p, q, tri, reach))
+    meets[reach] = ~((uvw > 0).any(axis=1) & (uvw < 0).any(axis=1))
+    for s, i, k in zip(*np.nonzero(coplanar)):
+        meets[s, i, k] = _coplanar_segment_hits_exact(
+            p[s, i, k].tolist(), q[s, i, k].tolist(), tri[s, i].tolist())
+    hit = meets.any(axis=(0, 2))
+    return hit if t1.ndim == 3 else bool(hit[0])
 
 
 def _broad_phase(points, triangles):
@@ -290,72 +327,28 @@ def _broad_phase(points, triangles):
 def _narrow_phase(points, triangles, pairs):
     """Split the (P, 2) candidate pairs into certain hits and uncertain pairs.
 
-    Vectorized float predicates with conservative error bounds; anything
-    not decidable at the bound goes to the exact fallback.
+    The signs of `triangles_intersect` as far as `_orient3d_filter`
+    proves them; a pair that one of the unproved signs could decide
+    goes to the exact fallback.
     """
-    if len(pairs) == 0:
-        return [], []
-    p1 = points[triangles[pairs[:, 0]]]
-    p2 = points[triangles[pairs[:, 1]]]
-    a, b, c = p1[:, 0], p1[:, 1], p1[:, 2]
-    d, e, f = p2[:, 0], p2[:, 1], p2[:, 2]
-
-    # plane side tests (shared by the edge tests)
-    sides2 = []   # vertices of tri2 against plane of tri1
-    for x in (d, e, f):
-        sides2.append(_orient3d_float(a, b, c, x))
-    sides1 = []
-    for x in (a, b, c):
-        sides1.append(_orient3d_float(d, e, f, x))
-
-    def certain_pos(sd):
-        return sd[0] > sd[1]
-
-    def certain_neg(sd):
-        return sd[0] < -sd[1]
-
-    sep1 = np.logical_and.reduce([certain_pos(s) for s in sides2]) \
-        | np.logical_and.reduce([certain_neg(s) for s in sides2])
-    sep2 = np.logical_and.reduce([certain_pos(s) for s in sides1]) \
-        | np.logical_and.reduce([certain_neg(s) for s in sides1])
-    alive = ~(sep1 | sep2)
-    if not alive.any():
-        return [], []
-
-    idx = np.nonzero(alive)[0]
-    hits = np.zeros(len(idx), dtype=bool)
-    uncertain = np.zeros(len(idx), dtype=bool)
-    edge_lists = (
-        [(a, b), (b, c), (c, a)],
-        [(d, e), (e, f), (f, d)],
-    )
-    tri_of = ((d, e, f), (a, b, c))
-    side_of = (sides1, sides2)
-    for which in (0, 1):
-        ta, tb, tc = tri_of[which]
-        for k, (p, q) in enumerate(edge_lists[which]):
-            sp_det, sp_bnd = side_of[which][k]
-            sq_det, sq_bnd = side_of[which][(k + 1) % 3]
-            sp_det, sp_bnd = sp_det[idx], sp_bnd[idx]
-            sq_det, sq_bnd = sq_det[idx], sq_bnd[idx]
-            cross = ((sp_det > sp_bnd) & (sq_det < -sq_bnd)) \
-                | ((sp_det < -sp_bnd) & (sq_det > sq_bnd))
-            fuzzy = (np.abs(sp_det) <= sp_bnd) | (np.abs(sq_det) <= sq_bnd)
-            pi, qi = p[idx], q[idx]
-            u_det, u_bnd = _orient3d_float(pi, ta[idx], tb[idx], qi)
-            v_det, v_bnd = _orient3d_float(pi, tb[idx], tc[idx], qi)
-            w_det, w_bnd = _orient3d_float(pi, tc[idx], ta[idx], qi)
-            all_pos = (u_det > u_bnd) & (v_det > v_bnd) & (w_det > w_bnd)
-            all_neg = (u_det < -u_bnd) & (v_det < -v_bnd) & (w_det < -w_bnd)
-            pierce_fuzzy = ((np.abs(u_det) <= u_bnd) | (np.abs(v_det) <= v_bnd)
-                            | (np.abs(w_det) <= w_bnd))
-            hits |= cross & (all_pos | all_neg)
-            uncertain |= fuzzy
-            uncertain |= cross & pierce_fuzzy & ~(all_pos | all_neg)
-    uncertain &= ~hits
-    hit_pairs = [tuple(pairs[i]) for i in idx[hits]]
-    fuzzy_pairs = [tuple(pairs[i]) for i in idx[uncertain]]
-    return hit_pairs, fuzzy_pairs
+    tp = points[triangles]
+    p, q, tri = _edges_and_triangles(tp[pairs[:, 0]], tp[pairs[:, 1]])
+    sp = _orient3d_filter(*_side_args(p, tri))
+    # a triangle strictly on one side of the other's plane: no contact
+    alive = np.flatnonzero(~((sp > 0).all(axis=2)
+                             | (sp < 0).all(axis=2)).any(axis=0))
+    p, q, tri, sp = p[:, alive], q[:, alive], tri[:, alive], sp[:, alive]
+    sq = np.roll(sp, -1, axis=2)
+    cross = sp * sq < 0
+    uvw = _orient3d_filter(*_line_args(p, q, tri, cross))
+    pierce = np.zeros(sp.shape, dtype=bool)
+    unsure = (sp == 0) | (sq == 0)
+    pierce[cross] = (uvw > 0).all(axis=1) | (uvw < 0).all(axis=1)
+    unsure[cross] = (uvw == 0).any(axis=1) & ~pierce[cross]
+    hits = pierce.any(axis=(0, 2))
+    uncertain = unsure.any(axis=(0, 2)) & ~hits
+    return (list(map(tuple, pairs[alive[hits]].tolist())),
+            list(map(tuple, pairs[alive[uncertain]].tolist())))
 
 
 def self_intersection_test(mesh, max_witnesses=64):
@@ -365,8 +358,10 @@ def self_intersection_test(mesh, max_witnesses=64):
     non-adjacent triangles meets; `witnesses` lists offending triangle
     index pairs (capped at max_witnesses).  Disjoint nested components
     are embedded.  Raises PoleSelectionError when no projection pole
-    clears the surface.
+    clears the surface.  Witnesses are (i, j) tuples of ints, i < j.
     """
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
     pole, clearance = select_pole(mesh.vertices)
     tp = mesh.triangle_points()
     # chordal diameter -> angular bound on how far the surface can stray
@@ -381,11 +376,12 @@ def self_intersection_test(mesh, max_witnesses=64):
     pairs = _broad_phase(points, mesh.triangles)
     hits, fuzzy = _narrow_phase(points, mesh.triangles, pairs)
     witnesses = list(hits)
-    for (i, j) in fuzzy:
-        # one witness decides the verdict even when none are to be listed
-        if len(witnesses) >= max(max_witnesses, 1):
-            break
-        if triangles_intersect(points[mesh.triangles[i]],
-                               points[mesh.triangles[j]]):
-            witnesses.append((i, j))
-    return not witnesses, sorted(set(witnesses))[:max_witnesses]
+    # one witness decides the verdict even when none are to be listed
+    room = max(max_witnesses, 1) - len(witnesses)
+    if room > 0 and fuzzy:
+        undecided = np.array(fuzzy, dtype=np.int64)
+        proj = points[mesh.triangles]
+        meets = triangles_intersect(proj[undecided[:, 0]],
+                                    proj[undecided[:, 1]])
+        witnesses += map(tuple, undecided[meets][:room].tolist())
+    return not witnesses, sorted(witnesses)[:max_witnesses]

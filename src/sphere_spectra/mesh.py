@@ -12,7 +12,7 @@ choice).
 """
 
 import os
-import tempfile
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,13 +35,20 @@ def write_text_atomic(text, path):
     """Write text to path via a temp file in its directory and a rename.
 
     A failed write leaves any earlier file at path as it was and no temp
-    file behind.
+    file behind.  The file gets the mode `open(path, "w")` would leave:
+    an existing file keeps its own, a new one gets 0666 less the umask.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    path = os.path.abspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL: never write through a file or link that is already there
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -205,6 +205,153 @@ def test_triangle_predicate_random_agreement():
 
 
 # ---------------------------------------------------------------------------
+# batched triangle predicate against rational arithmetic
+
+def _segment_hits_fraction(p, q, tri):
+    a, b, c = tri
+    sp, sq = _orient3d_fraction(a, b, c, p), _orient3d_fraction(a, b, c, q)
+    if sp == 0 and sq == 0:
+        return _coplanar_segment_hits_fraction(p, q, tri)
+    if sp * sq > 0:
+        return False
+    signs = {_orient3d_fraction(p, a, b, q), _orient3d_fraction(p, b, c, q),
+             _orient3d_fraction(p, c, a, q)}
+    return not {1, -1} <= signs
+
+
+def _coplanar_segment_hits_fraction(p, q, tri):
+    # drop the axis of the largest exact normal component
+    a, b, c = ([Fraction(x) for x in v] for v in tri)
+    u = [b[k] - a[k] for k in range(3)]
+    v = [c[k] - a[k] for k in range(3)]
+    normal = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+              u[0] * v[1] - u[1] * v[0]]
+    drop = max(range(3), key=lambda k: abs(normal[k]))
+    p, q, a, b, c = ([x[k] for k in range(3) if k != drop]
+                     for x in (p, q, *tri))
+
+    def inside(x):
+        signs = {_orient2d_fraction(a, b, x), _orient2d_fraction(b, c, x),
+                 _orient2d_fraction(c, a, x)}
+        return not {1, -1} <= signs
+
+    def on_segment(s, e, x):     # x collinear with segment se
+        return all(min(s[k], e[k]) <= x[k] <= max(s[k], e[k])
+                   for k in range(2))
+
+    def meets_edge(s, e):
+        s1, s2 = _orient2d_fraction(p, q, s), _orient2d_fraction(p, q, e)
+        s3, s4 = _orient2d_fraction(s, e, p), _orient2d_fraction(s, e, q)
+        if s1 * s2 < 0 and s3 * s4 < 0:
+            return True
+        return any(sign == 0 and on_segment(*seg, x)
+                   for sign, seg, x in [(s1, (p, q), s), (s2, (p, q), e),
+                                        (s3, (s, e), p), (s4, (s, e), q)])
+
+    return (inside(p) or inside(q)
+            or any(meets_edge(s, e) for s, e in [(a, b), (b, c), (c, a)]))
+
+
+def _triangles_intersect_fraction(tri_a, tri_b):
+    """Contact of two triangles with every sign in rational arithmetic."""
+    ta, tb = _points(tri_a), _points(tri_b)
+    return (any(_segment_hits_fraction(ta[k], ta[(k + 1) % 3], tb)
+                for k in range(3))
+            or any(_segment_hits_fraction(tb[k], tb[(k + 1) % 3], ta)
+                   for k in range(3)))
+
+
+def _assert_batch_agrees(tri_a, tri_b):
+    """The batched predicate equals the reference in both argument orders,
+    and the batch equals the pair-by-pair calls."""
+    tri_a = np.asarray(tri_a, dtype=float)
+    tri_b = np.asarray(tri_b, dtype=float)
+    expected = [_triangles_intersect_fraction(x, y)
+                for x, y in zip(tri_a, tri_b)]
+    got = triangles_intersect(tri_a, tri_b)
+    assert got.dtype == bool and got.shape == (len(tri_a),)
+    assert got.tolist() == expected
+    assert triangles_intersect(tri_b, tri_a).tolist() == expected
+    assert [triangles_intersect(x, y) for x, y in zip(tri_a, tri_b)] \
+        == expected
+    return expected
+
+
+def _rectangle_pairs(quads):
+    # a, b, d, c go round a (nearly) planar rectangle; on a grid,
+    # shrinking towards a vertex by 1/2 or 3/4 keeps the points exact
+    a, b, c, d = (quads[:, k] for k in range(4))
+    pairs = [
+        ((a, b, c), (b, d, c)),                      # share edge bc
+        ((a, b, c), (a, b, d)),                      # overlap along ab
+        ((a, b, c), (d, d + 0.5 * (b - d), d + 0.5 * (c - d))),  # gap
+        ((a, b, d), (c, c + 0.75 * (a - c), c + 0.75 * (d - c))),
+        ((a, a + 0.5 * (b - a), a + 0.5 * (c - a)),
+         (d, d + 0.75 * (b - d), d + 0.75 * (c - d))),
+        # a triangle of another rectangle
+        ((a, b, c), tuple(np.roll(x, 1, axis=0) for x in (b, d, c))),
+    ]
+    return tuple(np.concatenate([np.stack(pair[k], axis=1) for pair in pairs])
+                 for k in (0, 1))
+
+
+def test_batched_predicate_clifford_rectangles(clifford_rectangles):
+    expected = _assert_batch_agrees(*_rectangle_pairs(clifford_rectangles))
+    assert {True, False} <= set(expected)
+
+
+def test_batched_predicate_exactly_coplanar(clifford_rectangles, monkeypatch):
+    grid = np.round(clifford_rectangles * 2.0 ** 20) / 2.0 ** 20
+    grid[:, 3] = grid[:, 1] + grid[:, 2] - grid[:, 0]
+    calls = []
+    coplanar = intersect._coplanar_segment_hits_exact
+    monkeypatch.setattr(intersect, "_coplanar_segment_hits_exact",
+                        lambda *args: calls.append(args) or coplanar(*args))
+    first, second = _rectangle_pairs(grid)
+    expected = _assert_batch_agrees(first, second)
+    assert {True, False} <= set(expected)
+    assert calls                                 # the 2D path was taken
+    # all but the last set pair triangles of one rectangle: one plane
+    first, second = first[:-len(grid)], second[:-len(grid)]
+    signs = _orient3d_exact(first[:, None, 0], first[:, None, 1],
+                            first[:, None, 2], second)
+    assert (signs == 0).all()
+
+
+def _nondegenerate(*tris):
+    areas = [np.linalg.norm(np.cross(t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]),
+                            axis=1) for t in tris]
+    return np.logical_and.reduce([a > 0 for a in areas])
+
+
+def test_batched_predicate_touching():
+    rng = np.random.default_rng(13)
+    n = 120
+    tri = rng.integers(-8, 9, (n, 3, 3)).astype(float)
+    r0, r1 = rng.integers(-8, 9, (2, n, 1, 3)).astype(float)
+    v = tri[:, :1]
+    mid = 0.5 * (tri[:, :1] + tri[:, 1:2])           # exact on this grid
+    others = [
+        np.concatenate([v, v + r0, v + r1], axis=1),          # at a vertex
+        np.concatenate([mid, mid + r0, mid + r1], axis=1),    # on an edge
+        np.concatenate([mid - r0, mid + r0, mid + r1], axis=1),  # edge on edge
+        2.0 * v - tri[:, [0, 2, 1]],                  # coplanar, at a vertex
+    ]
+    for other in others:
+        keep = _nondegenerate(tri, other)
+        assert keep.sum() > n // 2
+        assert all(_assert_batch_agrees(tri[keep], other[keep]))
+
+
+def test_batched_predicate_random_generic():
+    rng = np.random.default_rng(14)
+    tri_a = rng.uniform(-1.0, 1.0, (300, 3, 3))
+    tri_b = rng.uniform(-1.0, 1.0, (300, 3, 3)) + [0.5, 0.0, 0.0]
+    expected = _assert_batch_agrees(tri_a, tri_b)
+    assert {True, False} <= set(expected)
+
+
+# ---------------------------------------------------------------------------
 # projection machinery
 
 def test_select_pole_clears_mesh():
@@ -368,3 +515,53 @@ def test_witness_cap_does_not_decide_embeddedness(monkeypatch):
                         lambda points, triangles, pairs:
                         ([], list(map(tuple, pairs))))
     assert self_intersection_test(union, max_witnesses=0) == (False, [])
+
+
+def test_negative_witness_cap_rejected():
+    union = _crossed_flat_tori()
+    with pytest.raises(ValueError, match="max_witnesses"):
+        self_intersection_test(union, max_witnesses=-1)
+    _, witnesses = self_intersection_test(union, max_witnesses=10**6)
+    assert witnesses and all(type(i) is int and type(j) is int and i < j
+                             for i, j in witnesses)
+
+
+def _crossed_clifford_32():
+    return combine_meshes(gen_clifford_torus(32, 32),
+                          rotate_mesh(gen_clifford_torus(32, 32), 0, 2, 0.9))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.1),
+    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.4),
+    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.7),
+    _crossed_clifford_32,
+    _crossed_flat_tori,
+], ids=["clifford-16-t0.1", "clifford-16-t0.4", "clifford-16-t0.7",
+        "crossed-clifford-32", "crossed-flat-tori"])
+def test_witnesses_match_fraction_loop(make):
+    # the fallback as a loop: float hits first, then the undecided pairs in
+    # order through the rational predicate until max(cap, 1) witnesses
+    mesh = make()
+    points = _projected(mesh)
+    hits, fuzzy = intersect._narrow_phase(
+        points, mesh.triangles, _broad_phase(points, mesh.triangles))
+    tp = points[mesh.triangles]
+    assert all(_triangles_intersect_fraction(tp[i], tp[j]) for i, j in hits)
+    meets = [(i, j) for i, j in fuzzy
+             if _triangles_intersect_fraction(tp[i], tp[j])]
+    # at 230 the crossed flat tori list their 228 float hits and the first
+    # 2 of 14 undecided hits, not the 230 smallest witnesses
+    for cap in (0, 1, 64, 230, 10**6):
+        witnesses = hits + meets[:max(max(cap, 1) - len(hits), 0)]
+        assert self_intersection_test(mesh, max_witnesses=cap) \
+            == (not witnesses, sorted(witnesses)[:cap])
+
+
+def test_float_hits_fill_default_cap_without_integers(monkeypatch):
+    def no_integers(*points):
+        raise AssertionError("integer determinant evaluated")
+
+    monkeypatch.setattr(intersect, "_scaled_ints", no_integers)
+    embedded, witnesses = self_intersection_test(_crossed_clifford_32())
+    assert not embedded and len(witnesses) == 64

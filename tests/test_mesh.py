@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -332,3 +333,32 @@ def test_failed_write_keeps_earlier_file(tmp_path):
         write_text_atomic("\ud800", path)   # a lone surrogate cannot encode
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == "old\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_atomic_write_file_mode(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        # a new file gets what a plain open gives: 0644 under umask 022
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w") as fh:
+            fh.write("a\n")
+        new = tmp_path / "new.csv"
+        write_text_atomic("a\n", new)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert stat.S_IMODE(plain.stat().st_mode) == 0o644
+        os.umask(0o027)
+        write_json_atomic({"schema": 1}, tmp_path / "report.json")
+        assert stat.S_IMODE((tmp_path / "report.json").stat().st_mode) \
+            == 0o640
+        # an existing file keeps its mode, whatever the umask
+        kept = tmp_path / "kept.s3off"
+        kept.write_text("old\n")
+        kept.chmod(0o604)
+        write_s3off(gen_flat_torus(0.5, 8, 8), kept)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+        assert kept.read_text().startswith("S3OFF")
+    finally:
+        os.umask(old_umask)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["kept.s3off", "new.csv", "plain.csv", "report.json"]
