@@ -22,14 +22,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import constants as consts
 from . import radial, report as rep
 from .generators import gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere
 from .geometry import HorizonError
 from .intersect import PoleSelectionError
-from .mesh import MeshError, write_text_atomic
+from .mesh import MeshError, offset_horizon, write_text_atomic
 from .s3off import read_s3off
 from .spectral import ConvergenceError
 
@@ -136,7 +134,7 @@ def _cmd_constants(args):
     lam = getattr(args, "lam", None)
     if lam is not None:
         bound = consts.eigenvalue_lower_bound(n, lam)
-        branch = "totally-geodesic" if lam < math.sqrt(n) else "generic"
+        branch = consts.bound_branch(n, lam)
         chain = None
         if lam > 0 and branch == "generic":
             chain = consts.build_parameter_chain(n, lam, args.eps, args.beta)
@@ -213,34 +211,26 @@ def _cmd_verify_surface(args):
 
 
 def _cmd_offsets(args):
-    from .geometry import curvature_transport, embeddedness_horizon
-    from .intersect import self_intersection_test
-    from .mesh import discrete_shape_operator, offset_mesh
-
     mesh = _build_mesh(args)
     ts = _float_list(args.ts) if args.ts else [0.1, 0.2, 0.3]
-    if mesh.kappas is not None:
-        horizon = embeddedness_horizon(mesh.kappas.ravel())
-    else:
-        horizon = embeddedness_horizon([discrete_shape_operator(mesh).lam_max])
+    horizon = offset_horizon(mesh)
     print(f"surface: {mesh.name}   horizon T = {horizon:.6f}")
     print(f"{'t':>8s} {'status':>16s} {'minH(disc)':>12s} {'maxH(disc)':>12s} "
-          f"{'H(analytic)':>12s}")
+          f"{'minH(anal)':>12s} {'maxH(anal)':>12s}")
     for t in ts:
-        if abs(t) >= horizon:
+        row = rep.offset_row(mesh, t)
+        if row["status"] == "beyond-horizon":
             print(f"{t:8.3f} {'beyond T=%.4f' % horizon:>16s}")
             continue
-        off = offset_mesh(mesh, t)
-        geom = discrete_shape_operator(off)
-        embedded, witnesses = self_intersection_test(off)
-        status = "embedded" if embedded else f"intersecting({len(witnesses)})"
-        h_True = ""
-        if mesh.kappas is not None:
-            h_val = sum(curvature_transport(float(k), t)
-                        for k in mesh.kappas[0])
-            h_True = f"{h_val:12.6f}"
-        print(f"{t:8.3f} {status:>16s} {geom.mean_H.min():12.6f} "
-              f"{geom.mean_H.max():12.6f} {h_True}")
+        status = row["status"]
+        if status == "intersecting":
+            status += f"({row['witnesses']})"
+        analytic = ""
+        if "h_analytic_min" in row:
+            analytic = (f"{row['h_analytic_min']:12.6f} "
+                        f"{row['h_analytic_max']:12.6f}")
+        print(f"{t:8.3f} {status:>16s} {row['h_discrete_min']:12.6f} "
+              f"{row['h_discrete_max']:12.6f} {analytic}")
     return 0
 
 

@@ -21,7 +21,7 @@ from .quadrature import integrate
 __all__ = [
     "ParameterChain", "BoundConstants",
     "default_slack", "arctan_cubed_factor", "compute_bound_constants",
-    "eigenvalue_lower_bound", "build_parameter_chain",
+    "bound_branch", "eigenvalue_lower_bound", "build_parameter_chain",
     "tube_integral", "tube_integral_floor", "volume_upper_bound",
     "VolumeBound", "sphere_volume",
 ]
@@ -91,6 +91,12 @@ def compute_bound_constants(n):
     return BoundConstants(n=n, a_n=a_n, b_n=b_n, c_n=c_n)
 
 
+def bound_branch(n, lam):
+    """Branch of the eigenvalue bound: "totally-geodesic" for lam < sqrt(n),
+    else "generic"."""
+    return "totally-geodesic" if lam < math.sqrt(n) else "generic"
+
+
 def eigenvalue_lower_bound(n, lam):
     """Lower bound for the first nonzero Laplace eigenvalue of a closed
     embedded minimal hypersurface in S^(n+1) with max ||A|| <= lam.
@@ -102,7 +108,7 @@ def eigenvalue_lower_bound(n, lam):
     n = _check_dim(n)
     if lam < 0:
         raise ValueError("curvature bound lam must be nonnegative")
-    if lam < math.sqrt(n):
+    if bound_branch(n, lam) == "totally-geodesic":
         return float(n)
     c = compute_bound_constants(n)
     return n / 2.0 + c.a_n / (lam ** 6 + c.b_n)

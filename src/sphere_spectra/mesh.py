@@ -11,6 +11,7 @@ which side the normal field points to (each generator documents its
 choice).
 """
 
+import math
 import os
 import stat
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from . import geometry
 
 __all__ = [
     "MeshError", "MeshQualityError", "SphericalTriMesh",
-    "LaplacePair", "DiscreteGeometry",
-    "assemble_laplacian", "discrete_shape_operator", "offset_mesh",
+    "LaplacePair", "DiscreteGeometry", "assemble_laplacian",
+    "discrete_shape_operator", "offset_horizon", "offset_mesh",
     "vertex_areas", "write_text_atomic",
 ]
 
@@ -258,9 +259,6 @@ class LaplacePair:
     def size(self):
         return self.mass.shape[0]
 
-    def mass_matrix(self):
-        return sp.diags(self.mass)
-
 
 def vertex_areas(mesh):
     """Barycentric lumped vertex areas (one third of incident triangles)."""
@@ -330,23 +328,20 @@ def _tangent_frames(vertices, normals):
     return t1, t2
 
 
-def discrete_shape_operator(mesh, use_mesh_normals=False):
+def discrete_shape_operator(mesh):
     """Estimate the per-vertex shape operator from one-ring normal variation.
 
-    The per-vertex normal is estimated from incident triangles (or taken
-    from the mesh when `use_mesh_normals`), then a symmetric 2x2 operator
-    S is fit in least squares to  delta_normal = -S delta_position  over
-    the one-ring, both sides projected to the tangent plane.  Curvature
+    The per-vertex normal is estimated from incident triangles, then a
+    symmetric 2x2 operator S is fit in least squares to
+    delta_normal = -S delta_position  over the one-ring, both sides
+    projected to the tangent plane.  Curvature
     sign convention is the package one: geodesic spheres have positive
     curvature toward their center.
 
     Vertices whose one-ring fit is rank deficient fall back to the mesh's
     analytic curvatures when present, otherwise raise MeshQualityError.
     """
-    if use_mesh_normals and mesh.normals is not None:
-        normals = mesh.normals
-    else:
-        normals = mesh.estimated_normals()
+    normals = mesh.estimated_normals()
     v = mesh.vertices
     t1, t2 = _tangent_frames(v, normals)
     adj = mesh.adjacency()
@@ -415,13 +410,21 @@ def discrete_shape_operator(mesh, use_mesh_normals=False):
         genus=genus)
 
 
+def offset_horizon(mesh):
+    """Horizon arctan(1/lam) of the parallel meshes: lam is the largest
+    analytic |kappa| if the mesh has them, else the discrete `lam_max`."""
+    if mesh.kappas is not None:
+        return geometry.embeddedness_horizon(mesh.kappas.ravel())
+    return geometry.embeddedness_horizon([mesh.discrete_geometry().lam_max])
+
+
 def offset_mesh(mesh, t):
     """Parallel mesh at signed geodesic distance t along per-vertex normals.
 
     Uses the mesh's analytic normals when present, otherwise estimated
-    ones.  The horizon check uses analytic curvatures when attached
-    (discrete estimates otherwise); analytic normals and curvatures are
-    transported to the offset mesh.
+    ones.  Raises HorizonError for |t| at or beyond `offset_horizon(mesh)`.
+    Analytic normals and curvatures are transported to the offset mesh,
+    the curvatures as `geometry.curvature_transport` does.
     """
     if mesh.normals is not None:
         normals = mesh.normals
@@ -429,11 +432,7 @@ def offset_mesh(mesh, t):
     else:
         normals = mesh.estimated_normals()
         analytic = False
-    if mesh.kappas is not None:
-        km = float(np.abs(mesh.kappas).max())
-    else:
-        km = float(mesh.discrete_geometry().norm_A.max())
-    horizon = geometry.embeddedness_horizon([km])
+    horizon = offset_horizon(mesh)
     if abs(t) >= horizon:
         raise geometry.HorizonError(
             f"|t|={abs(t)} is not below the embeddedness horizon {horizon}",
@@ -445,7 +444,7 @@ def offset_mesh(mesh, t):
     if analytic:
         new_normals = ct * normals - st * mesh.vertices
         if mesh.kappas is not None:
-            tt = np.tan(t)
+            tt = math.tan(t)
             new_kappas = (mesh.kappas + tt) / (1.0 - mesh.kappas * tt)
     return SphericalTriMesh(
         vertices=new_vertices, triangles=mesh.triangles.copy(),

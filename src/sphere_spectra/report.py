@@ -17,13 +17,14 @@ from importlib import metadata as _im
 
 import numpy as np
 
-from . import constants, geometry, intersect, spectral
-from .mesh import (assemble_laplacian, discrete_shape_operator, offset_mesh,
-                   write_text_atomic)
+from . import constants, intersect, spectral
+from .mesh import (MeshError, assemble_laplacian, discrete_shape_operator,
+                   offset_horizon, offset_mesh, write_text_atomic)
 
 __all__ = [
     "SCHEMA_VERSION", "SchemaMismatchError", "tool_version",
-    "verify_surface", "compute_verdicts", "report_to_csv_row", "CSV_FIELDS",
+    "verify_surface", "offset_row", "compute_verdicts", "report_to_csv_row",
+    "CSV_FIELDS",
     "write_json_atomic", "load_report", "merge_reports", "merged_csv_text",
 ]
 
@@ -47,71 +48,94 @@ def tool_version():
         return "0.0.0+unpackaged"
 
 
-def _finite(x):
-    return None if x is None or not math.isfinite(x) else float(x)
+def offset_row(mesh, t):
+    """One offsets-table row: the parallel mesh at distance t.
+
+    A distance at or beyond `offset_horizon(mesh)` gives a
+    "beyond-horizon" row.  Otherwise the row holds the embeddedness
+    status and the ranges of the discrete and (if the mesh has analytic
+    curvatures) the transported analytic mean curvature.
+    """
+    t = float(t)
+    horizon = offset_horizon(mesh)
+    if abs(t) >= horizon:
+        return {"t": t, "status": "beyond-horizon", "horizon": horizon}
+    t0 = time.perf_counter()
+    off = offset_mesh(mesh, t)
+    off_geom = discrete_shape_operator(off)
+    embedded, witnesses = intersect.self_intersection_test(off)
+    row = {
+        "t": t,
+        "status": "embedded" if embedded else "intersecting",
+        "witnesses": len(witnesses),
+        "h_discrete_min": float(off_geom.mean_H.min()),
+        "h_discrete_max": float(off_geom.mean_H.max()),
+    }
+    if off.kappas is not None:
+        h = off.kappas.sum(axis=1)
+        row["h_analytic_min"] = float(h.min())
+        row["h_analytic_max"] = float(h.max())
+    row["seconds"] = time.perf_counter() - t0
+    return row
 
 
-def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000,
-                   skip_spectrum=False):
+def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
     """Full verification pipeline for one mesh; returns the report dict.
 
     `offsets` is a sequence of signed distances for the embeddedness
-    table; distances at or beyond the curvature horizon produce
-    "beyond-horizon" rows rather than errors.
+    table, one `offset_row` each.  A mesh with more than one connected
+    component raises MeshError: its first nonzero eigenvalue is 0.
     """
     n = 2   # triangulated surfaces in S^3
+    if mesh.component_count > 1:
+        raise MeshError(
+            f"mesh has {mesh.component_count} connected components; "
+            "lambda1 of a disconnected surface is 0")
     timing = {}
     t_all = time.perf_counter()
 
     t0 = time.perf_counter()
-    geom = discrete_shape_operator(mesh)
+    geom = mesh.discrete_geometry()
     timing["shape_operator"] = time.perf_counter() - t0
 
     lam_analytic = None
     h_analytic = None
-    minimal = None
-    mean_convex = None
-    horizon = None
     if mesh.kappas is not None:
         lam_analytic = float(np.linalg.norm(mesh.kappas, axis=1).max())
         h_analytic = float(mesh.kappas.sum(axis=1).max())
         h_min_analytic = float(mesh.kappas.sum(axis=1).min())
         minimal = abs(h_analytic) <= 1e-12 and abs(h_min_analytic) <= 1e-12
         mean_convex = h_min_analytic >= -1e-12
-        horizon = geometry.embeddedness_horizon(mesh.kappas.ravel())
     else:
         scale = max(1.0, geom.lam_max)
         minimal = bool(np.abs(geom.mean_H).max() <= MINIMAL_H_TOL * scale)
         mean_convex = bool(geom.mean_H.min() >= -MINIMAL_H_TOL * scale)
-        horizon = geometry.embeddedness_horizon([geom.lam_max])
+    horizon = offset_horizon(mesh)
 
-    spectrum = None
-    if not skip_spectrum:
-        t0 = time.perf_counter()
-        pair = assemble_laplacian(mesh)
-        timing["assembly"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        eig = spectral.smallest_nonzero_eig(pair, tol=tol, max_iter=max_iter,
-                                            seed=seed)
-        timing["eigensolve"] = time.perf_counter() - t0
-        spectrum = {
-            "lambda1": eig.lambda1,
-            "residual": eig.residual,
-            "iterations": eig.iterations,
-            "cluster": eig.cluster,
-            "values": eig.values,
-            "lambda1_analytic": mesh.meta.get("lambda1"),
-        }
+    t0 = time.perf_counter()
+    pair = assemble_laplacian(mesh)
+    timing["assembly"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    eig = spectral.smallest_nonzero_eig(pair, tol=tol, max_iter=max_iter,
+                                        seed=seed)
+    timing["eigensolve"] = time.perf_counter() - t0
+    spectrum = {
+        "lambda1": eig.lambda1,
+        "residual": eig.residual,
+        "iterations": eig.iterations,
+        "cluster": eig.cluster,
+        "values": eig.values,
+        "lambda1_analytic": mesh.meta.get("lambda1"),
+    }
 
     bc = constants.compute_bound_constants(n)
     lam_for_bound = lam_analytic if lam_analytic is not None else geom.lam_max
-    branch = "totally-geodesic" if lam_for_bound < math.sqrt(n) else "generic"
-    bound_analytic = constants.eigenvalue_lower_bound(n, lam_for_bound) \
-        if lam_for_bound is not None else None
+    branch = constants.bound_branch(n, lam_for_bound)
+    bound_analytic = constants.eigenvalue_lower_bound(n, lam_for_bound)
     bound_discrete = constants.eigenvalue_lower_bound(n, geom.lam_max)
 
     volume = None
-    if lam_for_bound and lam_for_bound > 0:
+    if lam_for_bound > 0:
         t0 = time.perf_counter()
         tube = constants.tube_integral(n, lam_for_bound)
         volume = {
@@ -124,27 +148,7 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000,
     simons = float(np.sum(
         geom.areas * geom.norm_A ** 2 * (geom.norm_A ** 2 - n)))
 
-    offsets_table = []
-    for t_off in offsets:
-        row = {"t": float(t_off)}
-        if horizon is not None and abs(t_off) >= horizon:
-            row["status"] = "beyond-horizon"
-            row["horizon"] = horizon
-        else:
-            t0 = time.perf_counter()
-            off = offset_mesh(mesh, t_off)
-            off_geom = discrete_shape_operator(off)
-            embedded, witnesses = intersect.self_intersection_test(off)
-            row["status"] = "embedded" if embedded else "intersecting"
-            row["witnesses"] = len(witnesses)
-            row["h_discrete_min"] = float(off_geom.mean_H.min())
-            row["h_discrete_max"] = float(off_geom.mean_H.max())
-            if mesh.kappas is not None:
-                row["h_analytic"] = float(sum(
-                    geometry.curvature_transport(float(k), t_off)
-                    for k in mesh.kappas[0]))
-            row["seconds"] = time.perf_counter() - t0
-        offsets_table.append(row)
+    offsets_table = [offset_row(mesh, t) for t in offsets]
 
     timing["total"] = time.perf_counter() - t_all
     report = {
@@ -181,7 +185,7 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000,
             "h_discrete_max": float(geom.mean_H.max()),
             "minimal": minimal,
             "mean_convex": mean_convex,
-            "horizon": _finite(horizon),
+            "horizon": horizon if math.isfinite(horizon) else None,
         },
         "bound": {
             "a_n": bc.a_n,

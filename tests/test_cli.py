@@ -4,7 +4,9 @@ import math
 import pytest
 
 from sphere_spectra.cli import main
-from sphere_spectra.generators import gen_clifford_torus, gen_geodesic_sphere
+from sphere_spectra.generators import (
+    combine_meshes, gen_clifford_torus, gen_geodesic_sphere,
+)
 from sphere_spectra.report import load_report
 from sphere_spectra.s3off import write_s3off
 
@@ -75,6 +77,15 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     assert "mesh error" in capsys.readouterr().err
 
 
+def test_disconnected_mesh_exit_code(tmp_path, capsys):
+    mesh_path = tmp_path / "two_spheres.s3off"
+    write_s3off(combine_meshes(gen_geodesic_sphere(math.pi / 4.0, 3),
+                               gen_geodesic_sphere(math.pi / 6.0, 3)),
+                mesh_path)
+    assert main(["verify-surface", "--mesh", str(mesh_path)]) == 3
+    assert "2 connected components" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     from sphere_spectra import report as report_mod
     from sphere_spectra.spectral import ConvergenceError
@@ -93,6 +104,8 @@ def test_offsets_table(capsys):
     out = capsys.readouterr().out
     assert "embedded" in out
     assert "beyond T=0.7854" in out
+    header = out.splitlines()[1].split()
+    assert header[-2:] == ["minH(anal)", "maxH(anal)"]
 
 
 def test_offsets_table_from_s3off_uses_discrete_horizon(tmp_path, capsys):

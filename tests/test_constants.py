@@ -99,6 +99,15 @@ def test_eigenvalue_lower_bound_branches():
         assert 1.0 < v < 2.0
 
 
+def test_bound_branch_threshold_is_sqrt_n():
+    assert C.bound_branch(2, 0.0) == "totally-geodesic"
+    assert C.bound_branch(2, math.nextafter(math.sqrt(2.0), 0.0)) \
+        == "totally-geodesic"
+    assert C.bound_branch(2, math.sqrt(2.0)) == "generic"
+    assert C.bound_branch(3, 1.2) == "totally-geodesic"
+    assert C.bound_branch(3, 2.0) == "generic"
+
+
 def test_eigenvalue_lower_bound_rejects_negative():
     with pytest.raises(ValueError):
         C.eigenvalue_lower_bound(2, -1.0)

@@ -12,10 +12,11 @@ from sphere_spectra.generators import (
 )
 from sphere_spectra.mesh import (
     MeshError, MeshQualityError, SphericalTriMesh, assemble_laplacian,
-    discrete_shape_operator, offset_mesh, vertex_areas, write_text_atomic,
+    discrete_shape_operator, offset_horizon, offset_mesh, vertex_areas,
+    write_text_atomic,
 )
 from sphere_spectra.report import write_json_atomic
-from sphere_spectra.s3off import write_s3off
+from sphere_spectra.s3off import read_s3off, write_s3off
 
 SQRT2 = math.sqrt(2.0)
 
@@ -264,6 +265,18 @@ def test_offset_beyond_horizon_raises():
     mesh = gen_clifford_torus(12, 12)
     with pytest.raises(geometry.HorizonError):
         offset_mesh(mesh, math.pi / 4.0)
+
+
+def test_offset_horizon_analytic_or_discrete(tmp_path):
+    mesh = gen_clifford_torus(16, 16)
+    assert offset_horizon(mesh) == pytest.approx(math.pi / 4.0, rel=1e-12)
+    path = tmp_path / "c.s3off"
+    write_s3off(mesh, path)
+    loaded = read_s3off(path)
+    lam = loaded.discrete_geometry().lam_max
+    assert offset_horizon(loaded) == math.atan(1.0 / lam)
+    with pytest.raises(geometry.HorizonError):
+        offset_mesh(loaded, math.atan(1.0 / lam))
 
 
 def test_offset_curvature_consistency():

@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from sphere_spectra import mesh as M
 from sphere_spectra import report as R
-from sphere_spectra.generators import gen_clifford_torus, gen_flat_torus
+from sphere_spectra.generators import (
+    combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
+)
+from sphere_spectra.mesh import MeshError, offset_mesh
+from sphere_spectra.s3off import read_s3off, write_s3off
 from sphere_spectra.report import (
     CSV_FIELDS, SchemaMismatchError, compute_verdicts, load_report,
-    merge_reports, merged_csv_text, report_to_csv_row, verify_surface,
-    write_json_atomic,
+    merge_reports, merged_csv_text, offset_row, report_to_csv_row,
+    verify_surface, write_json_atomic,
 )
 
 
@@ -44,8 +49,8 @@ def test_report_verdicts_pass(clifford_report):
 def test_offsets_table_statuses(clifford_report):
     rows = {row["t"]: row for row in clifford_report["offsets"]}
     assert rows[0.3]["status"] == "embedded"
-    assert rows[0.3]["h_analytic"] == pytest.approx(2.0 * math.tan(0.6),
-                                                    rel=1e-9)
+    for key in ("h_analytic_min", "h_analytic_max"):
+        assert rows[0.3][key] == pytest.approx(2.0 * math.tan(0.6), rel=1e-9)
     assert rows[0.3]["h_discrete_min"] == pytest.approx(2.0 * math.tan(0.6),
                                                         rel=0.05)
     assert rows[2.0]["status"] == "beyond-horizon"
@@ -147,6 +152,52 @@ def test_discrete_only_pipeline_from_file(tmp_path):
         assert rep["verdicts"][name]["passed"], name
     row = rep["offsets"][0]
     assert row["status"] == "embedded"
-    assert "h_analytic" not in row
+    assert "h_analytic_min" not in row and "h_analytic_max" not in row
     assert row["h_discrete_min"] == pytest.approx(2.0 * math.tan(0.6),
                                                   rel=0.05)
+
+
+def two_spheres():
+    # concentric geodesic spheres: analytic H is 2 cot r on each
+    return combine_meshes(gen_geodesic_sphere(math.pi / 4.0, 3),
+                          gen_geodesic_sphere(math.pi / 6.0, 3))
+
+
+def test_offset_row_analytic_h_spans_every_vertex():
+    mesh = two_spheres()
+    row = offset_row(mesh, 0.1)
+    assert row["status"] == "embedded"
+    h = offset_mesh(mesh, 0.1).kappas.sum(axis=1)
+    assert row["h_analytic_min"] == float(h.min())
+    assert row["h_analytic_max"] == float(h.max())
+    assert row["h_analytic_min"] == pytest.approx(2.44610, abs=1e-5)
+    assert row["h_analytic_max"] == pytest.approx(4.43561, abs=1e-5)
+
+
+def test_disconnected_mesh_rejected_before_assembly(monkeypatch):
+    def no_assembly(mesh):
+        raise AssertionError("assembled a disconnected mesh")
+
+    monkeypatch.setattr(R, "assemble_laplacian", no_assembly)
+    with pytest.raises(MeshError, match="2 connected components"):
+        verify_surface(two_spheres())
+
+
+def test_one_shape_operator_per_mesh(tmp_path, monkeypatch):
+    # base mesh once (cached for the horizon and the offsets), each
+    # offset mesh once
+    path = tmp_path / "c.s3off"
+    write_s3off(gen_clifford_torus(32, 32), path)
+    mesh = read_s3off(path)
+    calls = []
+    original = M.discrete_shape_operator
+
+    def counting(m):
+        calls.append(m.name)
+        return original(m)
+
+    monkeypatch.setattr(M, "discrete_shape_operator", counting)
+    monkeypatch.setattr(R, "discrete_shape_operator", counting)
+    rep = verify_surface(mesh, offsets=(0.1, 0.2))
+    assert [row["status"] for row in rep["offsets"]] == ["embedded"] * 2
+    assert len(calls) == 3
