@@ -43,7 +43,7 @@ for n in (2, 3, 4):
     ext = solve_hemisphere_extension(n)
     grid = np.linspace(0.01, math.pi / 2.0, 300)
     print(f"  n = {n}: boundary flux F'(pi/2) = {ext.boundary_derivative:.10f}"
-          f", ODE plug-back residual <= {ext.residual(grid).max():.1e}")
+          f", series plug-back residual <= {ext.residual(grid).max():.1e}")
 
 print("\nthe full chain on the hemisphere (lambda1 = n exactly):")
 for n in (2, 3, 4):

@@ -76,15 +76,22 @@ def _apply_config(args, parser):
         if action is None or not hasattr(args, action.dest):
             continue
         if getattr(args, action.dest) is None:
-            args.__dict__[action.dest] = \
-                action.type(value) if action.type else value
+            value = action.type(value) if action.type else value
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{key} = {value!r}: not one of "
+                                 f"{', '.join(map(str, action.choices))}")
+            args.__dict__[action.dest] = value
     return args
 
 
 def _resolve_seed(args):
     env = os.environ.get("SPHERE_SPECTRA_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(
+                f"SPHERE_SPECTRA_SEED={env!r} is not an integer") from None
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     return 0
@@ -172,11 +179,7 @@ def _cmd_verify_surface(args):
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else 1e-8
     offsets = _float_list(args.offsets) if args.offsets else []
-    try:
-        data = rep.verify_surface(mesh, tol=tol, seed=seed, offsets=offsets)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    data = rep.verify_surface(mesh, tol=tol, seed=seed, offsets=offsets)
     spec = data["spectrum"]
     cur = data["curvature"]
     print(f"surface: {data['surface']['name']}  "
@@ -404,6 +407,10 @@ def main(argv=None):
     except (HorizonError, PoleSelectionError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_MESH
+    except ValueError as exc:
+        # after the handlers above: MeshError and HorizonError subclass it
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -174,14 +174,8 @@ class SphericalTriMesh:
     @property
     def component_count(self):
         if "components" not in self._cache:
-            t = self.triangles
-            rows = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
-            cols = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
-            adj = sp.coo_matrix(
-                (np.ones(len(rows)), (rows, cols)),
-                shape=(self.vertex_count, self.vertex_count))
             self._cache["components"] = connected_components(
-                adj, directed=False)[0]
+                self.adjacency(), directed=False)[0]
         return self._cache["components"]
 
     def triangle_points(self):

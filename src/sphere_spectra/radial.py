@@ -13,8 +13,8 @@ eigenfunction, leaving the radial factor ODE
 F'' + n cot(t) F' - (n / sin^2 t) F = 0 with the regular branch F ~ t.
 
 Every `verify_*` function computes both sides of its identity or
-inequality with independent numerics (quadrature, finite differences,
-or an ODE solve) and reports the gap or slack.
+inequality with independent numerics (quadrature or finite differences)
+and reports the gap or slack.
 """
 
 import math
@@ -86,6 +86,20 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
 
+# absolute quadrature tolerance of every oracle but `verify_reilly_radial`,
+# whose tolerance the caller may vary
+_QUAD_TOL = 1e-10
+# pass threshold of the hemisphere chain, relative to 1 + |side|
+_CHAIN_TOL = 1e-8
+# finite-difference grid of the pointwise Bochner residual
+_BOCHNER_GRID_POINTS = 10**4
+_BOCHNER_FD_STEP = 2e-3
+# largest |theta| the hemisphere series serves: the equator plus room for
+# the residual stencil of half-width 3 * _RESIDUAL_FD_STEP around it
+_THETA_MAX = math.pi / 2.0 + 0.05
+_RESIDUAL_FD_STEP = 4e-3
+
+
 def _quad(f, a, b, tol):
     """Adaptive quadrature with the absolute tolerance scaled by a
     single-rule magnitude estimate (doubles cannot reach 1e-10 absolute
@@ -129,7 +143,7 @@ def _fd_derivatives(func, x, h):
     return d1, d2
 
 
-def verify_bochner_radial(n, r0, r1, grid_points=10**4, fd_step=2e-3):
+def verify_bochner_radial(n, r0, r1):
     """Max pointwise residual of the harmonic-gradient identity
     Delta |grad v|^2 = 2 |Hess v|^2 + 2 n |grad v|^2 on an annulus.
 
@@ -140,15 +154,15 @@ def verify_bochner_radial(n, r0, r1, grid_points=10**4, fd_step=2e-3):
     n = _check_dim(n)
     if not (0.0 < r0 < r1 < math.pi):
         raise ValueError("need 0 < r0 < r1 < pi")
-    pad = 4.0 * fd_step
+    pad = 4.0 * _BOCHNER_FD_STEP
     if r0 - pad <= 0 or r1 + pad >= math.pi:
         raise ValueError("annulus too close to the poles for the FD stencil")
-    r = np.linspace(r0, r1, grid_points)
+    r = np.linspace(r0, r1, _BOCHNER_GRID_POINTS)
 
     def g(x):
         return radial_harmonic_derivative(n, x) ** 2
 
-    g1, g2 = _fd_derivatives(g, r, fd_step)
+    g1, g2 = _fd_derivatives(g, r, _BOCHNER_FD_STEP)
     lhs = g2 + n * (np.cos(r) / np.sin(r)) * g1
     vp = radial_harmonic_derivative(n, r)
     vpp = -n * (np.cos(r) / np.sin(r)) * vp
@@ -157,7 +171,7 @@ def verify_bochner_radial(n, r0, r1, grid_points=10**4, fd_step=2e-3):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def verify_reilly_radial(n, radius, profile, tol=1e-10):
+def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
     """Both sides of the integral Bochner (Reilly) identity on a geodesic
     ball of the given radius, for a radial profile with f'(0) = 0.
 
@@ -201,7 +215,7 @@ def verify_reilly_radial(n, radius, profile, tol=1e-10):
         extras={"ricci": ricci, "boundary": boundary})
 
 
-def verify_interior_gradient_radial(n, r0, r1, t, tol=1e-10):
+def verify_interior_gradient_radial(n, r0, r1, t):
     """Interior gradient bound for the radial harmonic on an annulus:
 
         int_{shrunk annulus} |grad v|^2
@@ -226,8 +240,8 @@ def verify_interior_gradient_radial(n, r0, r1, t, tol=1e-10):
         vpp = -n * (c / s) * vp
         return (vpp ** 2 + n * (vp * c / s) ** 2) * omega * s ** n
 
-    lhs = _quad(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t, tol)
-    hess = _quad(hess_integrand, r0, r1, tol)
+    lhs = _quad(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t, _QUAD_TOL)
+    hess = _quad(hess_integrand, r0, r1, _QUAD_TOL)
     rhs = hess / ((n - 1) * t ** 2)
     slack = rhs - lhs
     tol_eff = 1e-10 * (1.0 + abs(rhs))
@@ -248,39 +262,29 @@ class HemisphereExtension:
     F solves F'' + n cot(t) F' - (n / sin^2 t) F = 0 on (0, pi/2] with the
     regular behavior F ~ c t at the pole (indicial exponents 1 and -n).
     Internally the even regular factor G = F / sin(t) is used
-    (G'' + (n+2) cot(t) G' - (n+1) G = 0, G(0) finite): near the pole G
-    is evaluated from its Frobenius series, away from it from the ODE
-    integration started on series data.  This keeps evaluation errors
-    near the pole from being amplified by the 1/sin^2 coefficient of the
-    F equation.  Callables accept arrays.
+    (G'' + (n+2) cot(t) G' - (n+1) G = 0, G(0) finite), evaluated from its
+    Gauss series G = 2F1(n+1, 1; (n+3)/2; z) in z = sin^2(t/2), whose terms
+    are all positive.  Working with G keeps evaluation errors near the
+    pole from being amplified by the 1/sin^2 coefficient of the F
+    equation.  F is odd; callables accept arrays with |t| <= _THETA_MAX
+    and raise ValueError beyond it.
     """
     n: int
-    theta0: float
-    _sol: object        # dense solution for (G, G') on [theta0, pi/2 + eps]
-    _scale: float
     _coeffs: np.ndarray  # series G = sum c_m z^m, z = sin^2(theta/2)
+    _scale: float
 
-    def _series_pair(self, theta):
+    def _g_pair(self, theta):
         """(G, dG/dtheta) from the regular series in z = sin^2(theta/2)."""
+        theta = np.asarray(theta, dtype=float)
+        if (np.abs(theta) > _THETA_MAX).any():
+            raise ValueError(f"|theta| beyond {_THETA_MAX:.4f}, the range "
+                             f"of the hemisphere series")
         z = np.sin(0.5 * theta) ** 2
         powers = z[..., None] ** np.arange(len(self._coeffs))
         g = powers @ self._coeffs
         dg_dz = powers[..., :-1] @ (self._coeffs[1:]
                                     * np.arange(1, len(self._coeffs)))
         return g, dg_dz * 0.5 * np.sin(theta)
-
-    def _g_pair(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        g = np.empty_like(theta)
-        gp = np.empty_like(theta)
-        small = theta < self.theta0
-        if small.any():
-            g[small], gp[small] = self._series_pair(theta[small])
-        if (~small).any():
-            vals = self._sol(theta[~small])
-            g[~small] = vals[0]
-            gp[~small] = vals[1]
-        return g, gp
 
     def f(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -308,63 +312,37 @@ class HemisphereExtension:
         """Outward normal derivative F'(pi/2) at the equator (positive)."""
         return float(self.fp(math.pi / 2.0))
 
-    def residual(self, theta_grid, fd_step=4e-3):
+    def residual(self, theta_grid):
         """Plug-back ODE residual with F'' from finite differences of F.
 
-        The integration domain extends a little past pi/2 so the stencil
-        stays inside it on the whole grid [0.01, pi/2].
+        An independent check that the series solves the F equation; the
+        stencil stays inside the series range on the whole grid
+        [0.01, pi/2].
         """
         th = np.asarray(theta_grid, dtype=float)
-        _, d2 = _fd_derivatives(self.f, th, fd_step)
+        _, d2 = _fd_derivatives(self.f, th, _RESIDUAL_FD_STEP)
         s, c = np.sin(th), np.cos(th)
         return np.abs(d2 + self.n * (c / s) * self.fp(th)
                       - (self.n / s ** 2) * self.f(th))
 
 
-def _regular_series_coeffs(n, terms=40):
-    """Coefficients of the regular branch G = sum c_m z^m, z = sin^2(t/2).
-
-    Substituting z into the G equation turns it into a hypergeometric-type
-    recurrence c_{m+1} = c_m (m + n + 1) / (m + (n + 3)/2), c_0 = 1.
-    For z <= sin^2(0.1) the truncation at 40 terms is far below 1e-16.
-    """
-    c = np.empty(terms)
-    c[0] = 1.0
-    for m in range(terms - 1):
-        c[m + 1] = c[m] * (m + n + 1.0) / (m + (n + 3.0) / 2.0)
-    return c
-
-
-def solve_hemisphere_extension(n, theta0=0.05, rtol=1e-12, atol=1e-14,
-                               method="DOP853"):
+def solve_hemisphere_extension(n):
     """Radial factor of the hemisphere harmonic extension, F(pi/2) = 1.
 
-    The regular branch (F ~ t at the pole) is pinned by its convergent
-    series up to theta0; from there the ODE is integrated with adaptive
-    high-order stepping.  The series region is what keeps the plug-back
-    residual below 1e-8 even at theta = 0.01, where the equation's
-    1/sin^2 coefficient amplifies any evaluation error ~2e4 times.
+    Substituting z = sin^2(t/2) into the G equation gives the recurrence
+    c_{m+1} = c_m (m + n + 1) / (m + (n + 3)/2), c_0 = 1.  Terms are added
+    until c_m z^m < 2^-60 at the largest z served, z = sin^2(_THETA_MAX/2)
+    ~ 0.525: 69 to 73 terms for n = 2..4, 130 at n = 64.  The term ratio
+    tends to z, so the dropped tail is about one more term.
     """
-    # scipy.integrate loads scipy.optimize: about 0.3 s and 19 MiB of import
-    from scipy.integrate import solve_ivp
-
     n = _check_dim(n)
-    coeffs = _regular_series_coeffs(n)
-
-    def rhs(t, y):
-        g, gp = y
-        return [gp, (n + 1.0) * g - (n + 2.0) * (math.cos(t) / math.sin(t)) * gp]
-
-    ext = HemisphereExtension(n=n, theta0=theta0, _sol=None, _scale=1.0,
-                              _coeffs=coeffs)
-    y0 = list(ext._series_pair(np.asarray(theta0)))
-    # integrate a touch past pi/2 so residual stencils stay in-domain
-    sol = solve_ivp(rhs, (theta0, math.pi / 2.0 + 0.02), y0, method=method,
-                    rtol=rtol, atol=atol, max_step=0.02, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"hemisphere ODE integration failed: {sol.message}")
-    ext._sol = sol.sol
-    ext._scale = 1.0 / float(sol.sol(math.pi / 2.0)[0])
+    z_max = math.sin(0.5 * _THETA_MAX) ** 2
+    coeffs = [1.0]
+    while coeffs[-1] * z_max ** (len(coeffs) - 1) >= 2.0 ** -60:
+        m = len(coeffs) - 1
+        coeffs.append(coeffs[m] * (m + n + 1.0) / (m + (n + 3.0) / 2.0))
+    ext = HemisphereExtension(n=n, _coeffs=np.array(coeffs), _scale=1.0)
+    ext._scale = 1.0 / float(ext._g_pair(math.pi / 2.0)[0])
     return ext
 
 
@@ -394,11 +372,11 @@ class ChainReport:
                 and self.gap_inequality.passed and self.trace_inequality.passed)
 
 
-def verify_choiwang_chain_hemisphere(n, tol=1e-8, quad_tol=1e-10):
+def verify_choiwang_chain_hemisphere(n):
     """Evaluate the whole boundary-flux chain on the hemisphere instance.
 
     The flux identity must hold to ~quadrature accuracy; the three
-    inequalities must hold with slack >= -tol * scale.  On this instance
+    inequalities must hold with slack >= -1e-8 * scale.  On this instance
     the Hessian energy equals n times the gradient energy exactly, so
     the first two inequalities are tight (slack ~ 0) and the Hessian
     energy itself is the strictly positive dropped term.
@@ -418,13 +396,13 @@ def verify_choiwang_chain_hemisphere(n, tol=1e-8, quad_tol=1e-10):
         fiber = n * ((f - c * s * fp) / s ** 2) ** 2
         return (fpp ** 2 + mixed + fiber) * s ** n
 
-    grad_energy = _quad(grad_integrand, 0.0, math.pi / 2.0, quad_tol)
-    hess_energy = _quad(hess_integrand, 0.0, math.pi / 2.0, quad_tol)
+    grad_energy = _quad(grad_integrand, 0.0, math.pi / 2.0, _QUAD_TOL)
+    hess_energy = _quad(hess_integrand, 0.0, math.pi / 2.0, _QUAD_TOL)
     flux = ext.boundary_derivative * 1.0   # F(pi/2) = 1, ||Y||_2 = 1
     surface_gradient = ext.boundary_derivative ** 2 + n
 
     gap2 = abs(flux - grad_energy)
-    tol2 = tol * (1.0 + abs(flux))
+    tol2 = _CHAIN_TOL * (1.0 + abs(flux))
     flux_identity = IdentityReport(
         name=f"flux-identity[n={n}]", lhs=flux, rhs=grad_energy,
         gap=gap2, tol=tol2, passed=gap2 <= tol2)
@@ -432,7 +410,7 @@ def verify_choiwang_chain_hemisphere(n, tol=1e-8, quad_tol=1e-10):
     lhs3 = n * grad_energy - 2.0 * lam1 * flux
     rhs3 = -hess_energy
     slack3 = rhs3 - lhs3
-    tol3 = tol * (1.0 + abs(rhs3))
+    tol3 = _CHAIN_TOL * (1.0 + abs(rhs3))
     reilly_ineq = InequalityReport(
         name=f"reilly-boundary[n={n}]", lhs=lhs3, rhs=rhs3, slack=slack3,
         tol=tol3, passed=slack3 >= -tol3)
@@ -440,7 +418,7 @@ def verify_choiwang_chain_hemisphere(n, tol=1e-8, quad_tol=1e-10):
     lhs4 = hess_energy
     rhs4 = 2.0 * (lam1 - n / 2.0) * grad_energy
     slack4 = rhs4 - lhs4
-    tol4 = tol * (1.0 + abs(rhs4))
+    tol4 = _CHAIN_TOL * (1.0 + abs(rhs4))
     gap_ineq = InequalityReport(
         name=f"eigen-gap[n={n}]", lhs=lhs4, rhs=rhs4, slack=slack4,
         tol=tol4, passed=slack4 >= -tol4 and hess_energy > 0.0,
@@ -448,7 +426,7 @@ def verify_choiwang_chain_hemisphere(n, tol=1e-8, quad_tol=1e-10):
 
     lhs20 = math.sqrt(2.0 * n) * grad_energy
     slack20 = surface_gradient - lhs20
-    tol20 = tol * (1.0 + abs(surface_gradient))
+    tol20 = _CHAIN_TOL * (1.0 + abs(surface_gradient))
     trace_ineq = InequalityReport(
         name=f"boundary-trace[n={n}]", lhs=lhs20, rhs=surface_gradient,
         slack=slack20, tol=tol20, passed=slack20 >= -tol20,
@@ -462,7 +440,7 @@ def verify_choiwang_chain_hemisphere(n, tol=1e-8, quad_tol=1e-10):
         sharp_trace_gap=surface_gradient - (lam1 + grad_energy ** 2))
 
 
-def verify_collar_trace_hemisphere(n, t, beta, profile, tol=1e-10):
+def verify_collar_trace_hemisphere(n, t, beta, profile):
     """Boundary-gradient collar inequality on the hemisphere:
 
         int_{equator} |grad v|^2  <=  int_{offset sphere} |grad v|^2
@@ -494,8 +472,8 @@ def verify_collar_trace_hemisphere(n, t, beta, profile, tol=1e-10):
         fp, fpp = profile.fp(th), profile.fpp(th)
         return (fpp ** 2 + n * (fp * c / s) ** 2) * s ** n
 
-    collar_grad = _quad(grad_integrand, half_pi - t, half_pi, tol)
-    collar_hess = _quad(hess_integrand, half_pi - t, half_pi, tol)
+    collar_grad = _quad(grad_integrand, half_pi - t, half_pi, _QUAD_TOL)
+    collar_hess = _quad(hess_integrand, half_pi - t, half_pi, _QUAD_TOL)
     h_max = n * math.tan(t)
     rhs = offset_term + (h_max + beta) * omega * collar_grad \
         + omega * collar_hess / beta

@@ -49,6 +49,22 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv,env_seed", [
+    (["constants", "--dim", "1"], None),
+    (["constants", "--dim", "2", "--lambda", "-1"], None),
+    (["verify-surface", "--gen", "sphere", "--r", "2.0"], None),
+    (["verify-oracles", "--dims", "1"], None),
+    (["verify-surface", "--gen", "clifford", "--res", "8"], "abc"),
+], ids=["dim", "lambda", "sphere-radius", "oracle-dims", "seed-env"])
+def test_bad_values_exit_usage(argv, env_seed, monkeypatch, capsys):
+    if env_seed is not None:
+        monkeypatch.setenv("SPHERE_SPECTRA_SEED", env_seed)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_surface_writes_report(tmp_path, capsys):
     out = tmp_path / "rep.json"
     csv_out = tmp_path / "rep.csv"
@@ -179,6 +195,19 @@ def test_config_parse_error(tmp_path, capsys):
     cfg.write_text("dim: 3\n")
     assert main(["constants", "--config", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["verify-oracles", "--dims", "2"], "only = bogus"),
+    (["offsets"], "gen = bogus"),
+], ids=["only", "gen"])
+def test_config_value_outside_choices(argv, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "bogus" in captured.err
+    assert "checks passed" not in captured.out
 
 
 def test_seed_env_override(tmp_path, monkeypatch, capsys):

@@ -17,3 +17,15 @@ def test_import_leaves_scipy_integrate_and_optimize_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_verify_oracles_leaves_scipy_integrate_and_optimize_unloaded():
+    code = ("import sys\n"
+            "from sphere_spectra import cli\n"
+            "code = cli.main(['verify-oracles', '--dims', '2'])\n"
+            "print(code, [m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "0 []"
