@@ -97,12 +97,13 @@ def _resolve_seed(args):
     return 0
 
 
-def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_list(text, kind):
+    """A comma list option; one that parses to nothing would run, and
+    pass, nothing, so it is a usage error."""
+    items = [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise ValueError(f"no values in the list {text!r}")
+    return items
 
 
 def _build_mesh(args):
@@ -175,10 +176,10 @@ def _cmd_constants(args):
 
 
 def _cmd_verify_surface(args):
+    offsets = _parse_list(args.offsets, float) if args.offsets else []
     mesh = _build_mesh(args)
     seed = _resolve_seed(args)
     tol = args.tol if args.tol is not None else 1e-8
-    offsets = _float_list(args.offsets) if args.offsets else []
     data = rep.verify_surface(mesh, tol=tol, seed=seed, offsets=offsets)
     spec = data["spectrum"]
     cur = data["curvature"]
@@ -214,8 +215,8 @@ def _cmd_verify_surface(args):
 
 
 def _cmd_offsets(args):
+    ts = _parse_list(args.ts, float) if args.ts else [0.1, 0.2, 0.3]
     mesh = _build_mesh(args)
-    ts = _float_list(args.ts) if args.ts else [0.1, 0.2, 0.3]
     horizon = offset_horizon(mesh)
     print(f"surface: {mesh.name}   horizon T = {horizon:.6f}")
     print(f"{'t':>8s} {'status':>16s} {'minH(disc)':>12s} {'maxH(disc)':>12s} "
@@ -238,7 +239,7 @@ def _cmd_offsets(args):
 
 
 def _cmd_verify_oracles(args):
-    dims = _int_list(args.dims) if args.dims else [2, 3, 4]
+    dims = _parse_list(args.dims, int) if args.dims else [2, 3, 4]
     only = args.only
     rows = []
 

@@ -11,10 +11,12 @@ a triangle-triangle intersection test between non-adjacent triangles
 with a conservative error bound.  The pairs with any sign decision
 within the bound go, in one batched call, through the exact predicate:
 numpy re-checks every sign it needs against the same bound, and exact
-integer arithmetic computes only the signs floats leave undecided
-(every float is an integer over a power of two).  The reported verdict
-is therefore exact for the projected coordinates.  Touching
-configurations count as intersections.
+integer arithmetic computes only the signs floats leave undecided.
+Those go, per batch, through one conversion to integers (every float
+is an integer over a power of two) and one object-array determinant
+in Python integers.  The reported verdict is therefore exact for the
+projected coordinates.  Touching configurations count as
+intersections.
 """
 
 import math
@@ -119,17 +121,27 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _scaled_ints(*points):
-    """Float points as integer points over one power-of-two denominator.
+def _scaled_ints(points):
+    """Float stacks (m, k, d) as Python-int stacks, one denominator a row.
 
-    Every finite float is num / 2^k, so shifting each numerator up to
-    the largest k scales all coordinates by the same positive factor,
-    which leaves the sign of an orientation determinant unchanged.
+    Every finite float is a 53-bit integer mantissa times a power of
+    two.  Shifting each mantissa up by its exponent's excess over the
+    smallest exponent of a nonzero entry in its row scales the whole
+    row by one positive power of two, which leaves the sign of an
+    orientation determinant unchanged.  Raises ValueError on a NaN or
+    infinite coordinate, which has no sign to decide.
     """
-    ratios = [[x.as_integer_ratio() for x in p] for p in points]
-    top = max(den for p in ratios for _, den in p).bit_length()
-    return [[num << (top - den.bit_length()) for num, den in p]
-            for p in ratios]
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("exact orientation of a non-finite coordinate")
+    mant, expo = np.frexp(points)
+    num = (mant * 2.0 ** 53).astype(np.int64)        # exact: 53 bits
+    nonzero = num != 0
+    # frexp exponents of finite floats are at most 1024
+    low = np.min(expo, axis=(1, 2), keepdims=True, where=nonzero,
+                 initial=1024)
+    shift = np.where(nonzero, expo - low, 0)
+    return num.astype(object) << shift.astype(object)
 
 
 def _det3(a, b, c, d):
@@ -151,8 +163,9 @@ def _det2(a, b, c):
 def _orient3d_exact(a, b, c, d):
     """Exact signs of det[b-a, c-a, d-a] over broadcast stacks (..., 3).
 
-    `_orient3d_filter` proves what it can; each sign it leaves open is
-    the sign of the determinant in Python integers.
+    `_orient3d_filter` proves what it can; the signs it leaves open come
+    from one integer conversion of the open quadruples and one
+    object-array determinant over all of them.
     """
     pts = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                 for x in (a, b, c, d)))
@@ -160,8 +173,10 @@ def _orient3d_exact(a, b, c, d):
     pts = [x.reshape(-1, 3) for x in pts]
     sign = _orient3d_filter(*pts)
     todo = sign == 0
-    sign[todo] = [_sign(_det3(*_scaled_ints(*quad)))
-                  for quad in zip(*(x[todo].tolist() for x in pts))]
+    if todo.any():
+        quads = _scaled_ints(np.stack([x[todo] for x in pts], axis=1))
+        det = _det3(*quads.transpose(1, 2, 0))
+        sign[todo] = (det > 0).astype(np.int8) - (det < 0)
     return sign.reshape(shape)
 
 
@@ -175,7 +190,7 @@ def _orient2d_exact(a, b, c):
     det, perm = _det2(a, b, c)
     if abs(det) > _ORIENT_EPS * perm and perm > _FILTER_TINY:
         return _sign(det)
-    return _sign(_det2(*_scaled_ints(a, b, c))[0])
+    return _sign(_det2(*_scaled_ints([[a, b, c]])[0])[0])
 
 
 def _drop_axis(tri3, extra):
@@ -307,18 +322,20 @@ def _broad_phase(points, triangles):
     new_bucket[1:] = (cells[1:] != cells[:-1]).any(axis=1)
     starts = np.nonzero(new_bucket)[0]
     sizes = np.diff(np.append(starts, len(cells)))
+    lo_t, hi_t, tri_t = lo.T.copy(), hi.T.copy(), triangles.T.copy()
     keys = [np.empty(0, dtype=np.int64)]
     for size in np.unique(sizes[sizes > 1]):
         first = starts[sizes == size]
         members = owners[first[:, None] + np.arange(size)]
         iu, ju = np.triu_indices(size, 1)
         ti, tj = members[:, iu].ravel(), members[:, ju].ravel()
-        # AABB overlap re-check (hash cells over-approximate), then no
-        # shared vertex
-        keep = (lo[ti] <= hi[tj]).all(axis=1) & (lo[tj] <= hi[ti]).all(axis=1)
-        ti, tj = ti[keep], tj[keep]
-        shared = (triangles[ti][:, :, None] == triangles[tj][:, None, :])
-        keep = ~shared.any(axis=(1, 2))
+        # AABB overlap re-check (hash cells over-approximate), one axis
+        # at a time on the pairs left, then no shared vertex
+        for lo_k, hi_k in zip(lo_t, hi_t):
+            keep = (lo_k[ti] <= hi_k[tj]) & (lo_k[tj] <= hi_k[ti])
+            ti, tj = ti[keep], tj[keep]
+        vi, vj = tri_t[:, ti], tri_t[:, tj]
+        keep = np.logical_and.reduce([x != y for x in vi for y in vj])
         keys.append(ti[keep] * n_tri + tj[keep])
     keys = np.unique(np.concatenate(keys))
     return np.stack([keys // n_tri, keys % n_tri], axis=1)

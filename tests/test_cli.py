@@ -55,7 +55,12 @@ def test_usage_error_exit_code():
     (["verify-surface", "--gen", "sphere", "--r", "2.0"], None),
     (["verify-oracles", "--dims", "1"], None),
     (["verify-surface", "--gen", "clifford", "--res", "8"], "abc"),
-], ids=["dim", "lambda", "sphere-radius", "oracle-dims", "seed-env"])
+    (["verify-oracles", "--dims", ","], None),
+    (["offsets", "--gen", "clifford", "--res", "8", "--ts", ","], None),
+    (["verify-surface", "--gen", "clifford", "--res", "8", "--offsets", ","],
+     None),
+], ids=["dim", "lambda", "sphere-radius", "oracle-dims", "seed-env",
+        "empty-dims", "empty-ts", "empty-offsets"])
 def test_bad_values_exit_usage(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
         monkeypatch.setenv("SPHERE_SPECTRA_SEED", env_seed)

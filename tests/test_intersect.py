@@ -188,6 +188,47 @@ def test_orient_signed_zeros():
     _assert_orient2d_agrees(quads[:, :3, :2])
 
 
+def test_orient3d_one_batch_mixed_exponents(monkeypatch):
+    # the stacks of the extreme-exponent, underflow and signed-zero tests
+    # in one call: one integer conversion, each row over its own power
+    # of two
+    rng = np.random.default_rng(8)
+    mant = rng.uniform(-1.0, 1.0, (400, 4, 3))
+    quads = np.concatenate([
+        np.ldexp(mant, rng.integers(-1000, 1001, (400, 4, 3))),
+        np.ldexp(mant, rng.integers(-1000, 1001, (400, 4, 1))),
+        [[(0.0, 0.0, 0.0), (2.0 ** 700, 1.0, 0.0), (1.0, 2.0 ** -540, 0.0),
+          (0.0, 0.0, 2.0 ** -540)]],
+        [[(0.0, -0.0, 0.0), (-0.0, 1.0, 0.0), (1.0, 0.0, -0.0),
+          (0.5, 0.5, -0.0)],
+         [(-0.0, -0.0, -0.0), (1.0, -0.0, 0.0), (0.0, 1.0, -0.0),
+          (0.0, 0.0, 1.0)]],
+    ])
+    rows = []
+    scaled = intersect._scaled_ints
+    monkeypatch.setattr(intersect, "_scaled_ints",
+                        lambda pts: rows.append(pts) or scaled(pts))
+    signs = _orient3d_exact(*quads.transpose(1, 0, 2))
+    assert signs.tolist() == [_orient3d_fraction(*q) for q in quads.tolist()]
+    assert len(rows) == 1
+    _, expo = np.frexp(rows[0])
+    spread = expo.max(axis=(1, 2)) - expo.min(axis=(1, 2))
+    assert len(rows[0]) > 100 and spread.min() < 10 < 1000 < spread.max()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_orient_non_finite_rejected(bad):
+    for k in range(4):
+        quad = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                [0.0, 0.0, 1.0]]
+        quad[k][k % 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _orient3d_exact(*quad)
+        if k < 3:
+            with pytest.raises(ValueError, match="non-finite"):
+                _orient2d_exact(*(tuple(p[:2]) for p in quad[:3]))
+
+
 def test_orient_random_generic():
     rng = np.random.default_rng(9)
     quads = rng.uniform(-1.0, 1.0, (500, 4, 3))
@@ -556,6 +597,18 @@ def test_witnesses_match_fraction_loop(make):
         witnesses = hits + meets[:max(max(cap, 1) - len(hits), 0)]
         assert self_intersection_test(mesh, max_witnesses=cap) \
             == (not witnesses, sorted(witnesses)[:cap])
+
+
+def test_exact_fallback_converts_once_per_batch(monkeypatch):
+    # one integer conversion for the side signs and one for the line
+    # signs, however many signs floats leave open
+    rows = []
+    scaled = intersect._scaled_ints
+    monkeypatch.setattr(intersect, "_scaled_ints",
+                        lambda pts: rows.append(len(pts)) or scaled(pts))
+    mesh = offset_mesh(gen_clifford_torus(16, 16), 0.4)
+    assert self_intersection_test(mesh) == (True, [])
+    assert 1 <= len(rows) <= 2 and sum(rows) > 100
 
 
 def test_float_hits_fill_default_cap_without_integers(monkeypatch):
