@@ -117,10 +117,6 @@ def _orient3d_filter(a, b, c, d):
         return (ok & (det > bound)).astype(np.int8) - (ok & (det < -bound))
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
 def _scaled_ints(points):
     """Float stacks (m, k, d) as Python-int stacks, one denominator a row.
 
@@ -154,7 +150,8 @@ def _det3(a, b, c, d):
 
 
 def _det2(a, b, c):
-    """det[b-a, c-a] in 2D and its permanent (floats or ints)."""
+    """det[b-a, c-a] in 2D and its permanent, over the coordinate rows
+    a[0], a[1], ... (float arrays or object arrays of ints)."""
     p = (b[0] - a[0]) * (c[1] - a[1])
     q = (b[1] - a[1]) * (c[0] - a[0])
     return p - q, abs(p) + abs(q)
@@ -181,63 +178,65 @@ def _orient3d_exact(a, b, c, d):
 
 
 def _orient2d_exact(a, b, c):
-    """Exact sign of det[b-a, c-a] in 2D.
+    """Exact signs of det[b-a, c-a] over broadcast 2D stacks (..., 2).
 
-    Filtered as `_orient3d_filter`, one sign at a time; no edge length
-    multiplies an underflowed product here, so only the permanent is
-    range-checked.
+    Filtered as `_orient3d_filter` (no edge length multiplies an
+    underflowed product here, so only the permanent is range-checked);
+    the signs left open come from one integer conversion and one
+    object-array determinant, as in `_orient3d_exact`.
     """
-    det, perm = _det2(a, b, c)
-    if abs(det) > _ORIENT_EPS * perm and perm > _FILTER_TINY:
-        return _sign(det)
-    return _sign(_det2(*_scaled_ints([[a, b, c]])[0])[0])
-
-
-def _drop_axis(tri3, extra):
-    """Project coplanar points to the 2D plane of largest normal component."""
-    a, b, c = (np.asarray(p, dtype=float) for p in tri3)
-    n = np.cross(b - a, c - a)
-    axis = int(np.argmax(np.abs(n)))
-    keep = [k for k in range(3) if k != axis]
-    return ([tuple(float(p[k]) for k in keep) for p in tri3],
-            [tuple(float(p[k]) for k in keep) for p in extra])
-
-
-def _point_in_triangle_2d(p, tri2):
-    a, b, c = tri2
-    s1 = _orient2d_exact(a, b, p)
-    s2 = _orient2d_exact(b, c, p)
-    s3 = _orient2d_exact(c, a, p)
-    return not (1 in {s1, s2, s3} and -1 in {s1, s2, s3})
-
-
-def _segments_cross_2d(p, q, a, b):
-    s1 = _orient2d_exact(p, q, a)
-    s2 = _orient2d_exact(p, q, b)
-    s3 = _orient2d_exact(a, b, p)
-    s4 = _orient2d_exact(a, b, q)
-    if s1 * s2 < 0 and s3 * s4 < 0:
-        return True
-    # collinear / endpoint contacts
-    for (u, v, w, s) in [(p, q, a, s1), (p, q, b, s2), (a, b, p, s3), (a, b, q, s4)]:
-        if s == 0 and _between_2d(u, v, w):
-            return True
-    return False
+    pts = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                for x in (a, b, c)))
+    shape = pts[0].shape[:-1]
+    pts = [x.reshape(-1, 2) for x in pts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, perm = _det2(*(x.T for x in pts))
+        ok = perm > _FILTER_TINY
+        sign = ((ok & (det > _ORIENT_EPS * perm)).astype(np.int8)
+                - (ok & (det < -_ORIENT_EPS * perm)))
+    todo = sign == 0
+    if todo.any():
+        tris = _scaled_ints(np.stack([x[todo] for x in pts], axis=1))
+        det = _det2(*tris.transpose(1, 2, 0))[0]
+        sign[todo] = (det > 0).astype(np.int8) - (det < 0)
+    return sign.reshape(shape)
 
 
 def _between_2d(u, v, w):
-    """Is w within the bounding box of collinear segment uv?"""
-    return (min(u[0], v[0]) <= w[0] <= max(u[0], v[0])
-            and min(u[1], v[1]) <= w[1] <= max(u[1], v[1]))
+    """Is w within the bounding box of segment uv?  Stacks (..., 2)."""
+    return ((np.minimum(u, v) <= w) & (w <= np.maximum(u, v))).all(axis=-1)
 
 
 def _coplanar_segment_hits_exact(p, q, tri):
-    tri2, (p2, q2) = _drop_axis(tri, [p, q])
-    if _point_in_triangle_2d(p2, tri2) or _point_in_triangle_2d(q2, tri2):
-        return True
-    a, b, c = tri2
-    return any(_segments_cross_2d(p2, q2, u, v)
-               for (u, v) in [(a, b), (b, c), (c, a)])
+    """Contact of coplanar segments pq with triangles tri, in 2D.
+
+    p, q are (C, 3) stacks and tri a (C, 3, 3) stack, each segment in
+    its triangle's plane.  Drops the axis of the largest normal
+    component, then evaluates the nine 2D signs of every segment in one
+    `_orient2d_exact` call: each end against the three edges, and the
+    three vertices against the segment's line.  A segment meets its
+    triangle when an end is inside it or the segment meets an edge:
+    crossing it, or touching it where a sign is 0.
+    """
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    keep = np.array([[1, 2], [0, 2], [0, 1]])[
+        np.argmax(np.abs(normal), axis=1)]
+    u = np.take_along_axis(tri, keep[:, None, :], axis=2)     # (C, 3, 2)
+    v = np.roll(u, -1, axis=1)                  # edge k runs u[k] -> v[k]
+    p, q = (np.take_along_axis(x, keep, axis=1)[:, None] for x in (p, q))
+    signs = _orient2d_exact(np.concatenate([u, u, np.repeat(p, 3, 1)], 1),
+                            np.concatenate([v, v, np.repeat(q, 3, 1)], 1),
+                            np.concatenate([np.repeat(p, 3, 1),
+                                            np.repeat(q, 3, 1), u], 1))
+    sp, sq, su = signs[:, :3], signs[:, 3:6], signs[:, 6:]
+    sv = np.roll(su, -1, axis=1)
+    inside = [~((s > 0).any(axis=1) & (s < 0).any(axis=1)) for s in (sp, sq)]
+    cross = ((su * sv < 0) & (sp * sq < 0)
+             | (su == 0) & _between_2d(p, q, u)
+             | (sv == 0) & _between_2d(p, q, v)
+             | (sp == 0) & _between_2d(u, v, p)
+             | (sq == 0) & _between_2d(u, v, q))
+    return inside[0] | inside[1] | cross.any(axis=1)
 
 
 def _edges_and_triangles(t1, t2):
@@ -285,9 +284,10 @@ def triangles_intersect(tri1, tri2):
     meets = np.zeros(sp.shape, dtype=bool)
     uvw = _orient3d_exact(*_line_args(p, q, tri, reach))
     meets[reach] = ~((uvw > 0).any(axis=1) & (uvw < 0).any(axis=1))
-    for s, i, k in zip(*np.nonzero(coplanar)):
-        meets[s, i, k] = _coplanar_segment_hits_exact(
-            p[s, i, k].tolist(), q[s, i, k].tolist(), tri[s, i].tolist())
+    if coplanar.any():
+        meets[coplanar] = _coplanar_segment_hits_exact(
+            p[coplanar], q[coplanar],
+            np.broadcast_to(tri[:, :, None], p.shape[:3] + (3, 3))[coplanar])
     hit = meets.any(axis=(0, 2))
     return hit if t1.ndim == 3 else bool(hit[0])
 

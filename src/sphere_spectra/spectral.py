@@ -3,10 +3,22 @@
 The stiffness matrix of a closed surface has the constants in its kernel,
 so the solver works on the mass-orthogonal complement of the constant
 vector: block shift-invert iteration (Ericsson & Ruhe 1980) with one
-sparse LU factorization of  stiffness - sigma mass  at a fixed negative
-shift sigma, reused as a block solve in every iteration, explicit
-deflation of the constant mode every iteration, and a Rayleigh-Ritz
-projection of the block.
+sparse LU factorization of  stiffness - sigma mass, reused as a block
+solve in every iteration, explicit deflation of the constant mode every
+iteration, and a Rayleigh-Ritz projection of the block.
+
+The shift sigma is a fixed negative number, or, given trial vectors, a
+near shift just below their smallest Rayleigh quotient (an upper bound
+for lambda1).  The near shift is used only when its factorization
+certifies that no nonzero eigenvalue lies at or below it.  SuperLU in
+symmetric mode with diagonal pivots factors
+P^T (stiffness - sigma mass) P = L U, and by Sylvester's law of inertia
+the negative diagonal entries of U count the eigenvalues below the shift
+(Parlett, The Symmetric Eigenvalue Problem).  That count must be exactly
+1, the constant mode.  In every other case -- no usable trial vector,
+another count, off-diagonal pivots, or an exactly singular pivot -- the
+solver factors at the fixed shift instead, and the result records which
+shift it used.
 
 Everything is deterministic for a fixed seed: the start block comes from a
 seeded generator, SuperLU is sequential, and the dense reductions over the
@@ -15,6 +27,7 @@ order can depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +42,12 @@ __all__ = ["EigenResult", "ConvergenceError",
 # makes the matrix positive definite; the constant mode (eigenvalue 0) then
 # maps to 1/|sigma| and is removed by deflation.
 _SHIFT = -1e-2
+# Relative distance of the near shift below the trial vectors' smallest
+# Rayleigh quotient.  Where that quotient lands on lambda1 (the vertex
+# coordinates of a minimal surface), the shift stays clear of lambda1 for
+# the inertia count, yet near enough for shift-invert to converge in a
+# few iterations: 4-7 on the generated surfaces, against 8-16 at _SHIFT.
+_TRIAL_MARGIN = 0.05
 
 
 class ConvergenceError(RuntimeError):
@@ -53,6 +72,11 @@ class EigenResult:
     ||L x - lam M x||_{M^-1} / (lam ||x||_M).  `cluster` lists all Ritz
     values within 1e-3 relative of lambda1 (eigenvalue multiplicity as
     seen at the discrete level); `values` holds the whole Ritz block.
+    `shift` is the sigma factorized.  `below_shift` is the inertia count
+    of the near-shift factorization (eigenvalues below the near shift,
+    the constant mode included): 1 when that factorization was used, and
+    then `shift` is the near shift; any other count sent the solver to
+    the fixed shift.  It is None when no count was taken.
     """
     lambda1: float
     eigenvector: np.ndarray
@@ -60,16 +84,22 @@ class EigenResult:
     iterations: int
     cluster: list = field(default_factory=list)
     values: list = field(default_factory=list)
+    shift: float = _SHIFT
+    below_shift: Optional[int] = None
 
     @property
     def multiplicity(self):
         return len(self.cluster)
 
 
-def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0):
+def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
+                         trial=None):
     """Smallest nonzero eigenvalue of  stiffness x = lam mass x.
 
     pair: LaplacePair (or anything with .stiffness CSR and .mass vector).
+    trial: optional vector or (n, k) block whose Rayleigh quotients are
+    close to lambda1 (on a minimal surface in S^3, the vertex
+    coordinates); it only chooses the shift, see the module docstring.
     Returns an EigenResult whose eigenvector is M-orthogonal to constants
     and M-normalized.  Raises ConvergenceError when the residual target
     is not met within max_iter outer iterations.
@@ -81,17 +111,18 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0):
     n = mass.shape[0]
     block = min(block, n - 1)
 
-    # M-normalized constant (kernel) vector
-    e_const = np.ones(n) / np.sqrt(mass.sum())
-    m_const = mass * e_const
+    m_orth = _deflation(mass)
 
-    def m_orth(x):
-        # x: a vector or a block of columns
-        coeff = np.einsum("i,i...->...", m_const, x)
-        return x - np.multiply.outer(e_const, coeff)
+    def shifted(sigma):
+        return (stiff - sigma * scipy.sparse.diags(mass)).tocsc()
 
-    lu = scipy.sparse.linalg.splu(
-        (stiff - _SHIFT * scipy.sparse.diags(mass)).tocsc())
+    lu, shift, below = None, _SHIFT, None
+    if trial is not None:
+        lu, mu, below = _near_factorization(trial, stiff, mass, shifted)
+    if lu is None:
+        lu = scipy.sparse.linalg.splu(shifted(_SHIFT))
+    else:
+        shift = mu
 
     rng = np.random.default_rng(seed)
     x_blk = m_orth(rng.standard_normal((n, block)))
@@ -120,12 +151,68 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0):
             vec = m_orth(x_blk[:, 0])
             return EigenResult(lambda1=lam, eigenvector=vec, residual=res,
                                iterations=it, cluster=cluster,
-                               values=[float(t) for t in theta])
+                               values=[float(t) for t in theta],
+                               shift=shift, below_shift=below)
     raise ConvergenceError(
         f"no convergence to tol={tol} within {max_iter} iterations "
         f"(best residual {best[2]:.3e})",
         best_value=best[0], best_vector=best[1], residual=best[2],
         iterations=max_iter)
+
+
+def _deflation(mass):
+    """M-orthogonal projection of a vector or a block of columns onto the
+    complement of the constants (the kernel of the stiffness)."""
+    e_const = np.ones(len(mass)) / np.sqrt(mass.sum())   # M-normalized
+    m_const = mass * e_const
+
+    def m_orth(x):
+        coeff = np.einsum("i,i...->...", m_const, x)
+        return x - np.multiply.outer(e_const, coeff)
+
+    return m_orth
+
+
+def _rayleigh_quotients(x, stiff, mass):
+    """Rayleigh quotients of the deflated columns of x (n, k).
+
+    NaN where a column has zero mass norm after deflation, relative to
+    its mass norm before (e.g. a constant column).
+    """
+    before = np.einsum("ij,ij->j", x, mass[:, None] * x)
+    x = _deflation(mass)(x)
+    xmx = np.einsum("ij,ij->j", x, mass[:, None] * x)
+    keep = np.isfinite(xmx) & (xmx > 1e-24 * np.maximum(before, 1e-300))
+    quot = np.full(len(xmx), np.nan)
+    if keep.any():
+        x = x[:, keep]
+        quot[keep] = np.einsum("ij,ij->j", x, stiff @ x) / xmx[keep]
+    return quot
+
+
+def _near_factorization(trial, stiff, mass, shifted):
+    """Symmetric-mode factorization at the near shift mu, if certified.
+
+    mu is (1 - _TRIAL_MARGIN) times the smallest Rayleigh quotient of
+    the trial columns that have one.  Returns (lu, mu, count): `count` is
+    the number of negative pivots, None when no valid count was taken,
+    and `lu` is None unless the count is 1.
+    """
+    quot = _rayleigh_quotients(
+        np.asarray(trial, dtype=float).reshape(len(mass), -1), stiff, mass)
+    if np.isnan(quot).all():
+        return None, None, None
+    mu = (1.0 - _TRIAL_MARGIN) * float(np.nanmin(quot))
+    try:
+        lu = scipy.sparse.linalg.splu(shifted(mu), diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError:            # an exactly singular pivot
+        return None, mu, None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, mu, None
+    # scipy keeps CSC copies of L and U on `lu` once `lu.U` is read
+    count = int(np.count_nonzero(lu.U.diagonal() < 0))
+    return (lu if count == 1 else None), mu, count
 
 
 def rayleigh_quotient(x, pair):
@@ -134,12 +221,10 @@ def rayleigh_quotient(x, pair):
     Raises ValueError when the deflated vector has zero mass norm (e.g.
     for constant input).
     """
-    x = np.asarray(x, dtype=float)
     mass = np.asarray(pair.mass, dtype=float)
-    before = float(np.einsum("i,i->", x, mass * x))
-    e_const = np.ones(len(x)) / np.sqrt(mass.sum())
-    x = x - e_const * float(np.einsum("i,i->", mass * e_const, x))
-    xmx = float(np.einsum("i,i->", x, mass * x))
-    if not np.isfinite(xmx) or xmx <= 1e-24 * max(before, 1e-300):
+    quot = float(_rayleigh_quotients(
+        np.asarray(x, dtype=float).reshape(len(mass), 1), pair.stiffness,
+        mass)[0])
+    if np.isnan(quot):
         raise ValueError("vector has zero mass norm after deflation")
-    return float(np.einsum("i,i->", x, pair.stiffness @ x)) / xmx
+    return quot

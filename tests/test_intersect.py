@@ -384,6 +384,46 @@ def test_batched_predicate_touching():
         assert all(_assert_batch_agrees(tri[keep], other[keep]))
 
 
+def test_coplanar_stacks_one_2d_conversion(monkeypatch):
+    # integer triangles in tilted integer planes z = a x + b y + c, with
+    # the axes permuted per pair: every edge takes the 2D path
+    rng = np.random.default_rng(21)
+    n = 80
+    tri = rng.integers(-6, 7, (n, 3, 2)).astype(float)
+    v0, v1, v2 = tri[:, :1], tri[:, 1:2], tri[:, 2:]
+    d = v1 - v0
+    k = np.sort(rng.choice(np.arange(-3, 5), (n, 2, 1)), axis=1)
+    others = {
+        "touching": np.concatenate([v0, 2.0 * v0 - v2, 2.0 * v0 - v1], 1),
+        "crossing": tri[:, [1, 2, 0]] + rng.integers(-2, 3, (n, 1, 2)),
+        "disjoint": tri + [20.0, -3.0],
+        # an edge of the other triangle on the line of edge v0 v1
+        "collinear": np.concatenate([v0 + k[:, :1] * d, v0 + k[:, 1:] * d,
+                                     v0 + k[:, :1] * d - (v2 - v0)], 1),
+    }
+    a, b, c = rng.integers(-3, 4, (3, n, 1, 1)).astype(float)
+    axes = np.array([rng.permutation(3) for _ in range(n)])[:, None, :]
+
+    def lift(t):
+        t = np.concatenate([t, a * t[..., :1] + b * t[..., 1:] + c], axis=2)
+        return np.take_along_axis(t, axes, axis=2)
+
+    rows = []
+    scaled = intersect._scaled_ints
+    monkeypatch.setattr(intersect, "_scaled_ints",
+                        lambda pts: rows.append(np.shape(pts)) or scaled(pts))
+    for kind, other in others.items():
+        keep = _nondegenerate(lift(tri), lift(other))
+        first, second = lift(tri)[keep], lift(other)[keep]
+        assert len(first) > n // 2
+        rows.clear()
+        got = triangles_intersect(first, second).tolist()
+        assert sum(shape[-1] == 2 for shape in rows) <= 1, kind
+        assert _assert_batch_agrees(first, second) == got
+        expected = {"touching": {True}, "disjoint": {False}}
+        assert set(got) == expected.get(kind, {True, False}), kind
+
+
 def test_batched_predicate_random_generic():
     rng = np.random.default_rng(14)
     tri_a = rng.uniform(-1.0, 1.0, (300, 3, 3))

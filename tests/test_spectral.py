@@ -12,7 +12,7 @@ import sphere_spectra
 from sphere_spectra.generators import (
     gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
 )
-from sphere_spectra.mesh import LaplacePair, assemble_laplacian
+from sphere_spectra.mesh import LaplacePair, assemble_laplacian, offset_mesh
 from sphere_spectra.spectral import (
     ConvergenceError, rayleigh_quotient, smallest_nonzero_eig,
 )
@@ -69,7 +69,7 @@ def test_cross_check_against_arpack(case):
     assert res.lambda1 == pytest.approx(smallest_nonzero, rel=1e-7)
 
 
-def test_one_factorization_per_call(clifford_pair, monkeypatch):
+def _count_splu(monkeypatch):
     calls = []
     splu = spla.splu
 
@@ -78,9 +78,65 @@ def test_one_factorization_per_call(clifford_pair, monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+def test_one_factorization_per_call(clifford_pair, monkeypatch):
+    calls = _count_splu(monkeypatch)
     res = smallest_nonzero_eig(clifford_pair, tol=1e-10)
     assert res.iterations > 1
     assert len(calls) == 1
+
+
+# the ARPACK meshes and a thin, non-minimal offset torus (~12:1 triangles)
+TRIAL_CASES = dict(ARPACK_CASES, **{
+    "thin-offset-0.7": lambda: offset_mesh(gen_clifford_torus(48, 48), 0.7),
+})
+
+
+@pytest.mark.parametrize("case", list(TRIAL_CASES))
+def test_trial_shift_matches_fixed_shift(case):
+    mesh = TRIAL_CASES[case]()
+    pair = assemble_laplacian(mesh)
+    fixed = smallest_nonzero_eig(pair)
+    near = smallest_nonzero_eig(pair, trial=mesh.vertices)
+    assert (fixed.shift, fixed.below_shift) == (-1e-2, None)
+    assert near.below_shift == 1
+    assert 0.0 < near.shift < near.lambda1
+    assert near.lambda1 == pytest.approx(fixed.lambda1, rel=1e-12)
+    assert len(near.cluster) == len(fixed.cluster)
+    assert near.iterations < fixed.iterations
+
+
+def test_trial_shift_one_factorization(clifford_pair, monkeypatch):
+    mesh = gen_clifford_torus(64, 64)
+    calls = _count_splu(monkeypatch)
+    res = smallest_nonzero_eig(clifford_pair, trial=mesh.vertices)
+    assert len(calls) == 1
+    assert res.below_shift == 1
+    assert res.shift == pytest.approx(0.95 * 2.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("kind", ["noise", "zero"])
+def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
+    # seeded noise has a Rayleigh quotient far above lambda1, so many
+    # eigenvalues lie below its shift; a zero trial has no usable column
+    n = clifford_pair.size
+    trial = (np.random.default_rng(5).standard_normal((n, 2))
+             if kind == "noise" else np.zeros((n, 4)))
+    fixed = smallest_nonzero_eig(clifford_pair)
+    calls = _count_splu(monkeypatch)
+    res = smallest_nonzero_eig(clifford_pair, trial=trial)
+    assert res.shift == -1e-2
+    if kind == "noise":
+        assert res.below_shift > 1
+        assert len(calls) == 2
+    else:
+        assert res.below_shift is None
+        assert len(calls) == 1
+    assert res.lambda1 == fixed.lambda1        # bitwise
+    assert res.iterations == fixed.iterations
+    assert np.array_equal(res.eigenvector, fixed.eigenvector)
 
 
 def test_rayleigh_quotient_properties(clifford_pair):
@@ -149,6 +205,10 @@ res = smallest_nonzero_eig(assemble_laplacian(gen_clifford_torus(104, 104)))
 print(repr(res.lambda1), hashlib.sha256(res.eigenvector.tobytes()).hexdigest())
 mesh = gen_clifford_torus(128, 128)
 print(repr(rayleigh_quotient(mesh.vertices[:, 0], assemble_laplacian(mesh))))
+mesh = gen_clifford_torus(104, 104)
+res = smallest_nonzero_eig(assemble_laplacian(mesh), trial=mesh.vertices)
+print(repr(res.lambda1), repr(res.shift), res.below_shift,
+      hashlib.sha256(res.eigenvector.tobytes()).hexdigest())
 """
 
 
