@@ -9,16 +9,17 @@ iteration, and a Rayleigh-Ritz projection of the block.
 
 The shift sigma is a fixed negative number, or, given trial vectors, a
 near shift just below their smallest Rayleigh quotient (an upper bound
-for lambda1).  The near shift is used only when its factorization
-certifies that no nonzero eigenvalue lies at or below it.  SuperLU in
-symmetric mode with diagonal pivots factors
-P^T (stiffness - sigma mass) P = L U, and by Sylvester's law of inertia
-the negative diagonal entries of U count the eigenvalues below the shift
-(Parlett, The Symmetric Eigenvalue Problem).  That count must be exactly
-1, the constant mode.  In every other case -- no usable trial vector,
-another count, off-diagonal pivots, or an exactly singular pivot -- the
-solver factors at the fixed shift instead, and the result records which
-shift it used.
+for lambda1).  The near shift is tried only when the column giving that
+quotient is close to an eigenvector (relative residual within the
+shift's margin), and used only when its factorization certifies that no
+nonzero eigenvalue lies at or below it.  SuperLU in symmetric mode with
+diagonal pivots factors  P^T (stiffness - sigma mass) P = L U, and by
+Sylvester's law of inertia the negative diagonal entries of U count the
+eigenvalues below the shift (Parlett, The Symmetric Eigenvalue Problem).
+That count must be exactly 1, the constant mode.  In every other case --
+no usable trial vector, one far from every eigenvector, another count,
+off-diagonal pivots, or an exactly singular pivot -- the solver factors
+at the fixed shift instead, and the result records which shift it used.
 
 Everything is deterministic for a fixed seed: the start block comes from a
 seeded generator, SuperLU is sequential, and the dense reductions over the
@@ -193,16 +194,30 @@ def _rayleigh_quotients(x, stiff, mass):
 def _near_factorization(trial, stiff, mass, shifted):
     """Symmetric-mode factorization at the near shift mu, if certified.
 
-    mu is (1 - _TRIAL_MARGIN) times the smallest Rayleigh quotient of
-    the trial columns that have one.  Returns (lu, mu, count): `count` is
-    the number of negative pivots, None when no valid count was taken,
-    and `lu` is None unless the count is 1.
+    mu is (1 - _TRIAL_MARGIN) times the smallest Rayleigh quotient theta
+    of the trial columns that have one.  The factorization is tried only
+    when that column's relative residual rho is within the margin too:
+    then some eigenvalue lies within rho * theta of theta (Weinstein), as
+    where the vertex coordinates are eigenfunctions.  A column further
+    from every eigenvector says little about lambda1, and on such
+    surfaces the count rejected the shift after a wasted factorization.
+    Returns (lu, mu, count): `count` is the number of negative pivots,
+    None when no valid count was taken, and `lu` is None unless the
+    count is 1.
     """
-    quot = _rayleigh_quotients(
-        np.asarray(trial, dtype=float).reshape(len(mass), -1), stiff, mass)
+    x = np.asarray(trial, dtype=float).reshape(len(mass), -1)
+    quot = _rayleigh_quotients(x, stiff, mass)
     if np.isnan(quot).all():
         return None, None, None
-    mu = (1.0 - _TRIAL_MARGIN) * float(np.nanmin(quot))
+    j = int(np.nanargmin(quot))
+    theta = float(quot[j])
+    x = _deflation(mass)(x[:, j])
+    resid = stiff @ x - theta * (mass * x)
+    rho = np.sqrt(np.einsum("i,i->", resid, resid / mass)
+                  / np.einsum("i,i->", x, mass * x)) / max(theta, 1e-300)
+    if not (theta > 0.0 and rho <= _TRIAL_MARGIN):
+        return None, None, None
+    mu = (1.0 - _TRIAL_MARGIN) * theta
     try:
         lu = scipy.sparse.linalg.splu(shifted(mu), diag_pivot_thresh=0,
                                       options={"SymmetricMode": True})
@@ -210,7 +225,8 @@ def _near_factorization(trial, stiff, mass, shifted):
         return None, mu, None
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None, mu, None
-    # scipy keeps CSC copies of L and U on `lu` once `lu.U` is read
+    # reading `lu.U` makes scipy build CSC copies of both L and U and keep
+    # them on `lu`; scipy offers no other route to the pivots
     count = int(np.count_nonzero(lu.U.diagonal() < 0))
     return (lu if count == 1 else None), mu, count
 

@@ -12,7 +12,9 @@ import sphere_spectra
 from sphere_spectra.generators import (
     gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
 )
-from sphere_spectra.mesh import LaplacePair, assemble_laplacian, offset_mesh
+from sphere_spectra.mesh import (
+    LaplacePair, SphericalTriMesh, assemble_laplacian, offset_mesh,
+)
 from sphere_spectra.spectral import (
     ConvergenceError, rayleigh_quotient, smallest_nonzero_eig,
 )
@@ -117,19 +119,25 @@ def test_trial_shift_one_factorization(clifford_pair, monkeypatch):
     assert res.shift == pytest.approx(0.95 * 2.0, rel=1e-2)
 
 
-@pytest.mark.parametrize("kind", ["noise", "zero"])
+@pytest.mark.parametrize("kind", ["cos-2-theta", "noise", "zero"])
 def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
-    # seeded noise has a Rayleigh quotient far above lambda1, so many
-    # eigenvalues lie below its shift; a zero trial has no usable column
+    # cos(2 theta) is an eigenvector for lambda ~ 8, so 8 nonzero
+    # eigenvalues lie below its shift and the count rejects it; seeded
+    # noise has a quotient far above lambda1 and is far from every
+    # eigenvector, so no near factorization is tried; a zero trial has
+    # no usable column
     n = clifford_pair.size
-    trial = (np.random.default_rng(5).standard_normal((n, 2))
-             if kind == "noise" else np.zeros((n, 4)))
+    verts = gen_clifford_torus(64, 64).vertices
+    theta = np.arctan2(verts[:, 1], verts[:, 0])
+    trial = {"cos-2-theta": np.cos(2.0 * theta),
+             "noise": np.random.default_rng(5).standard_normal((n, 2)),
+             "zero": np.zeros((n, 4))}[kind]
     fixed = smallest_nonzero_eig(clifford_pair)
     calls = _count_splu(monkeypatch)
     res = smallest_nonzero_eig(clifford_pair, trial=trial)
     assert res.shift == -1e-2
-    if kind == "noise":
-        assert res.below_shift > 1
+    if kind == "cos-2-theta":
+        assert res.below_shift == 9
         assert len(calls) == 2
     else:
         assert res.below_shift is None
@@ -137,6 +145,29 @@ def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
     assert res.lambda1 == fixed.lambda1        # bitwise
     assert res.iterations == fixed.iterations
     assert np.array_equal(res.eigenvector, fixed.eigenvector)
+
+
+def test_coordinates_off_eigenvectors_not_factorized(monkeypatch):
+    # a torus pinched along one circle: its coordinates are far from
+    # eigenvectors (relative residual ~0.5), and lambda1 ~ 1.64 lies
+    # below 0.95 times their smallest quotient ~ 1.73, so a count would
+    # reject the near shift; the residual test skips the factorization
+    base = gen_clifford_torus(48, 48)
+    th = np.arctan2(base.vertices[:, 1], base.vertices[:, 0])
+    ph = np.arctan2(base.vertices[:, 3], base.vertices[:, 2])
+    a = math.pi / 4.0 + 0.6 * np.cos(th)
+    verts = np.stack([np.cos(a) * np.cos(th), np.cos(a) * np.sin(th),
+                      np.sin(a) * np.cos(ph), np.sin(a) * np.sin(ph)], 1)
+    pair = assemble_laplacian(
+        SphericalTriMesh(vertices=verts, triangles=base.triangles, genus=1))
+    fixed = smallest_nonzero_eig(pair)
+    assert fixed.lambda1 < 0.95 * min(
+        rayleigh_quotient(verts[:, j], pair) for j in range(4))
+    calls = _count_splu(monkeypatch)
+    res = smallest_nonzero_eig(pair, trial=verts)
+    assert len(calls) == 1
+    assert (res.shift, res.below_shift) == (-1e-2, None)
+    assert res.lambda1 == fixed.lambda1        # bitwise
 
 
 def test_rayleigh_quotient_properties(clifford_pair):
