@@ -86,6 +86,14 @@ def _cross4(a, b, c):
     return np.stack([n0, n1, n2, n3], axis=-1)
 
 
+def _check_finite(rows, what):
+    """MeshError naming the first row of `rows` with a NaN or infinity
+    (the tolerance checks compare with `>`, which a NaN passes)."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise MeshError(f"{what} {int(np.argmax(bad))} is not finite")
+
+
 @dataclass
 class SphericalTriMesh:
     """Closed oriented triangle mesh with vertices on S^3.
@@ -116,6 +124,7 @@ class SphericalTriMesh:
         v, f = self.vertex_count, self.triangle_count
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= v:
             raise MeshError("triangle index out of range")
+        _check_finite(self.vertices, "vertex")
         norms = np.linalg.norm(self.vertices, axis=1)
         bad = np.abs(norms - 1.0) > _UNIT_TOL
         if bad.any():
@@ -140,6 +149,7 @@ class SphericalTriMesh:
             self.normals = np.ascontiguousarray(self.normals, dtype=float)
             if self.normals.shape != self.vertices.shape:
                 raise MeshError("normals must match vertices in shape")
+            _check_finite(self.normals, "normal")
             if np.abs(np.linalg.norm(self.normals, axis=1) - 1.0).max() > _UNIT_TOL:
                 raise MeshError("normals must be unit vectors")
             if np.abs(np.einsum("ij,ij->i", self.normals,
@@ -149,6 +159,7 @@ class SphericalTriMesh:
             self.kappas = np.ascontiguousarray(self.kappas, dtype=float)
             if self.kappas.shape != (v, 2):
                 raise MeshError("kappas must be a (V, 2) array")
+            _check_finite(self.kappas, "kappa")
         if self.genus is not None and self.component_count == 1:
             if self.euler_characteristic != 2 - 2 * self.genus:
                 raise MeshError(
@@ -183,14 +194,18 @@ class SphericalTriMesh:
         return self.vertices[self.triangles]
 
     def triangle_areas(self):
-        p = self.triangle_points()
-        u = p[:, 1] - p[:, 0]
-        w = p[:, 2] - p[:, 0]
-        uu = np.einsum("ij,ij->i", u, u)
-        ww = np.einsum("ij,ij->i", w, w)
-        uw = np.einsum("ij,ij->i", u, w)
-        g = uu * ww - uw ** 2
-        return 0.5 * np.sqrt(np.maximum(g, 0.0))
+        """(F,) chordal triangle areas, computed once per mesh (read-only)."""
+        if "triangle_areas" not in self._cache:
+            p = self.triangle_points()
+            u = p[:, 1] - p[:, 0]
+            w = p[:, 2] - p[:, 0]
+            uu = np.einsum("ij,ij->i", u, u)
+            ww = np.einsum("ij,ij->i", w, w)
+            uw = np.einsum("ij,ij->i", u, w)
+            g = uu * ww - uw ** 2
+            self._cache["triangle_areas"] = _read_only(
+                0.5 * np.sqrt(np.maximum(g, 0.0)))
+        return self._cache["triangle_areas"]
 
     def area(self):
         return float(self.triangle_areas().sum())
@@ -220,15 +235,18 @@ class SphericalTriMesh:
         """
         if "est_normals" not in self._cache:
             p = self.triangle_points()
-            acc = np.zeros_like(self.vertices)
+            f = self.triangle_count
+            contrib = np.empty((4, 3 * f))    # one row per coordinate
             for k in range(3):
                 corner = p[:, k]
                 e1 = p[:, (k + 1) % 3] - corner
                 e2 = p[:, (k + 2) % 3] - corner
                 w = (np.einsum("ij,ij->i", e1, e1)
                      * np.einsum("ij,ij->i", e2, e2))
-                contrib = _cross4(e1, e2, corner) / w[:, None]
-                np.add.at(acc, self.triangles[:, k], contrib)
+                contrib[:, k * f:(k + 1) * f] = \
+                    _cross4(e1, e2, corner).T / w
+            acc = np.stack([_corner_sums(self, row) for row in contrib],
+                           axis=1)
             acc -= self.vertices * np.einsum(
                 "ij,ij->i", acc, self.vertices)[:, None]
             norms = np.linalg.norm(acc, axis=1)
@@ -254,13 +272,30 @@ class LaplacePair:
         return self.mass.shape[0]
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _corner_sums(mesh, values):
+    """Per-vertex sums of per-corner values (3F,) ordered as
+    `triangles.T.ravel()`: all first corners, then second, then third.
+
+    bincount adds in that order, triangle by triangle, as a loop of
+    `np.add.at` over the three corners would.
+    """
+    return np.bincount(mesh.triangles.T.ravel(), weights=values,
+                       minlength=mesh.vertex_count)
+
+
 def vertex_areas(mesh):
-    """Barycentric lumped vertex areas (one third of incident triangles)."""
-    areas = mesh.triangle_areas()
-    out = np.zeros(mesh.vertex_count)
-    for k in range(3):
-        np.add.at(out, mesh.triangles[:, k], areas / 3.0)
-    return out
+    """Barycentric lumped vertex areas (one third of incident triangles),
+    computed once per mesh (read-only)."""
+    if "vertex_areas" not in mesh._cache:
+        third = mesh.triangle_areas() / 3.0
+        mesh._cache["vertex_areas"] = _read_only(
+            _corner_sums(mesh, np.concatenate([third, third, third])))
+    return mesh._cache["vertex_areas"]
 
 
 def assemble_laplacian(mesh):

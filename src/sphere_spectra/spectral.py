@@ -21,10 +21,17 @@ no usable trial vector, one far from every eigenvector, another count,
 off-diagonal pivots, or an exactly singular pivot -- the solver factors
 at the fixed shift instead, and the result records which shift it used.
 
-Everything is deterministic for a fixed seed: the start block comes from a
-seeded generator, SuperLU is sequential, and the dense reductions over the
-vertices are `np.einsum` loops rather than BLAS calls, whose summation
-order can depend on the BLAS thread count.
+The start block is drawn from a seeded generator.  When the near shift is
+used, the trial columns that chose it (deflated, M-orthonormalized, with
+numerically dependent directions dropped) replace its first columns: a
+warm start, after which the iteration ends in two steps where the trial
+spans the lambda1 eigenspace.  It never ends after the first step then
+(see _WARM_MIN_ITER).
+
+Everything is deterministic for a fixed seed: the random draw does not
+depend on the trial, SuperLU is sequential, and the dense reductions over
+the vertices are `np.einsum` loops rather than BLAS calls, whose
+summation order can depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass, field
@@ -47,8 +54,18 @@ _SHIFT = -1e-2
 # Rayleigh quotient.  Where that quotient lands on lambda1 (the vertex
 # coordinates of a minimal surface), the shift stays clear of lambda1 for
 # the inertia count, yet near enough for shift-invert to converge in a
-# few iterations: 4-7 on the generated surfaces, against 8-16 at _SHIFT.
+# few iterations: 2 on the generated surfaces with the warm start, 4-7
+# from a random start, against 8-16 at _SHIFT.
 _TRIAL_MARGIN = 0.05
+# Fewest outer iterations before a warm-started solve may stop.  After one
+# block solve the random columns have not yet resolved the lambda1
+# directions the trial does not span, so the 1e-3 `cluster` rule would
+# undercount: x0 alone as trial on clifford 64x64 gave a cluster of 1
+# instead of 4 at every seed tried when stopping after one iteration.
+_WARM_MIN_ITER = 2
+# Gram eigenvalues of the trial columns below this fraction of the largest
+# are numerically dependent directions, left out of the start block.
+_DEPENDENT_CUT = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -100,7 +117,8 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
     pair: LaplacePair (or anything with .stiffness CSR and .mass vector).
     trial: optional vector or (n, k) block whose Rayleigh quotients are
     close to lambda1 (on a minimal surface in S^3, the vertex
-    coordinates); it only chooses the shift, see the module docstring.
+    coordinates); it chooses the shift and, when the near shift is used,
+    seeds the start block, see the module docstring.
     Returns an EigenResult whose eigenvector is M-orthogonal to constants
     and M-normalized.  Raises ConvergenceError when the residual target
     is not met within max_iter outer iterations.
@@ -117,9 +135,10 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
     def shifted(sigma):
         return (stiff - sigma * scipy.sparse.diags(mass)).tocsc()
 
-    lu, shift, below = None, _SHIFT, None
+    lu, shift, below, warm = None, _SHIFT, None, None
     if trial is not None:
-        lu, mu, below = _near_factorization(trial, stiff, mass, shifted)
+        lu, mu, below, warm = _near_factorization(trial, stiff, mass,
+                                                  shifted)
     if lu is None:
         lu = scipy.sparse.linalg.splu(shifted(_SHIFT))
     else:
@@ -127,6 +146,11 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
 
     rng = np.random.default_rng(seed)
     x_blk = m_orth(rng.standard_normal((n, block)))
+    min_iter = 1
+    if warm is not None:
+        warm = _m_orthonormal(warm, mass)[:, -block:]
+        x_blk[:, :warm.shape[1]] = warm
+        min_iter = min(_WARM_MIN_ITER, max_iter)
     best = (np.inf, None, np.inf)
 
     for it in range(1, max_iter + 1):
@@ -146,7 +170,7 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
         res = float(np.sqrt((resid ** 2 / mass).sum())) / max(lam, 1e-300)
         if res < best[2]:
             best = (lam, x_blk[:, 0].copy(), res)
-        if res <= tol:
+        if res <= tol and it >= min_iter:
             cluster = [float(t) for t in theta
                        if abs(t - lam) <= 1e-3 * max(abs(lam), 1e-300)]
             vec = m_orth(x_blk[:, 0])
@@ -175,10 +199,10 @@ def _deflation(mass):
 
 
 def _rayleigh_quotients(x, stiff, mass):
-    """Rayleigh quotients of the deflated columns of x (n, k).
+    """Deflated columns of x (n, k) and their Rayleigh quotients.
 
-    NaN where a column has zero mass norm after deflation, relative to
-    its mass norm before (e.g. a constant column).
+    A quotient is NaN where the column has zero mass norm after
+    deflation, relative to its mass norm before (e.g. a constant column).
     """
     before = np.einsum("ij,ij->j", x, mass[:, None] * x)
     x = _deflation(mass)(x)
@@ -186,9 +210,22 @@ def _rayleigh_quotients(x, stiff, mass):
     keep = np.isfinite(xmx) & (xmx > 1e-24 * np.maximum(before, 1e-300))
     quot = np.full(len(xmx), np.nan)
     if keep.any():
-        x = x[:, keep]
-        quot[keep] = np.einsum("ij,ij->j", x, stiff @ x) / xmx[keep]
-    return quot
+        kept = x[:, keep]
+        quot[keep] = np.einsum("ij,ij->j", kept, stiff @ kept) / xmx[keep]
+    return x, quot
+
+
+def _m_orthonormal(x, mass):
+    """M-orthonormal basis (n, r) of the span of the columns of x (n, k).
+
+    From the eigenpairs of the Gram matrix x^T M x, in ascending order;
+    directions with an eigenvalue below _DEPENDENT_CUT times the largest
+    are dropped, so r < k where columns are (nearly) dependent.
+    """
+    gram = np.einsum("ij,ik->jk", x, mass[:, None] * x)
+    w, v = scipy.linalg.eigh(0.5 * (gram + gram.T))
+    keep = w > _DEPENDENT_CUT * w[-1]
+    return np.einsum("ij,jk->ik", x, v[:, keep] / np.sqrt(w[keep]))
 
 
 def _near_factorization(trial, stiff, mass, shifted):
@@ -201,34 +238,37 @@ def _near_factorization(trial, stiff, mass, shifted):
     where the vertex coordinates are eigenfunctions.  A column further
     from every eigenvector says little about lambda1, and on such
     surfaces the count rejected the shift after a wasted factorization.
-    Returns (lu, mu, count): `count` is the number of negative pivots,
-    None when no valid count was taken, and `lu` is None unless the
-    count is 1.
+    Returns (lu, mu, count, start): `count` is the number of negative
+    pivots, None when no valid count was taken; `lu` is None unless the
+    count is 1, and then `start` holds the deflated trial columns that
+    have a quotient (None otherwise).
     """
     x = np.asarray(trial, dtype=float).reshape(len(mass), -1)
-    quot = _rayleigh_quotients(x, stiff, mass)
+    x, quot = _rayleigh_quotients(x, stiff, mass)
     if np.isnan(quot).all():
-        return None, None, None
+        return None, None, None, None
     j = int(np.nanargmin(quot))
     theta = float(quot[j])
-    x = _deflation(mass)(x[:, j])
-    resid = stiff @ x - theta * (mass * x)
+    resid = stiff @ x[:, j] - theta * (mass * x[:, j])
     rho = np.sqrt(np.einsum("i,i->", resid, resid / mass)
-                  / np.einsum("i,i->", x, mass * x)) / max(theta, 1e-300)
+                  / np.einsum("i,i->", x[:, j], mass * x[:, j])) \
+        / max(theta, 1e-300)
     if not (theta > 0.0 and rho <= _TRIAL_MARGIN):
-        return None, None, None
+        return None, None, None, None
     mu = (1.0 - _TRIAL_MARGIN) * theta
     try:
         lu = scipy.sparse.linalg.splu(shifted(mu), diag_pivot_thresh=0,
                                       options={"SymmetricMode": True})
     except RuntimeError:            # an exactly singular pivot
-        return None, mu, None
+        return None, mu, None, None
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, mu, None
+        return None, mu, None, None
     # reading `lu.U` makes scipy build CSC copies of both L and U and keep
     # them on `lu`; scipy offers no other route to the pivots
     count = int(np.count_nonzero(lu.U.diagonal() < 0))
-    return (lu if count == 1 else None), mu, count
+    if count != 1:
+        return None, mu, count, None
+    return lu, mu, count, x[:, ~np.isnan(quot)]
 
 
 def rayleigh_quotient(x, pair):
@@ -240,7 +280,7 @@ def rayleigh_quotient(x, pair):
     mass = np.asarray(pair.mass, dtype=float)
     quot = float(_rayleigh_quotients(
         np.asarray(x, dtype=float).reshape(len(mass), 1), pair.stiffness,
-        mass)[0])
+        mass)[1][0])
     if np.isnan(quot):
         raise ValueError("vector has zero mass norm after deflation")
     return quot

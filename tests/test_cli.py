@@ -98,6 +98,16 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     assert "mesh error" in capsys.readouterr().err
 
 
+def test_non_finite_vertex_exit_code(tmp_path, capsys):
+    mesh_path = tmp_path / "nan.s3off"
+    write_s3off(gen_geodesic_sphere(math.pi / 2.0, 3), mesh_path)
+    lines = mesh_path.read_text().splitlines()
+    lines[2] = "nan nan nan nan"
+    mesh_path.write_text("\n".join(lines) + "\n")
+    assert main(["verify-surface", "--mesh", str(mesh_path)]) == 3
+    assert "vertex 0 is not finite" in capsys.readouterr().err
+
+
 def test_disconnected_mesh_exit_code(tmp_path, capsys):
     mesh_path = tmp_path / "two_spheres.s3off"
     write_s3off(combine_meshes(gen_geodesic_sphere(math.pi / 4.0, 3),

@@ -1,19 +1,33 @@
-"""The embeddedness verdict under relabellings of one and the same mesh.
+"""Verdicts under relabellings of a mesh and under the symmetries of S^3.
 
-Vertex relabelling, triangle reordering, cyclic corner rotation and a
-global orientation flip leave the surface, and so the projection pole,
-unchanged: the full witness set must map exactly through the triangle
-permutation.  Rotations of S^3 move the pole and are not tested here.
+Embeddedness: vertex relabelling, triangle reordering, cyclic corner
+rotation and a global orientation flip leave the surface, and so the
+projection pole, unchanged: the full witness set must map exactly
+through the triangle permutation.  Rotations of S^3 move the pole and are
+not tested for it here.
+
+Spectrum: `verify_surface` must give the same lambda1 (to 1e-12
+relative; the fill-reducing ordering depends on the labels, so not
+bitwise), cluster, inertia count and verdicts under relabellings, the
+orientation flip, signed permutations of the coordinates and SO(4)
+rotations.  The solver's start block depends on the vertex coordinates,
+so this also shows that its result does not depend on the frame.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_spectra.generators import (
-    combine_meshes, gen_clifford_torus, gen_flat_torus, rotate_mesh,
+    combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
+    rotate_mesh,
 )
 from sphere_spectra.intersect import self_intersection_test
 from sphere_spectra.mesh import SphericalTriMesh, offset_mesh
+from sphere_spectra.report import verify_surface
 
 ALL = 10 ** 6
 
@@ -36,28 +50,51 @@ MESHES = {
 }
 
 
+def _rebuild(mesh, **changes):
+    """The mesh with some fields replaced; analytic data carried along."""
+    fields = {"vertices": mesh.vertices, "triangles": mesh.triangles,
+              "normals": mesh.normals, "kappas": mesh.kappas,
+              "genus": mesh.genus, "name": mesh.name,
+              "normal_doc": mesh.normal_doc, "meta": dict(mesh.meta)}
+    fields.update(changes)
+    return SphericalTriMesh(**fields)
+
+
+# each variant returns (new mesh, new number of each old vertex, new
+# number of each old triangle)
+
 def _relabel_vertices(mesh, rng):
-    # old vertex v becomes new vertex perm[v]; triangle order is kept
     perm = rng.permutation(mesh.vertex_count)
-    vertices = np.empty_like(mesh.vertices)
-    vertices[perm] = mesh.vertices
-    return vertices, perm[mesh.triangles], np.arange(mesh.triangle_count)
+
+    def moved(rows):
+        if rows is None:
+            return None
+        out = np.empty_like(rows)
+        out[perm] = rows
+        return out
+    return (_rebuild(mesh, vertices=moved(mesh.vertices),
+                     normals=moved(mesh.normals), kappas=moved(mesh.kappas),
+                     triangles=perm[mesh.triangles]),
+            perm, np.arange(mesh.triangle_count))
 
 
 def _reorder_triangles(mesh, rng):
     # new triangle k is old triangle order[k]
     order = rng.permutation(mesh.triangle_count)
-    return mesh.vertices, mesh.triangles[order], np.argsort(order)
+    return (_rebuild(mesh, triangles=mesh.triangles[order]),
+            np.arange(mesh.vertex_count), np.argsort(order))
 
 
 def _rotate_corners(mesh, rng):
-    return (mesh.vertices, mesh.triangles[:, [1, 2, 0]],
-            np.arange(mesh.triangle_count))
+    return (_rebuild(mesh, triangles=mesh.triangles[:, [1, 2, 0]]),
+            np.arange(mesh.vertex_count), np.arange(mesh.triangle_count))
 
 
 def _flip_orientation(mesh, rng):
-    return (mesh.vertices, mesh.triangles[:, ::-1],
-            np.arange(mesh.triangle_count))
+    # the estimated normals, and with them the discrete mean curvature,
+    # follow the winding; the analytic normals and curvatures stay
+    return (_rebuild(mesh, triangles=mesh.triangles[:, ::-1]),
+            np.arange(mesh.vertex_count), np.arange(mesh.triangle_count))
 
 
 VARIANTS = {
@@ -78,10 +115,7 @@ def reference(request):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_witnesses_invariant_under_relabelling(reference, variant):
     mesh, (embedded, witnesses) = reference
-    # new_index[i] is the new number of old triangle i
-    vertices, triangles, new_index = VARIANTS[variant](
-        mesh, np.random.default_rng(17))
-    other = SphericalTriMesh(vertices=vertices, triangles=triangles)
+    other, _, new_index = VARIANTS[variant](mesh, np.random.default_rng(17))
     expected = sorted(tuple(sorted(map(int, new_index[[i, j]])))
                       for i, j in witnesses)
     assert self_intersection_test(other, max_witnesses=ALL) \
@@ -92,3 +126,87 @@ def test_witnesses_invariant_under_relabelling(reference, variant):
     assert capped_embedded == embedded
     assert len(capped) == min(64, len(expected))
     assert set(capped) <= set(expected)
+
+
+# ---------------------------------------------------------------------------
+# spectrum
+
+SPECTRUM_MESHES = {
+    "clifford-32": lambda: gen_clifford_torus(32, 32),
+    "sphere-pi_4-3": lambda: gen_geodesic_sphere(math.pi / 4.0, 3),
+}
+
+# det +1: a 4-cycle with one sign flip, a double swap, and a swap of
+# coordinates paired with a sign flip of another
+SIGNED_PERMUTATIONS = {
+    "cycle": ([1, 2, 3, 0], [1, 1, 1, -1]),
+    "double-swap": ([2, 3, 0, 1], [1, 1, 1, 1]),
+    "swap-flip": ([1, 0, 2, 3], [1, 1, -1, 1]),
+}
+
+
+def _rotated(mesh, rot):
+    return _rebuild(mesh, vertices=mesh.vertices @ rot.T,
+                    normals=mesh.normals @ rot.T)
+
+
+def _signed_permutation(perm, signs):
+    rot = np.zeros((4, 4))
+    rot[np.arange(4), perm] = signs
+    assert round(np.linalg.det(rot)) == 1
+    return rot
+
+
+@pytest.fixture(scope="module", params=list(SPECTRUM_MESHES))
+def spectrum_reference(request):
+    """A mesh with its report and per-vertex discrete mean curvature."""
+    mesh = SPECTRUM_MESHES[request.param]()
+    return mesh, verify_surface(mesh), mesh.discrete_geometry().mean_H
+
+
+def _assert_same_spectrum(reference, other, vertex_map, sign=1.0):
+    _, rep, mean_h = reference
+    got = verify_surface(other)
+    spec, ref = got["spectrum"], rep["spectrum"]
+    assert spec["lambda1"] == pytest.approx(ref["lambda1"], rel=1e-12)
+    assert len(spec["cluster"]) == len(ref["cluster"])
+    assert spec["below_shift"] == ref["below_shift"] == 1
+    # the verdicts' details print numbers such as the Simons integral,
+    # which is rounding noise (~1e-15) on the Clifford torus
+    assert {k: v["passed"] for k, v in got["verdicts"].items()} \
+        == {k: v["passed"] for k, v in rep["verdicts"].items()}
+    assert got["curvature"]["lam_discrete"] == pytest.approx(
+        rep["curvature"]["lam_discrete"], rel=1e-12)
+    other_h = other.discrete_geometry().mean_H[vertex_map]
+    assert np.abs(other_h - sign * mean_h).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_spectrum_invariant_under_relabelling(spectrum_reference, variant):
+    other, vertex_map, _ = VARIANTS[variant](spectrum_reference[0],
+                                             np.random.default_rng(17))
+    sign = -1.0 if variant == "flip-orientation" else 1.0
+    _assert_same_spectrum(spectrum_reference, other, vertex_map, sign)
+
+
+@pytest.mark.parametrize("signed", SIGNED_PERMUTATIONS)
+def test_spectrum_invariant_under_signed_permutations(spectrum_reference,
+                                                      signed):
+    mesh = spectrum_reference[0]
+    rot = _signed_permutation(*SIGNED_PERMUTATIONS[signed])
+    _assert_same_spectrum(spectrum_reference, _rotated(mesh, rot),
+                          np.arange(mesh.vertex_count))
+
+
+@settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_spectrum_invariant_under_rotations(spectrum_reference, seed):
+    # Haar-distributed: QR of a Gaussian matrix, signs fixed by R's
+    # diagonal, det made +1 by flipping one column
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    mesh = spectrum_reference[0]
+    _assert_same_spectrum(spectrum_reference, _rotated(mesh, q),
+                          np.arange(mesh.vertex_count))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sphere_spectra import geometry
+from sphere_spectra import mesh as mesh_module
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
     rotate_mesh,
@@ -120,6 +121,18 @@ def test_rejects_off_sphere_vertex():
         SphericalTriMesh(vertices=verts, triangles=tris)
 
 
+@pytest.mark.parametrize("field", ["vertices", "normals", "kappas"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rejects_non_finite_input(field, value):
+    # |nan - 1| > tol is False, so only an explicit check rejects a NaN
+    base = gen_clifford_torus(8, 8)
+    data = {"vertices": base.vertices.copy(), "normals": base.normals.copy(),
+            "kappas": base.kappas.copy()}
+    data[field][5, :] = value
+    with pytest.raises(MeshError, match="5 is not finite"):
+        SphericalTriMesh(triangles=base.triangles, **data)
+
+
 def test_rejects_wrong_genus():
     mesh = gen_clifford_torus(8, 8)
     with pytest.raises(MeshError, match="genus"):
@@ -146,6 +159,32 @@ def test_laplacian_row_sums_and_mass():
     assert pair.mass.sum() == pytest.approx(mesh.area(), rel=1e-12)
     assert (pair.mass > 0).all()
     assert np.allclose(pair.mass, vertex_areas(mesh))
+
+
+def test_geometry_computed_once_per_mesh():
+    mesh = gen_geodesic_sphere(math.pi / 4.0, 3)
+    pair = assemble_laplacian(mesh)
+    geom = discrete_shape_operator(mesh)
+    assert geom.areas is pair.mass is vertex_areas(mesh)
+    assert mesh.triangle_areas() is mesh.triangle_areas()
+    assert not pair.mass.flags.writeable
+    assert not mesh.triangle_areas().flags.writeable
+    # the bincount sums add in the order of an np.add.at loop over corners
+    areas = np.zeros(mesh.vertex_count)
+    normals = np.zeros((mesh.vertex_count, 4))
+    p = mesh.triangle_points()
+    for k in range(3):
+        np.add.at(areas, mesh.triangles[:, k], mesh.triangle_areas() / 3.0)
+        e1 = p[:, (k + 1) % 3] - p[:, k]
+        e2 = p[:, (k + 2) % 3] - p[:, k]
+        w = np.einsum("ij,ij->i", e1, e1) * np.einsum("ij,ij->i", e2, e2)
+        np.add.at(normals, mesh.triangles[:, k],
+                  mesh_module._cross4(e1, e2, p[:, k]) / w[:, None])
+    assert np.array_equal(pair.mass, areas)
+    normals -= mesh.vertices * np.einsum(
+        "ij,ij->i", normals, mesh.vertices)[:, None]
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    assert np.array_equal(mesh.estimated_normals(), normals)
 
 
 def test_laplacian_psd():

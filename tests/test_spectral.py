@@ -9,8 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sphere_spectra
+from sphere_spectra import spectral
 from sphere_spectra.generators import (
-    gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
+    gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere, rotate_mesh,
 )
 from sphere_spectra.mesh import (
     LaplacePair, SphericalTriMesh, assemble_laplacian, offset_mesh,
@@ -117,6 +118,46 @@ def test_trial_shift_one_factorization(clifford_pair, monkeypatch):
     assert len(calls) == 1
     assert res.below_shift == 1
     assert res.shift == pytest.approx(0.95 * 2.0, rel=1e-2)
+
+
+def test_warm_start_two_iterations(clifford_pair):
+    # the coordinates span the lambda1 eigenspace, so the warm-started
+    # block has converged after one step and stops at the floor
+    mesh = gen_clifford_torus(64, 64)
+    res = smallest_nonzero_eig(clifford_pair, trial=mesh.vertices)
+    assert res.below_shift == 1
+    assert res.iterations == 2
+    assert res.residual <= 1e-8
+
+
+def test_warm_start_single_column_full_cluster(clifford_pair):
+    # x0 spans one of the four lambda1 directions; the random columns
+    # resolve the other three only by the second step, so a stop after
+    # the first would report a cluster of 1
+    x0 = gen_clifford_torus(64, 64).vertices[:, 0]
+    res = smallest_nonzero_eig(clifford_pair, trial=x0)
+    assert res.below_shift == 1
+    assert len(res.cluster) == 4
+
+
+def test_warm_start_dependent_trial_columns():
+    # the equator rotated in the (x0, x3) plane: x0 and x3 are constants
+    # plus proportional multiples of the old x3, so after deflation the
+    # four coordinates span only three directions
+    mesh = rotate_mesh(gen_geodesic_sphere(math.pi / 2.0, 4), 0, 3, 0.3)
+    pair = assemble_laplacian(mesh)
+    x, quot = spectral._rayleigh_quotients(mesh.vertices, pair.stiffness,
+                                           pair.mass)
+    assert np.isfinite(quot).all()
+    basis = spectral._m_orthonormal(x, pair.mass)
+    assert basis.shape == (pair.size, 3)
+    gram = np.einsum("ij,ik->jk", basis, pair.mass[:, None] * basis)
+    assert np.allclose(gram, np.eye(3), atol=1e-12)
+    fixed = smallest_nonzero_eig(pair)
+    near = smallest_nonzero_eig(pair, trial=mesh.vertices)
+    assert near.below_shift == 1
+    assert near.lambda1 == pytest.approx(fixed.lambda1, rel=1e-12)
+    assert len(near.cluster) == 3
 
 
 @pytest.mark.parametrize("kind", ["cos-2-theta", "noise", "zero"])
