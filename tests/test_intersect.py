@@ -447,6 +447,10 @@ def test_select_pole_clears_mesh():
 @pytest.mark.parametrize("make", [
     lambda: gen_clifford_torus(32, 32),
     lambda: gen_geodesic_sphere(math.pi / 4.0, 4),    # V = 2562, partial chunk
+    lambda: gen_clifford_torus(16, 16),               # V = 256, one chunk
+    lambda: _crossed_clifford_32(),                   # a 2-way tie
+    # a single candidate measured exactly, and not an axis
+    lambda: rotate_mesh(gen_geodesic_sphere(0.3, 3), 0, 1, 0.3),
 ])
 def test_select_pole_matches_full_matrix(make):
     vertices = make().vertices
@@ -460,6 +464,22 @@ def test_select_pole_matches_full_matrix(make):
     pole, clearance = select_pole(vertices)
     assert np.array_equal(pole, cand[best])
     assert clearance == math.acos(min(1.0, max(-1.0, worst[best])))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_geodesic_sphere(math.pi / 4.0, 4),
+    lambda: gen_clifford_torus(32, 32),
+], ids=["sphere-4", "clifford-32"])
+def test_select_pole_exact_for_few_candidates(make, monkeypatch):
+    # the sampled bound leaves under 1% of the 4104 candidates to the
+    # exact maximum over every vertex
+    rows = []
+    exact = intersect._max_dots
+    monkeypatch.setattr(intersect, "_max_dots",
+                        lambda cand, vertices: rows.append(len(cand))
+                        or exact(cand, vertices))
+    select_pole(make().vertices)
+    assert 1 <= sum(rows) < 0.01 * 4104
 
 
 def test_stereographic_preserves_structure():
@@ -557,7 +577,11 @@ def _sweep_pairs(points, triangles):
                            rotate_mesh(gen_clifford_torus(32, 32), 0, 2, 0.9)),
     lambda: offset_mesh(gen_clifford_torus(16, 16), 0.7),
     lambda: offset_mesh(gen_geodesic_sphere(math.pi / 4.0, 4), 0.2),
-], ids=["crossed-clifford-32", "clifford-16-t0.7", "sphere-4-t0.2"])
+    # two triangle scales: the median extent fits neither sphere
+    lambda: combine_meshes(gen_geodesic_sphere(0.5, 3),
+                           gen_geodesic_sphere(1.0, 3)),
+], ids=["crossed-clifford-32", "clifford-16-t0.7", "sphere-4-t0.2",
+        "concentric-spheres"])
 def test_broad_phase_matches_sweep(make):
     mesh = make()
     points = _projected(mesh)
