@@ -31,9 +31,8 @@ from .generators import (
 )
 from .geometry import (
     HorizonError, curvature_transport, embeddedness_horizon,
-    is_mean_convex, is_minimal, kappa_max, mean_curvature, norm_A,
-    normal_geodesic_point, offset_mean_curvature,
-    offset_mean_curvature_bound, tube_volume,
+    kappa_max, offset_mean_curvature, offset_mean_curvature_bound,
+    tube_volume,
 )
 from .intersect import PoleSelectionError, self_intersection_test
 from .mesh import (
@@ -44,7 +43,7 @@ from .mesh import (
 from .quadrature import QuadratureError, integrate
 from .radial import (
     ChainReport, HemisphereExtension, IdentityReport, InequalityReport,
-    PROFILES, RadialProfile, ball_volume_element,
+    PROFILES, RadialProfile,
     solve_hemisphere_extension, verify_bochner_radial,
     verify_choiwang_chain_hemisphere, verify_interior_gradient_radial,
     verify_collar_trace_hemisphere, verify_reilly_radial,

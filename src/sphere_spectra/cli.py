@@ -99,10 +99,13 @@ def _resolve_seed(args):
 
 def _parse_list(text, kind):
     """A comma list option; one that parses to nothing would run, and
-    pass, nothing, so it is a usage error."""
+    pass, nothing, so it is a usage error, and so is a NaN or infinite
+    entry."""
     items = [kind(tok) for tok in text.split(",") if tok.strip()]
     if not items:
         raise ValueError(f"no values in the list {text!r}")
+    if not all(map(math.isfinite, items)):
+        raise ValueError(f"non-finite value in the list {text!r}")
     return items
 
 
@@ -240,6 +243,8 @@ def _cmd_offsets(args):
 
 def _cmd_verify_oracles(args):
     dims = _parse_list(args.dims, int) if args.dims else [2, 3, 4]
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     only = args.only
     rows = []
 

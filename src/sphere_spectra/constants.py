@@ -106,8 +106,9 @@ def eigenvalue_lower_bound(n, lam):
     n/2 + a_n / (lam**6 + b_n).
     """
     n = _check_dim(n)
-    if lam < 0:
-        raise ValueError("curvature bound lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"curvature bound lam must be finite and "
+                         f"nonnegative, got {lam}")
     if bound_branch(n, lam) == "totally-geodesic":
         return float(n)
     c = compute_bound_constants(n)
@@ -147,16 +148,16 @@ def build_parameter_chain(n, lam, eps=None, beta=None):
     invalid rather than rejected, so callers can map the usable region.
     """
     n = _check_dim(n)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     d_eps_default, d_beta_default = default_slack(n)
     if eps is None:
         eps = d_eps_default
     if beta is None:
         beta = d_beta_default
     eps_tilde = offset_mean_curvature_bound(n, lam, eps)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta}")
     gamma = math.sqrt(2.0 * n) - eps_tilde - beta
     delta = n * math.atan(eps / n)
     t_collar = delta / (2.0 * lam ** 2)

@@ -23,12 +23,9 @@ from .quadrature import integrate
 
 __all__ = [
     "HorizonError",
-    "norm_A", "mean_curvature", "kappa_max", "is_minimal", "is_mean_convex",
-    "normal_geodesic_point", "curvature_transport", "embeddedness_horizon",
+    "kappa_max", "curvature_transport", "embeddedness_horizon",
     "offset_mean_curvature", "offset_mean_curvature_bound", "tube_volume",
 ]
-
-_ORTHO_TOL = 1e-12
 
 
 class HorizonError(ValueError):
@@ -46,47 +43,12 @@ class HorizonError(ValueError):
 # ---------------------------------------------------------------------------
 # principal-curvature helpers (kappas are plain 1D float arrays)
 
-def norm_A(kappas):
-    """Length of the second fundamental form, sqrt(sum kappa_i^2)."""
-    return float(np.linalg.norm(np.asarray(kappas, dtype=float)))
-
-
-def mean_curvature(kappas):
-    """Mean curvature H = sum of principal curvatures."""
-    return float(np.sum(np.asarray(kappas, dtype=float)))
-
-
 def kappa_max(kappas):
     """Largest absolute principal curvature."""
     return float(np.max(np.abs(np.asarray(kappas, dtype=float))))
 
 
-def is_minimal(kappas, tol=1e-12):
-    return abs(mean_curvature(kappas)) <= tol
-
-
-def is_mean_convex(kappas, tol=1e-12):
-    return mean_curvature(kappas) >= -tol
-
-
 # ---------------------------------------------------------------------------
-
-def normal_geodesic_point(p, x, t):
-    """Point at signed geodesic distance t from p along the unit normal x.
-
-    Closed form on the round sphere: cos(t) p + sin(t) x.  Requires p, x
-    to be an orthonormal pair.
-    """
-    p = np.asarray(p, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if abs(np.dot(p, p) - 1.0) > _ORTHO_TOL:
-        raise ValueError("base point is not a unit vector")
-    if abs(np.dot(x, x) - 1.0) > _ORTHO_TOL:
-        raise ValueError("normal is not a unit vector")
-    if abs(np.dot(p, x)) > _ORTHO_TOL:
-        raise ValueError("normal is not orthogonal to the base point")
-    return math.cos(t) * p + math.sin(t) * x
-
 
 def _critical_t(kappa):
     """Offset distance at which a single curvature kappa becomes singular."""

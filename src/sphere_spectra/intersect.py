@@ -20,6 +20,10 @@ per batch, through one conversion to integers (every float is an
 integer over a power of two) and one object-array determinant in Python
 integers.  The reported verdict is therefore exact for the projected
 coordinates.  Touching configurations count as intersections.
+
+Every sign is the orientation of four points in R^3, from that one
+filtered-exact predicate: the in-plane signs of coplanar contact are
+orientations against an apex lifted off the common plane.
 """
 
 import math
@@ -115,11 +119,16 @@ def stereographic_project(vertices, pole):
     return (vertices @ basis.T) / denom[:, None]
 
 
-def _orient3d_float(a, b, c, d):
-    """Batched signed volume det[b-a, c-a, d-a] with an error bound.
+@np.errstate(over="ignore", invalid="ignore")
+def _orient3d_filter(a, b, c, d):
+    """Signs of det[b-a, c-a, d-a] that floats prove, 0 where they cannot.
 
-    Returns (det, bound): |det - true det| <= bound, so the sign is
-    certain whenever |det| > bound.
+    The float determinant is within _ORIENT_EPS times its permanent of
+    the true one, so a sign is proved when |det| clears that bound.  The
+    bound covers rounding only: overflow gives inf/nan and fails the
+    comparison, and the range checks (permanent above 2^-600, max |b-a|
+    below 2^300) keep underflow -- at most 2^-1074 per product, times
+    |b-a| -- far below it.  A proved sign is never 0.
     """
     u = b - a
     v = c - a
@@ -132,23 +141,10 @@ def _orient3d_float(a, b, c, d):
     perm = (au[..., 0] * (av[..., 1] * aw[..., 2] + av[..., 2] * aw[..., 1])
             + au[..., 1] * (av[..., 0] * aw[..., 2] + av[..., 2] * aw[..., 0])
             + au[..., 2] * (av[..., 0] * aw[..., 1] + av[..., 1] * aw[..., 0]))
-    return det, _ORIENT_EPS * perm
-
-
-def _orient3d_filter(a, b, c, d):
-    """Signs of det[b-a, c-a, d-a] that floats prove, 0 where they cannot.
-
-    A sign is proved when |det| clears the bound of `_orient3d_float`.
-    That bound covers rounding only: overflow gives inf/nan and fails
-    the comparison, and the range checks (permanent above 2^-600,
-    max |b-a| below 2^300) keep underflow -- at most 2^-1074 per
-    product, times |b-a| -- far below it.  A proved sign is never 0.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        det, bound = _orient3d_float(a, b, c, d)
-        ok = ((bound > _ORIENT_EPS * _FILTER_TINY)
-              & (np.abs(b - a).max(axis=-1) < _FILTER_HUGE))
-        return (ok & (det > bound)).astype(np.int8) - (ok & (det < -bound))
+    bound = _ORIENT_EPS * perm
+    ok = ((bound > _ORIENT_EPS * _FILTER_TINY)
+          & (au.max(axis=-1) < _FILTER_HUGE))
+    return (ok & (det > bound)).astype(np.int8) - (ok & (det < -bound))
 
 
 def _scaled_ints(points):
@@ -183,14 +179,6 @@ def _det3(a, b, c, d):
             + uz * (vx * wy - vy * wx))
 
 
-def _det2(a, b, c):
-    """det[b-a, c-a] in 2D and its permanent, over the coordinate rows
-    a[0], a[1], ... (float arrays or object arrays of ints)."""
-    p = (b[0] - a[0]) * (c[1] - a[1])
-    q = (b[1] - a[1]) * (c[0] - a[0])
-    return p - q, abs(p) + abs(q)
-
-
 def _orient3d_exact(a, b, c, d):
     """Exact signs of det[b-a, c-a, d-a] over broadcast stacks (..., 3).
 
@@ -211,65 +199,52 @@ def _orient3d_exact(a, b, c, d):
     return sign.reshape(shape)
 
 
-def _orient2d_exact(a, b, c):
-    """Exact signs of det[b-a, c-a] over broadcast 2D stacks (..., 2).
-
-    Filtered as `_orient3d_filter` (no edge length multiplies an
-    underflowed product here, so only the permanent is range-checked);
-    the signs left open come from one integer conversion and one
-    object-array determinant, as in `_orient3d_exact`.
-    """
-    pts = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                for x in (a, b, c)))
-    shape = pts[0].shape[:-1]
-    pts = [x.reshape(-1, 2) for x in pts]
-    with np.errstate(over="ignore", invalid="ignore"):
-        det, perm = _det2(*(x.T for x in pts))
-        ok = perm > _FILTER_TINY
-        sign = ((ok & (det > _ORIENT_EPS * perm)).astype(np.int8)
-                - (ok & (det < -_ORIENT_EPS * perm)))
-    todo = sign == 0
-    if todo.any():
-        tris = _scaled_ints(np.stack([x[todo] for x in pts], axis=1))
-        det = _det2(*tris.transpose(1, 2, 0))[0]
-        sign[todo] = (det > 0).astype(np.int8) - (det < 0)
-    return sign.reshape(shape)
-
-
-def _between_2d(u, v, w):
-    """Is w within the bounding box of segment uv?  Stacks (..., 2)."""
+def _between(u, v, w):
+    """Is w within the bounding box of segment uv?  Stacks (..., 3)."""
     return ((np.minimum(u, v) <= w) & (w <= np.maximum(u, v))).all(axis=-1)
 
 
 def _coplanar_segment_hits_exact(p, q, tri):
-    """Contact of coplanar segments pq with triangles tri, in 2D.
+    """Contact of coplanar segments pq with triangles tri.
 
     p, q are (C, 3) stacks and tri a (C, 3, 3) stack, each segment in
-    its triangle's plane.  Drops the axis of the largest normal
-    component, then evaluates the nine 2D signs of every segment in one
-    `_orient2d_exact` call: each end against the three edges, and the
-    three vertices against the segment's line.  A segment meets its
-    triangle when an end is inside it or the segment meets an edge:
-    crossing it, or touching it where a sign is 0.
+    its triangle's plane.  A segment meets its triangle when an end is
+    inside it or the segment meets an edge: crossing it, or touching it
+    where a sign is 0.  The nine in-plane signs (each end against the
+    three edges, the three vertices against the segment's line) come
+    from one `_orient3d_exact` call against an apex off the plane: the
+    first vertex a with apex_k = a_k + max(1, |a_k|) on the axis k of
+    the largest normal component, so delta = apex_k - a_k > 0 exactly.
+    For u, v, w in the plane, v-u, w-u and a-u lie in its 2D direction
+    space, so det[v-u, w-u, apex-u] = delta * cross(v-u, w-u)_k: the 2D
+    sign with axis k dropped, times a sign fixed by k, which cancels as
+    only signs of one segment are compared.  Dropping k is injective on
+    the plane, so the box test of collinear points decides in 3D as in
+    2D.  (a + normal is no apex: for a small triangle far from the
+    origin it rounds back onto the plane.)  A zero-area triangle has no
+    plane; it gets this construction's answer all the same.
     """
-    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    keep = np.array([[1, 2], [0, 2], [0, 1]])[
-        np.argmax(np.abs(normal), axis=1)]
-    u = np.take_along_axis(tri, keep[:, None, :], axis=2)     # (C, 3, 2)
-    v = np.roll(u, -1, axis=1)                  # edge k runs u[k] -> v[k]
-    p, q = (np.take_along_axis(x, keep, axis=1)[:, None] for x in (p, q))
-    signs = _orient2d_exact(np.concatenate([u, u, np.repeat(p, 3, 1)], 1),
+    a = tri[:, 0]
+    normal = np.cross(tri[:, 1] - a, tri[:, 2] - a)
+    k = np.argmax(np.abs(normal), axis=1)
+    a_k = np.take_along_axis(a, k[:, None], axis=1)
+    apex = a + np.eye(3)[k] * np.maximum(1.0, np.abs(a_k))
+    u = tri
+    v = np.roll(u, -1, axis=1)                  # edge i runs u[i] -> v[i]
+    p, q = p[:, None], q[:, None]
+    signs = _orient3d_exact(np.concatenate([u, u, np.repeat(p, 3, 1)], 1),
                             np.concatenate([v, v, np.repeat(q, 3, 1)], 1),
                             np.concatenate([np.repeat(p, 3, 1),
-                                            np.repeat(q, 3, 1), u], 1))
+                                            np.repeat(q, 3, 1), u], 1),
+                            apex[:, None])
     sp, sq, su = signs[:, :3], signs[:, 3:6], signs[:, 6:]
     sv = np.roll(su, -1, axis=1)
     inside = [~((s > 0).any(axis=1) & (s < 0).any(axis=1)) for s in (sp, sq)]
     cross = ((su * sv < 0) & (sp * sq < 0)
-             | (su == 0) & _between_2d(p, q, u)
-             | (sv == 0) & _between_2d(p, q, v)
-             | (sp == 0) & _between_2d(u, v, p)
-             | (sq == 0) & _between_2d(u, v, q))
+             | (su == 0) & _between(p, q, u)
+             | (sv == 0) & _between(p, q, v)
+             | (sp == 0) & _between(u, v, p)
+             | (sq == 0) & _between(u, v, q))
     return inside[0] | inside[1] | cross.any(axis=1)
 
 
@@ -303,8 +278,8 @@ def triangles_intersect(tri1, tri2):
     (P, 3, 3) and returns a (P,) bool array.  A pair meets when an edge
     of either triangle meets the other one: its ends are not strictly on
     one side of the plane and its line passes the triangle's three edges
-    the same way round, or both ends lie in the plane and the 2D test
-    finds contact.  Each of the six plane-side signs of a pair is
+    the same way round, or both ends lie in the plane and the coplanar
+    test finds contact.  Each of the six plane-side signs of a pair is
     computed once, the line signs only for edges that reach the plane.
     """
     t1 = np.asarray(tri1, dtype=float)

@@ -28,7 +28,7 @@ from .quadrature import integrate
 __all__ = [
     "RadialProfile", "PROFILES", "IdentityReport", "InequalityReport",
     "HemisphereExtension", "ChainReport",
-    "ball_volume_element", "radial_harmonic_derivative",
+    "radial_harmonic_derivative",
     "verify_bochner_radial", "verify_reilly_radial",
     "verify_interior_gradient_radial", "solve_hemisphere_extension",
     "verify_choiwang_chain_hemisphere", "verify_collar_trace_hemisphere",
@@ -109,15 +109,6 @@ def _quad(f, a, b, tol):
     rough, _ = integrate(f, a, b, tol=np.inf)
     value, _ = integrate(f, a, b, tol=tol * (1.0 + abs(rough)))
     return value
-
-
-def ball_volume_element(n, r):
-    """Radial volume density omega_n sin(r)^n on geodesic balls of S^(n+1)."""
-    n = _check_dim(n)
-    r = np.asarray(r, dtype=float)
-    if (r < 0).any() or (r >= math.pi).any():
-        raise ValueError("polar radius must lie in [0, pi)")
-    return sphere_volume(n) * np.sin(r) ** n
 
 
 def radial_harmonic_derivative(n, r):

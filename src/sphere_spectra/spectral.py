@@ -34,6 +34,7 @@ the vertices are `np.einsum` loops rather than BLAS calls, whose
 summation order can depend on the BLAS thread count.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,6 +51,9 @@ __all__ = ["EigenResult", "ConvergenceError",
 # makes the matrix positive definite; the constant mode (eigenvalue 0) then
 # maps to 1/|sigma| and is removed by deflation.
 _SHIFT = -1e-2
+# Columns of the iterated block: the 4-fold lambda1 of the Clifford torus
+# and two more.
+_BLOCK = 6
 # Relative distance of the near shift below the trial vectors' smallest
 # Rayleigh quotient.  Where that quotient lands on lambda1 (the vertex
 # coordinates of a minimal surface), the shift stays clear of lambda1 for
@@ -110,8 +114,7 @@ class EigenResult:
         return len(self.cluster)
 
 
-def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
-                         trial=None):
+def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, seed=0, trial=None):
     """Smallest nonzero eigenvalue of  stiffness x = lam mass x.
 
     pair: LaplacePair (or anything with .stiffness CSR and .mass vector).
@@ -123,12 +126,13 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, block=6, seed=0,
     and M-normalized.  Raises ConvergenceError when the residual target
     is not met within max_iter outer iterations.
     """
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable in double precision")
+    if not 1e-12 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 1e-12 (double "
+                         f"precision resolves no less), got {tol}")
     stiff = pair.stiffness
     mass = np.asarray(pair.mass, dtype=float)
     n = mass.shape[0]
-    block = min(block, n - 1)
+    block = min(_BLOCK, n - 1)
 
     m_orth = _deflation(mass)
 

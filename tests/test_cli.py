@@ -59,8 +59,22 @@ def test_usage_error_exit_code():
     (["offsets", "--gen", "clifford", "--res", "8", "--ts", ","], None),
     (["verify-surface", "--gen", "clifford", "--res", "8", "--offsets", ","],
      None),
+    (["constants", "--lambda", "nan"], None),
+    (["constants", "--lambda", "inf"], None),
+    (["constants", "--lambda", "2", "--beta", "inf"], None),
+    (["verify-surface", "--gen", "clifford", "--res", "8", "--tol", "nan"],
+     None),
+    (["verify-surface", "--gen", "clifford", "--res", "8", "--tol", "inf"],
+     None),
+    (["offsets", "--gen", "clifford", "--res", "8", "--ts", "nan"], None),
+    (["verify-surface", "--gen", "clifford", "--res", "8", "--offsets",
+      "nan"], None),
+    (["verify-oracles", "--dims", "2", "--tol", "nan"], None),
+    (["verify-oracles", "--dims", "2", "--tol", "-1"], None),
 ], ids=["dim", "lambda", "sphere-radius", "oracle-dims", "seed-env",
-        "empty-dims", "empty-ts", "empty-offsets"])
+        "empty-dims", "empty-ts", "empty-offsets", "lambda-nan", "lambda-inf",
+        "beta-inf", "tol-nan", "tol-inf", "ts-nan", "offsets-nan",
+        "oracle-tol-nan", "oracle-tol-negative"])
 def test_bad_values_exit_usage(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
         monkeypatch.setenv("SPHERE_SPECTRA_SEED", env_seed)

@@ -6,24 +6,6 @@ import pytest
 from sphere_spectra import geometry as G
 
 
-def test_normal_geodesic_point_cases():
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    x = np.array([0.0, 1.0, 0.0, 0.0])
-    assert np.allclose(G.normal_geodesic_point(p, x, 0.0), p)
-    assert np.allclose(G.normal_geodesic_point(p, x, math.pi / 2.0), x)
-    q = G.normal_geodesic_point(p, x, math.pi / 4.0)
-    assert np.allclose(q, [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0])
-    assert abs(np.linalg.norm(q) - 1.0) < 1e-15
-
-
-def test_normal_geodesic_point_validates():
-    p = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        G.normal_geodesic_point(p, p, 0.1)                      # not orthogonal
-    with pytest.raises(ValueError):
-        G.normal_geodesic_point(2.0 * p, np.array([0.0, 1, 0, 0]), 0.1)
-
-
 def test_curvature_transport_identities():
     assert abs(G.curvature_transport(0.0, 0.3) - math.tan(0.3)) < 1e-15
     # tangent addition: (1 + 1/3) / (1 - 1/3) = 2
@@ -185,11 +167,4 @@ def test_tube_volume_zero_and_guards():
 
 
 def test_kappa_helpers():
-    kappas = [3.0, -4.0]
-    assert G.norm_A(kappas) == 5.0
-    assert G.mean_curvature(kappas) == -1.0
-    assert G.kappa_max(kappas) == 4.0
-    assert G.is_minimal([1.0, -1.0])
-    assert not G.is_minimal([1.0, -0.5])
-    assert G.is_mean_convex([1.0, -0.5])
-    assert not G.is_mean_convex([-1.0, 0.5])
+    assert G.kappa_max([3.0, -4.0]) == 4.0

@@ -10,9 +10,9 @@ from sphere_spectra.generators import (
     rotate_mesh,
 )
 from sphere_spectra.intersect import (
-    PoleSelectionError, _broad_phase, _orient2d_exact, _orient3d_exact,
-    _orient3d_float, select_pole, self_intersection_test,
-    stereographic_project, triangles_intersect,
+    PoleSelectionError, _broad_phase, _orient3d_exact, _orient3d_filter,
+    select_pole, self_intersection_test, stereographic_project,
+    triangles_intersect,
 )
 from sphere_spectra.mesh import SphericalTriMesh, offset_mesh
 
@@ -99,17 +99,6 @@ def _assert_orient3d_agrees(quads):
     return signs
 
 
-def _assert_orient2d_agrees(triples):
-    signs = []
-    for triple in triples:
-        a, b, c = _points(triple)
-        for args in [(a, b, c), (b, a, c), (c, a, b)]:
-            expected = _orient2d_fraction(*args)
-            assert _orient2d_exact(*args) == expected, args
-            signs.append(expected)
-    return signs
-
-
 @pytest.fixture(scope="module")
 def clifford_rectangles():
     # vertices (i, j), (i+1, j), (i, j+k), (i+1, j+k) of the product torus
@@ -128,9 +117,9 @@ def clifford_rectangles():
 
 def test_orient3d_projected_clifford_rectangles(clifford_rectangles):
     quads = clifford_rectangles
-    det, bound = _orient3d_float(quads[:, 0], quads[:, 1], quads[:, 2],
-                                 quads[:, 3])
-    assert (np.abs(det) <= bound).mean() > 0.9     # floats cannot decide
+    sign = _orient3d_filter(quads[:, 0], quads[:, 1], quads[:, 2],
+                            quads[:, 3])
+    assert (sign == 0).mean() > 0.9                # floats cannot decide
     _assert_orient3d_agrees(quads)
 
 
@@ -141,30 +130,15 @@ def test_orient3d_exactly_coplanar(clifford_rectangles):
     assert set(_assert_orient3d_agrees(grid)) == {0}
 
 
-def test_orient2d_collinear():
-    rng = np.random.default_rng(7)
-    a = np.round(rng.uniform(-3.0, 3.0, (200, 2)) * 2.0 ** 24) / 2.0 ** 24
-    b = np.round(rng.uniform(-3.0, 3.0, (200, 2)) * 2.0 ** 24) / 2.0 ** 24
-    step = rng.integers(-4, 5, (200, 1)).astype(float)
-    c = a + step * (b - a)                       # exact on this grid
-    assert set(_assert_orient2d_agrees(np.stack([a, b, c], axis=1))) == {0}
-    # one ulp off the line
-    c_off = np.nextafter(c, np.inf)
-    signs = _assert_orient2d_agrees(np.stack([a, b, c_off], axis=1))
-    assert {-1, 1} <= set(signs)
-
-
 def test_orient_extreme_exponents():
     rng = np.random.default_rng(8)
     mant = rng.uniform(-1.0, 1.0, (400, 4, 3))
     expo = rng.integers(-1000, 1001, (400, 4, 3))
     quads = np.ldexp(mant, expo)
     _assert_orient3d_agrees(quads)
-    _assert_orient2d_agrees(quads[:, :3, :2])
     # one exponent per point: large, tiny and mixed-scale quadruples
     quads = np.ldexp(mant, rng.integers(-1000, 1001, (400, 4, 1)))
     _assert_orient3d_agrees(quads)
-    _assert_orient2d_agrees(quads[:, :3, :2])
 
 
 def test_orient3d_underflow_times_long_edge():
@@ -185,7 +159,6 @@ def test_orient_signed_zeros():
         [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 0.0, 1.0)],
     ])
     _assert_orient3d_agrees(quads)
-    _assert_orient2d_agrees(quads[:, :3, :2])
 
 
 def test_orient3d_one_batch_mixed_exponents(monkeypatch):
@@ -224,16 +197,12 @@ def test_orient_non_finite_rejected(bad):
         quad[k][k % 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             _orient3d_exact(*quad)
-        if k < 3:
-            with pytest.raises(ValueError, match="non-finite"):
-                _orient2d_exact(*(tuple(p[:2]) for p in quad[:3]))
 
 
 def test_orient_random_generic():
     rng = np.random.default_rng(9)
     quads = rng.uniform(-1.0, 1.0, (500, 4, 3))
     assert 0 not in _assert_orient3d_agrees(quads)
-    assert 0 not in _assert_orient2d_agrees(quads[:, :3, :2])
 
 
 def test_triangle_predicate_random_agreement():
@@ -351,7 +320,7 @@ def test_batched_predicate_exactly_coplanar(clifford_rectangles, monkeypatch):
     first, second = _rectangle_pairs(grid)
     expected = _assert_batch_agrees(first, second)
     assert {True, False} <= set(expected)
-    assert calls                                 # the 2D path was taken
+    assert calls                                 # the coplanar path was taken
     # all but the last set pair triangles of one rectangle: one plane
     first, second = first[:-len(grid)], second[:-len(grid)]
     signs = _orient3d_exact(first[:, None, 0], first[:, None, 1],
@@ -384,11 +353,11 @@ def test_batched_predicate_touching():
         assert all(_assert_batch_agrees(tri[keep], other[keep]))
 
 
-def test_coplanar_stacks_one_2d_conversion(monkeypatch):
-    # integer triangles in tilted integer planes z = a x + b y + c, with
-    # the axes permuted per pair: every edge takes the 2D path
-    rng = np.random.default_rng(21)
-    n = 80
+def _tilted_plane_pairs(seed, n):
+    """Integer triangles and partners of four kinds in tilted integer
+    planes z = a x + b y + c, with the axes permuted per pair: every edge
+    of a pair with nonzero areas takes the coplanar path."""
+    rng = np.random.default_rng(seed)
     tri = rng.integers(-6, 7, (n, 3, 2)).astype(float)
     v0, v1, v2 = tri[:, :1], tri[:, 1:2], tri[:, 2:]
     d = v1 - v0
@@ -408,20 +377,54 @@ def test_coplanar_stacks_one_2d_conversion(monkeypatch):
         t = np.concatenate([t, a * t[..., :1] + b * t[..., 1:] + c], axis=2)
         return np.take_along_axis(t, axes, axis=2)
 
+    pairs = {}
+    for kind, other in others.items():
+        keep = _nondegenerate(lift(tri), lift(other))
+        assert keep.sum() > n // 2, kind
+        pairs[kind] = lift(tri)[keep], lift(other)[keep]
+    return pairs
+
+
+def test_coplanar_signs_through_orient3d(monkeypatch):
+    # every sign, the in-plane ones included, is an orientation of four
+    # 3D points: one conversion at most each for the side, line and
+    # coplanar signs
     rows = []
     scaled = intersect._scaled_ints
     monkeypatch.setattr(intersect, "_scaled_ints",
                         lambda pts: rows.append(np.shape(pts)) or scaled(pts))
-    for kind, other in others.items():
-        keep = _nondegenerate(lift(tri), lift(other))
-        first, second = lift(tri)[keep], lift(other)[keep]
-        assert len(first) > n // 2
+    for kind, (first, second) in _tilted_plane_pairs(21, 80).items():
         rows.clear()
         got = triangles_intersect(first, second).tolist()
-        assert sum(shape[-1] == 2 for shape in rows) <= 1, kind
+        assert 1 <= len(rows) <= 3, kind
+        assert all(shape[1:] == (4, 3) for shape in rows), kind
         assert _assert_batch_agrees(first, second) == got
         expected = {"touching": {True}, "disjoint": {False}}
         assert set(got) == expected.get(kind, {True, False}), kind
+
+
+def test_coplanar_far_from_origin(monkeypatch):
+    # small coplanar triangles far out: a point lifted off such a plane by
+    # its normal would round back onto it
+    calls = []
+    coplanar = intersect._coplanar_segment_hits_exact
+    monkeypatch.setattr(intersect, "_coplanar_segment_hits_exact",
+                        lambda *args: calls.append(args) or coplanar(*args))
+    pairs = _tilted_plane_pairs(22, 12)
+    for s in (0, 20, 30, 40):
+        for m in (0, 20, 30, 40):
+            for kind, (first, second) in pairs.items():
+                first, second = (np.ldexp(t, -s) + 2.0 ** m
+                                 for t in (first, second))
+                keep = _nondegenerate(first, second)
+                first, second = first[keep], second[keep]
+                expected = [_triangles_intersect_fraction(x, y)
+                            for x, y in zip(first, second)]
+                assert triangles_intersect(first, second).tolist() \
+                    == expected, (s, m, kind)
+                assert triangles_intersect(second, first).tolist() \
+                    == expected, (s, m, kind)
+    assert sum(len(args[0]) for args in calls) > 1000
 
 
 def test_batched_predicate_random_generic():

@@ -21,27 +21,6 @@ def hyp_extension(n, theta):
 
 # ---------------------------------------------------------------------------
 
-def test_ball_volume_element_values():
-    assert radial.ball_volume_element(2, math.pi / 2.0) \
-        == pytest.approx(4.0 * math.pi, rel=1e-14)
-    assert radial.ball_volume_element(2, 0.0) == 0.0
-    assert radial.ball_volume_element(3, 0.0) == 0.0
-
-
-def test_ball_volume_element_integrates_to_sphere_volume():
-    from sphere_spectra.quadrature import integrate
-    val, _ = integrate(lambda r: radial.ball_volume_element(2, r),
-                       0.0, math.pi, tol=1e-11)
-    assert val == pytest.approx(2.0 * math.pi ** 2, rel=1e-10)
-
-
-def test_ball_volume_element_domain():
-    with pytest.raises(ValueError):
-        radial.ball_volume_element(2, 3.5)
-
-
-# ---------------------------------------------------------------------------
-
 @pytest.mark.parametrize("n,r0,r1", [(2, 0.3, 1.2), (3, 0.5, 1.0),
                                      (4, 0.6, 1.2)])
 def test_bochner_residual(n, r0, r1):
