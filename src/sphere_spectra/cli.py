@@ -130,6 +130,14 @@ def _build_mesh(args):
 
 # ---------------------------------------------------------------------------
 
+# the parameter-chain fields `constants` prints and writes, with their notes
+_CHAIN_ROWS = (
+    ("eps", "offset slack"), ("beta", "trace slack"),
+    ("eps_tilde", "offset mean-curvature bound"), ("gamma", "chain slack"),
+    ("delta", "n*arctan(eps/n)"), ("t_collar", "delta/(2 lam^2)"),
+    ("d_eps", "arctan(eps/lam^2)"))
+
+
 def _cmd_constants(args):
     n = args.dim if args.dim is not None else 2
     bc = consts.compute_bound_constants(n)
@@ -149,22 +157,12 @@ def _cmd_constants(args):
         chain = None
         if lam > 0 and branch == "generic":
             chain = consts.build_parameter_chain(n, lam, args.eps, args.beta)
-            rows += [
-                ("eps", chain.eps, "offset slack"),
-                ("beta", chain.beta, "trace slack"),
-                ("eps_tilde", chain.eps_tilde, "offset mean-curvature bound"),
-                ("gamma", chain.gamma,
-                 "chain slack" + ("" if chain.valid else "  [DEGENERATE]")),
-                ("delta", chain.delta, "n*arctan(eps/n)"),
-                ("t_collar", chain.t_collar, "delta/(2 lam^2)"),
-                ("d_eps", chain.d_eps, "arctan(eps/lam^2)"),
-            ]
-            out["chain"] = {
-                "eps": chain.eps, "beta": chain.beta,
-                "eps_tilde": chain.eps_tilde, "gamma": chain.gamma,
-                "delta": chain.delta, "t_collar": chain.t_collar,
-                "d_eps": chain.d_eps, "valid": chain.valid,
-            }
+            out["chain"] = {name: getattr(chain, name)
+                            for name, _ in _CHAIN_ROWS}
+            rows += [(name, out["chain"][name], note + (
+                "  [DEGENERATE]" if name == "gamma" and not chain.valid
+                else "")) for name, note in _CHAIN_ROWS]
+            out["chain"]["valid"] = chain.valid
         rows.append(("bound", bound, f"lam={lam:g}, {branch} branch"))
         out["lam"] = lam
         out["bound"] = bound
@@ -245,58 +243,20 @@ def _cmd_verify_oracles(args):
     dims = _parse_list(args.dims, int) if args.dims else [2, 3, 4]
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    only = args.only
     rows = []
-
-    def want(kind):
-        return only is None or only == kind
-
-    def tol_for(builtin, scale=1.0):
-        # an explicit --tol replaces the built-in pass threshold
-        if args.tol is None:
-            return builtin
-        return args.tol * (1.0 + abs(scale))
-
     for n in dims:
-        if want("reilly"):
-            for pname in ("cos", "r2", "gauss"):
-                for radius in (0.5, 1.0, 1.4):
-                    r = radial.verify_reilly_radial(n, radius,
-                                                    radial.PROFILES[pname])
-                    tol_eff = tol_for(r.tol, r.lhs)
-                    rows.append(("reilly", n, r.name, r.gap, tol_eff,
-                                 r.gap <= tol_eff))
-        if want("bochner"):
-            r0, r1 = (0.3, 1.2) if n == 2 else (0.5, 1.2)
-            resid = radial.verify_bochner_radial(n, r0, r1)
-            tol_eff = tol_for(1e-6, 0.0)
-            rows.append(("bochner", n, f"annulus({r0},{r1})", resid,
-                         tol_eff, resid <= tol_eff))
-        if want("interior"):
-            for t in (0.1, 0.2):
-                r = radial.verify_interior_gradient_radial(n, 0.3, 1.3, t)
-                tol_eff = tol_for(r.tol, r.rhs)
-                rows.append(("interior", n, r.name, -r.slack, tol_eff,
-                             r.slack >= -tol_eff))
-        if want("chain"):
-            chain = radial.verify_choiwang_chain_hemisphere(n)
-            ident = chain.flux_identity
-            tol_eff = tol_for(ident.tol, ident.lhs)
-            rows.append(("chain/flux", n, ident.name, ident.gap, tol_eff,
-                         ident.gap <= tol_eff))
-            for ineq in (chain.reilly_inequality, chain.gap_inequality,
-                         chain.trace_inequality):
-                tol_eff = tol_for(ineq.tol, ineq.rhs)
-                rows.append(("chain/ineq", n, ineq.name, -ineq.slack,
-                             tol_eff, ineq.slack >= -tol_eff))
-        if want("collar"):
-            for t in (0.2, 0.3):
-                for beta in (0.1, 0.5, 1.0, 2.0):
-                    r = radial.verify_collar_trace_hemisphere(
-                        n, t, beta, radial.PROFILES["cos"])
-                    tol_eff = tol_for(r.tol, r.rhs)
-                    rows.append(("collar", n, r.name, -r.slack, tol_eff,
-                                 r.slack >= -tol_eff))
+        for kind, suite in radial.ORACLES.items():
+            if args.only not in (None, kind):
+                continue
+            for r in suite(n):
+                if args.tol is not None:
+                    r = radial.judge(type(r), r.name, r.lhs, r.rhs, args.tol,
+                                     r.extras)
+                identity = isinstance(r, radial.IdentityReport)
+                label = kind if kind != "chain" else \
+                    "chain/flux" if identity else "chain/ineq"
+                rows.append((label, n, r.name,
+                             r.gap if identity else -r.slack, r.tol, r.passed))
     failed = [row for row in rows if not row[5]]
     width = max(len(row[2]) for row in rows) if rows else 10
     print(f"{'kind':12s} {'n':>2s} {'check':{width}s} {'gap/-slack':>12s} "
@@ -382,9 +342,12 @@ def build_parser():
 
     p = subs.add_parser("verify-oracles", help="radial identity suite")
     p.add_argument("--dims", default=None, help="comma list of dimensions")
-    p.add_argument("--only", default=None,
-                   choices=["reilly", "bochner", "interior", "chain", "collar"])
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--only", default=None, choices=list(radial.ORACLES),
+                   help="one kind of the 24 checks per dimension: reilly 9, "
+                        "bochner 1, interior 2, chain 4, collar 8")
+    p.add_argument("--tol", type=float, default=None,
+                   help="pass threshold X*(1+|lhs|) for every identity and "
+                        "X*(1+|rhs|) for every inequality")
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_verify_oracles)
 

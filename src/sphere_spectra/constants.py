@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import offset_mean_curvature_bound
+from .geometry import _power, offset_mean_curvature_bound
 from .quadrature import integrate
 
 __all__ = [
@@ -112,7 +112,7 @@ def eigenvalue_lower_bound(n, lam):
     if bound_branch(n, lam) == "totally-geodesic":
         return float(n)
     c = compute_bound_constants(n)
-    return n / 2.0 + c.a_n / (lam ** 6 + c.b_n)
+    return n / 2.0 + c.a_n / (_power(lam, 6) + c.b_n)
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,14 @@ def build_parameter_chain(n, lam, eps=None, beta=None):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     gamma = math.sqrt(2.0 * n) - eps_tilde - beta
     delta = n * math.atan(eps / n)
-    t_collar = delta / (2.0 * lam ** 2)
-    d_eps = math.atan(eps / lam ** 2)
+    t_collar = delta / (2.0 * _power(lam, 2))
+    d_eps = math.atan(eps / _power(lam, 2))
     return ParameterChain(n=n, lam=lam, eps=eps, beta=beta,
                           eps_tilde=eps_tilde, gamma=gamma, delta=delta,
                           t_collar=t_collar, d_eps=d_eps)
 
 
-def tube_integral(n, lam, tol=1e-10):
+def tube_integral(n, lam):
     """I(lam) = integral of cos(t)^n (1 - lam tan t)^n over [0, arctan(1/lam)].
 
     The reciprocal of twice this value converts Vol(S^(n+1)) into the
@@ -181,7 +181,7 @@ def tube_integral(n, lam, tol=1e-10):
     def integrand(t):
         return np.cos(t) ** n * (1.0 - lam * np.tan(t)) ** n
 
-    value, _ = integrate(integrand, 0.0, upper, tol=tol)
+    value, _ = integrate(integrand, 0.0, upper)
     return value
 
 
@@ -204,7 +204,7 @@ class VolumeBound:
     crude: float | None   # c_n * lam * Vol(S^(n+1)), None when lam < 1/4
 
 
-def volume_upper_bound(n, lam, tol=1e-10):
+def volume_upper_bound(n, lam):
     """Volume bound Vol(S^(n+1)) / (2 I(lam)) for closed embedded
     mean-convex hypersurfaces in S^(n+1) with max ||A|| <= lam.
 
@@ -212,7 +212,7 @@ def volume_upper_bound(n, lam, tol=1e-10):
     reported; the sharp bound never exceeds it there.
     """
     n = _check_dim(n)
-    tube = tube_integral(n, lam, tol=tol)
+    tube = tube_integral(n, lam)
     vol = sphere_volume(n + 1)
     sharp = vol / (2.0 * tube)
     crude = None

@@ -107,6 +107,14 @@ def offset_mean_curvature(kappas, t):
     return float(sum(curvature_transport(float(k), t) for k in kappas))
 
 
+def _power(x, k):
+    """x ** k, or inf where it overflows: the bounds take their limits."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.inf
+
+
 def offset_mean_curvature_bound(n, lam, eps):
     """Upper bound lam*eps/(lam-eps) * (n/lam^2 + 1) for the offset mean
     curvature of any minimal curvature set with ||A|| <= lam, valid for
@@ -118,10 +126,10 @@ def offset_mean_curvature_bound(n, lam, eps):
         raise ValueError("lam must be positive")
     if not (0 < eps <= lam / 2.0):
         raise ValueError(f"need 0 < eps <= lam/2, got eps={eps}, lam={lam}")
-    return lam * eps / (lam - eps) * (n / lam ** 2 + 1.0)
+    return lam * eps / (lam - eps) * (n / _power(lam, 2) + 1.0)
 
 
-def tube_volume(entries, r, side=+1, tol=1e-10):
+def tube_volume(entries, r, side=+1):
     """Volume swept by offsets out to distance r on one side of a surface.
 
     `entries` is a sequence of (weight, kappas) pairs: quadrature weights
@@ -169,6 +177,6 @@ def tube_volume(entries, r, side=+1, tol=1e-10):
                 return ct ** (n - len(signed)) * prod
 
             # cos^n * prod(1 + s tan t) written as cos^(n-k) prod(cos + s sin)
-            cache[key], _ = integrate(integrand, 0.0, r, tol=tol)
+            cache[key], _ = integrate(integrand, 0.0, r)
         per_entry.append(cache[key])
     return math.fsum(w * v for w, v in zip(weights, per_entry))

@@ -14,7 +14,8 @@ F'' + n cot(t) F' - (n / sin^2 t) F = 0 with the regular branch F ~ t.
 
 Every `verify_*` function computes both sides of its identity or
 inequality with independent numerics (quadrature or finite differences)
-and reports the gap or slack.
+and reports the gap or slack; `judge` is the one pass rule of them all.
+`ORACLES` is the suite that `sphere-spectra verify-oracles` prints.
 """
 
 import math
@@ -27,7 +28,7 @@ from .quadrature import integrate
 
 __all__ = [
     "RadialProfile", "PROFILES", "IdentityReport", "InequalityReport",
-    "HemisphereExtension", "ChainReport",
+    "HemisphereExtension", "ChainReport", "ORACLES", "judge",
     "radial_harmonic_derivative",
     "verify_bochner_radial", "verify_reilly_radial",
     "verify_interior_gradient_radial", "solve_hemisphere_extension",
@@ -86,10 +87,26 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
 
+def judge(report_type, name, lhs, rhs, rtol, extras=None):
+    """The one pass rule of every oracle, at relative tolerance rtol: an
+    IdentityReport passes when |lhs - rhs| <= rtol (1 + |lhs|), an
+    InequalityReport lhs <= rhs when rhs - lhs >= -rtol (1 + |rhs|) and
+    the term its proof drops, extras["dropped_term"] if any, is > 0."""
+    extras = extras or {}
+    if report_type is IdentityReport:
+        gap = abs(lhs - rhs)
+        tol = rtol * (1.0 + abs(lhs))
+        return IdentityReport(name, lhs, rhs, gap, tol, gap <= tol, extras)
+    slack = rhs - lhs
+    tol = rtol * (1.0 + abs(rhs))
+    passed = slack >= -tol and extras.get("dropped_term", 1.0) > 0.0
+    return InequalityReport(name, lhs, rhs, slack, tol, passed, extras)
+
+
 # absolute quadrature tolerance of every oracle but `verify_reilly_radial`,
 # whose tolerance the caller may vary
 _QUAD_TOL = 1e-10
-# pass threshold of the hemisphere chain, relative to 1 + |side|
+# pass threshold of the hemisphere chain (the rtol of `judge`)
 _CHAIN_TOL = 1e-8
 # finite-difference grid of the pointwise Bochner residual
 _BOCHNER_GRID_POINTS = 10**4
@@ -197,13 +214,9 @@ def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
     area = omega * math.sin(radius) ** n
     boundary = n * (math.cos(radius) / math.sin(radius)) \
         * float(profile.fp(radius)) ** 2 * area
-    rhs = ricci + boundary
-    gap = abs(lhs - rhs)
-    tol_eff = 1e-8 * (1.0 + abs(lhs))
-    return IdentityReport(
-        name=f"reilly[{profile.name},n={n},R={radius:g}]",
-        lhs=lhs, rhs=rhs, gap=gap, tol=tol_eff, passed=gap <= tol_eff,
-        extras={"ricci": ricci, "boundary": boundary})
+    return judge(IdentityReport, f"reilly[{profile.name},n={n},R={radius:g}]",
+                 lhs, ricci + boundary, 1e-8,
+                 {"ricci": ricci, "boundary": boundary})
 
 
 def verify_interior_gradient_radial(n, r0, r1, t):
@@ -234,13 +247,10 @@ def verify_interior_gradient_radial(n, r0, r1, t):
     lhs = _quad(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t, _QUAD_TOL)
     hess = _quad(hess_integrand, r0, r1, _QUAD_TOL)
     rhs = hess / ((n - 1) * t ** 2)
-    slack = rhs - lhs
-    tol_eff = 1e-10 * (1.0 + abs(rhs))
-    return InequalityReport(
-        name=f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
-        lhs=lhs, rhs=rhs, slack=slack, tol=tol_eff,
-        passed=slack >= -tol_eff,
-        extras={"ratio": lhs / rhs if rhs > 0 else math.inf})
+    return judge(InequalityReport,
+                 f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
+                 lhs, rhs, 1e-10,
+                 {"ratio": lhs / rhs if rhs > 0 else math.inf})
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +368,20 @@ class ChainReport:
     sharp_trace_gap: float    # surface_gradient - (lambda1 + grad_energy^2)
 
     @property
+    def reports(self):   # the flux identity, then the three inequalities
+        return [self.flux_identity, self.reilly_inequality,
+                self.gap_inequality, self.trace_inequality]
+
+    @property
     def all_passed(self):
-        return (self.flux_identity.passed and self.reilly_inequality.passed
-                and self.gap_inequality.passed and self.trace_inequality.passed)
+        return all(r.passed for r in self.reports)
 
 
 def verify_choiwang_chain_hemisphere(n):
     """Evaluate the whole boundary-flux chain on the hemisphere instance.
 
     The flux identity must hold to ~quadrature accuracy; the three
-    inequalities must hold with slack >= -1e-8 * scale.  On this instance
+    inequalities must hold with slack >= -1e-8 (1 + |rhs|).  On this instance
     the Hessian energy equals n times the gradient energy exactly, so
     the first two inequalities are tight (slack ~ 0) and the Hessian
     energy itself is the strictly positive dropped term.
@@ -392,42 +406,22 @@ def verify_choiwang_chain_hemisphere(n):
     flux = ext.boundary_derivative * 1.0   # F(pi/2) = 1, ||Y||_2 = 1
     surface_gradient = ext.boundary_derivative ** 2 + n
 
-    gap2 = abs(flux - grad_energy)
-    tol2 = _CHAIN_TOL * (1.0 + abs(flux))
-    flux_identity = IdentityReport(
-        name=f"flux-identity[n={n}]", lhs=flux, rhs=grad_energy,
-        gap=gap2, tol=tol2, passed=gap2 <= tol2)
-
-    lhs3 = n * grad_energy - 2.0 * lam1 * flux
-    rhs3 = -hess_energy
-    slack3 = rhs3 - lhs3
-    tol3 = _CHAIN_TOL * (1.0 + abs(rhs3))
-    reilly_ineq = InequalityReport(
-        name=f"reilly-boundary[n={n}]", lhs=lhs3, rhs=rhs3, slack=slack3,
-        tol=tol3, passed=slack3 >= -tol3)
-
-    lhs4 = hess_energy
-    rhs4 = 2.0 * (lam1 - n / 2.0) * grad_energy
-    slack4 = rhs4 - lhs4
-    tol4 = _CHAIN_TOL * (1.0 + abs(rhs4))
-    gap_ineq = InequalityReport(
-        name=f"eigen-gap[n={n}]", lhs=lhs4, rhs=rhs4, slack=slack4,
-        tol=tol4, passed=slack4 >= -tol4 and hess_energy > 0.0,
-        extras={"dropped_term": hess_energy})
-
-    lhs20 = math.sqrt(2.0 * n) * grad_energy
-    slack20 = surface_gradient - lhs20
-    tol20 = _CHAIN_TOL * (1.0 + abs(surface_gradient))
-    trace_ineq = InequalityReport(
-        name=f"boundary-trace[n={n}]", lhs=lhs20, rhs=surface_gradient,
-        slack=slack20, tol=tol20, passed=slack20 >= -tol20,
-        extras={"sharp_rhs": lam1 + grad_energy ** 2})
-
     return ChainReport(
         n=n, lambda1=lam1, grad_energy=grad_energy, boundary_flux=flux,
         hess_energy=hess_energy, surface_gradient=surface_gradient,
-        flux_identity=flux_identity, reilly_inequality=reilly_ineq,
-        gap_inequality=gap_ineq, trace_inequality=trace_ineq,
+        flux_identity=judge(IdentityReport, f"flux-identity[n={n}]",
+                            flux, grad_energy, _CHAIN_TOL),
+        reilly_inequality=judge(
+            InequalityReport, f"reilly-boundary[n={n}]",
+            n * grad_energy - 2.0 * lam1 * flux, -hess_energy, _CHAIN_TOL),
+        gap_inequality=judge(
+            InequalityReport, f"eigen-gap[n={n}]", hess_energy,
+            2.0 * (lam1 - n / 2.0) * grad_energy, _CHAIN_TOL,
+            {"dropped_term": hess_energy}),
+        trace_inequality=judge(
+            InequalityReport, f"boundary-trace[n={n}]",
+            math.sqrt(2.0 * n) * grad_energy, surface_gradient, _CHAIN_TOL,
+            {"sharp_rhs": lam1 + grad_energy ** 2}),
         sharp_trace_gap=surface_gradient - (lam1 + grad_energy ** 2))
 
 
@@ -468,11 +462,34 @@ def verify_collar_trace_hemisphere(n, t, beta, profile):
     h_max = n * math.tan(t)
     rhs = offset_term + (h_max + beta) * omega * collar_grad \
         + omega * collar_hess / beta
-    slack = rhs - lhs
-    tol_eff = 1e-10 * (1.0 + abs(rhs))
-    return InequalityReport(
-        name=f"collar-trace[{profile.name},n={n},t={t:g},beta={beta:g}]",
-        lhs=lhs, rhs=rhs, slack=slack, tol=tol_eff, passed=slack >= -tol_eff,
-        extras={"offset_term": offset_term, "h_max": h_max,
-                "collar_grad": omega * collar_grad,
-                "collar_hess": omega * collar_hess})
+    return judge(InequalityReport,
+                 f"collar-trace[{profile.name},n={n},t={t:g},beta={beta:g}]",
+                 lhs, rhs, 1e-10,
+                 {"offset_term": offset_term, "h_max": h_max,
+                  "collar_grad": omega * collar_grad,
+                  "collar_hess": omega * collar_hess})
+
+
+# ---------------------------------------------------------------------------
+# the suite: each kind maps n to its reports, in print order.  The CLI
+# prints 3 of the 6 Reilly profiles; the acceptance tests add the others.
+
+def _bochner_check(n):
+    # lhs 0, so the threshold 1e-6 is absolute
+    r0 = 0.3 if n == 2 else 0.5
+    return [judge(IdentityReport, f"annulus({r0},1.2)", 0.0,
+                  verify_bochner_radial(n, r0, 1.2), 1e-6)]
+
+
+ORACLES = {
+    "reilly": lambda n: [verify_reilly_radial(n, radius, PROFILES[name])
+                         for name in ("cos", "r2", "gauss")
+                         for radius in (0.5, 1.0, 1.4)],
+    "bochner": _bochner_check,
+    "interior": lambda n: [verify_interior_gradient_radial(n, 0.3, 1.3, t)
+                           for t in (0.1, 0.2)],
+    "chain": lambda n: verify_choiwang_chain_hemisphere(n).reports,
+    "collar": lambda n: [verify_collar_trace_hemisphere(n, t, beta,
+                                                        PROFILES["cos"])
+                         for t in (0.2, 0.3) for beta in (0.1, 0.5, 1.0, 2.0)],
+}

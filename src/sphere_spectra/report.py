@@ -274,26 +274,22 @@ def compute_verdicts(report):
     return verdicts
 
 
+# verdict columns of the CSV, in column order; a missing verdict is empty
+_VERDICTS = ("minimality", "choi_wang", "improved_bound", "yau_upper",
+             "yang_yau", "simons", "volume_bound", "offsets_embedded")
+
 CSV_FIELDS = [
     "name", "vertices", "triangles", "genus",
     "area_discrete", "area_analytic",
     "lambda1", "lambda1_analytic", "residual", "iterations",
     "lam_discrete", "lam_analytic", "bound_value", "branch",
     "simons", "seconds",
-    "verdict_minimality", "verdict_choi_wang", "verdict_improved_bound",
-    "verdict_yau_upper", "verdict_yang_yau", "verdict_simons",
-    "verdict_volume_bound", "verdict_offsets_embedded",
-]
+] + [f"verdict_{name}" for name in _VERDICTS]
 
 
 def report_to_csv_row(report):
     spec = report["spectrum"] or {}
     verdicts = report["verdicts"]
-
-    def v(name):
-        entry = verdicts.get(name)
-        return "" if entry is None else int(entry["passed"])
-
     return {
         "name": report["surface"]["name"],
         "vertices": report["surface"]["vertices"],
@@ -311,14 +307,8 @@ def report_to_csv_row(report):
         "branch": report["bound"]["branch"],
         "simons": report["simons"]["integral"],
         "seconds": report["timing_s"]["total"],
-        "verdict_minimality": v("minimality"),
-        "verdict_choi_wang": v("choi_wang"),
-        "verdict_improved_bound": v("improved_bound"),
-        "verdict_yau_upper": v("yau_upper"),
-        "verdict_yang_yau": v("yang_yau"),
-        "verdict_simons": v("simons"),
-        "verdict_volume_bound": v("volume_bound"),
-        "verdict_offsets_embedded": v("offsets_embedded"),
+        **{f"verdict_{name}": int(verdicts[name]["passed"])
+           if name in verdicts else "" for name in _VERDICTS},
     }
 
 

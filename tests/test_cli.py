@@ -1,8 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from sphere_spectra import radial
 from sphere_spectra.cli import main
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_geodesic_sphere,
@@ -38,6 +40,16 @@ def test_constants_json_output(tmp_path, capsys):
     assert data["dim"] == 2
     assert data["a_n"] == pytest.approx(1.3155332985270223e-4)
     assert data["chain"]["valid"] is True
+
+
+@pytest.mark.parametrize("lam,collar", [("1e308", "0"),
+                                        ("1e60", "2.3147736397e-121")])
+def test_constants_huge_lambda(lam, collar, capsys):
+    # lam ** 6 overflows at both, lam ** 2 at 1e308 only
+    assert main(["constants", "--lambda", lam]) == 0
+    rows = {line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert (rows["bound"], rows["t_collar"]) == ("1", collar)
 
 
 def test_usage_error_exit_code():
@@ -182,6 +194,41 @@ def test_verify_oracles_failure_exit(capsys):
                  "--tol", "1e-16"]) == 5
     err = capsys.readouterr().err
     assert "reilly" in err
+
+
+def test_verify_oracles_prints_the_table(capsys):
+    # the rows, in order, are the table's; the benchmark counts 24 per n
+    assert main(["verify-oracles", "--dims", "2,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [(kind.split("/")[0], int(n), name)
+            for kind, n, name, *_ in map(str.split, lines[1:-1])]
+    expected = [(kind, n, rep.name) for n in (2, 3)
+                for kind, suite in radial.ORACLES.items() for rep in suite(n)]
+    assert rows == expected
+    assert Counter(kind for kind, n, _ in rows if n == 2) == {
+        "reilly": 9, "bochner": 1, "interior": 2, "chain": 4, "collar": 8}
+    assert lines[-1] == "48/48 checks passed"
+
+
+def test_verify_oracles_only_skips_other_kinds(monkeypatch, capsys):
+    def boom(n):
+        raise AssertionError("chain computed under --only reilly")
+
+    monkeypatch.setattr(radial, "verify_choiwang_chain_hemisphere", boom)
+    assert main(["verify-oracles", "--dims", "2", "--only", "reilly"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "9/9 checks passed"
+
+
+def test_verify_oracles_tol_scales_lhs_or_rhs(capsys):
+    # --tol X: X (1 + |lhs|) for the flux identity, X (1 + |rhs|) for the
+    # three chain inequalities
+    assert main(["verify-oracles", "--dims", "2", "--only", "chain",
+                 "--tol", "1e-3"]) == 0
+    tols = [line.split()[-2]
+            for line in capsys.readouterr().out.splitlines()[1:-1]]
+    flux, *ineqs = radial.verify_choiwang_chain_hemisphere(2).reports
+    scales = [flux.lhs] + [r.rhs for r in ineqs]
+    assert tols == [f"{1e-3 * (1.0 + abs(s)):.1e}" for s in scales]
 
 
 def test_report_merge_and_schema_mismatch(tmp_path, capsys):

@@ -99,6 +99,27 @@ def test_eigenvalue_lower_bound_branches():
         assert 1.0 < v < 2.0
 
 
+def test_huge_lambda_takes_the_limits():
+    # lam ** 6 and lam ** 2 overflow: the bound is n/2, the collars 0
+    assert C.eigenvalue_lower_bound(2, 1e308) == 1.0
+    chain = C.build_parameter_chain(2, 1e308)
+    assert chain.t_collar == 0.0 and chain.d_eps == 0.0 and chain.valid
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_bound_sweep_matches_power_formula(n):
+    # bitwise n/2 + a_n / (lam ** 6 + b_n) wherever that power is finite
+    bc = C.compute_bound_constants(n)
+    for lam in np.geomspace(1.5, 1.7e308, 400).tolist():
+        try:
+            expected = n / 2.0 + bc.a_n / (lam ** 6 + bc.b_n)
+        except OverflowError:
+            expected = n / 2.0
+        if lam < math.sqrt(n):
+            expected = float(n)
+        assert C.eigenvalue_lower_bound(n, lam) == expected, lam
+
+
 def test_bound_branch_threshold_is_sqrt_n():
     assert C.bound_branch(2, 0.0) == "totally-geodesic"
     assert C.bound_branch(2, math.nextafter(math.sqrt(2.0), 0.0)) \

@@ -21,6 +21,17 @@ def hyp_extension(n, theta):
 
 # ---------------------------------------------------------------------------
 
+def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
+    ident = radial.judge(radial.IdentityReport, "i", -3.0, -3.5, 1e-3)
+    assert (ident.gap, ident.tol, ident.passed) == (0.5, 1e-3 * 4.0, False)
+    ineq = radial.judge(radial.InequalityReport, "q", 2.0, -5.0, 0.5)
+    assert (ineq.slack, ineq.tol, ineq.passed) == (-7.0, 0.5 * 6.0, False)
+    assert radial.judge(radial.InequalityReport, "q", 2.0, -5.0, 2.0).passed
+    # a dropped term that is not positive fails the inequality
+    assert not radial.judge(radial.InequalityReport, "g", 1.0, 1.0, 1e-8,
+                            {"dropped_term": 0.0}).passed
+
+
 @pytest.mark.parametrize("n,r0,r1", [(2, 0.3, 1.2), (3, 0.5, 1.0),
                                      (4, 0.6, 1.2)])
 def test_bochner_residual(n, r0, r1):
