@@ -88,27 +88,34 @@ _ICO_FACES = np.array([
 
 
 def _icosphere(subdiv):
-    """Unit icosphere in R^3 after `subdiv` 1-to-4 refinements."""
-    verts = list(_ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None])
-    faces = [tuple(f) for f in _ICO_FACES]
+    """Unit icosphere in R^3 after `subdiv` 1-to-4 refinements.
+
+    Each face (i, j, k) gives (i, ij, ki), (j, jk, ij), (k, ki, jk) and
+    (ij, jk, ki); the midpoints are numbered in the order the faces
+    first use their edges.
+    """
+    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1)[:, None]
+    faces = _ICO_FACES.copy()
     for _ in range(subdiv):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                midpoint[key] = len(verts) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for (i, j, k) in faces:
-            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk),
-                          (ij, jk, ki)]
-        faces = new_faces
-    return np.array(verts), np.array(faces, dtype=np.int64)
+        n = len(verts)
+        ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2)
+        ends = np.sort(ends.reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1],
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        mids = (n + rank[inverse]).reshape(-1, 3)
+        edges = ends[first[order]]
+        m = verts[edges[:, 0]] + verts[edges[:, 1]]
+        # the row-wise matmul rounds as a dot product of each row does
+        nrm = np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
+        verts = np.concatenate([verts, m / nrm])
+        i, j, k = faces.T
+        ij, jk, ki = mids.T
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki],
+                         axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def gen_geodesic_sphere(r, subdiv):
@@ -158,7 +165,11 @@ def combine_meshes(first, second, name=None):
 
 
 def rotate_mesh(mesh, axis_a, axis_b, angle):
-    """Rigid rotation by `angle` in the coordinate plane (axis_a, axis_b)."""
+    """Rigid rotation by `angle` in the coordinate plane (axis_a, axis_b).
+
+    The rotated mesh keeps the triangles, and shares the mesh's adjacency
+    and component count from the start.
+    """
     rot = np.eye(4)
     c, s = math.cos(angle), math.sin(angle)
     rot[axis_a, axis_a] = c
@@ -167,7 +178,5 @@ def rotate_mesh(mesh, axis_a, axis_b, angle):
     rot[axis_b, axis_a] = s
     normals = None if mesh.normals is None else mesh.normals @ rot.T
     kappas = None if mesh.kappas is None else mesh.kappas.copy()
-    return SphericalTriMesh(
-        vertices=mesh.vertices @ rot.T, triangles=mesh.triangles.copy(),
-        normals=normals, kappas=kappas, genus=mesh.genus,
-        name=f"{mesh.name}|rot", normal_doc=mesh.normal_doc)
+    return mesh._with_vertices(mesh.vertices @ rot.T, normals, kappas,
+                               f"{mesh.name}|rot")

@@ -10,7 +10,11 @@ that can still win.
 
 The projected mesh goes through a uniform spatial hash with cells twice
 the median triangle box (broad phase) and a triangle-triangle
-intersection test between non-adjacent triangles (narrow phase).
+intersection test between non-adjacent triangles (narrow phase).  The
+broad phase pairs each (cell, triangle) entry with the later entries of
+its cell by index arithmetic, in chunks of whole entries of about
+_PAIR_CHUNK pairs, and drops a pair found in several cells by a sort and
+a neighbour compare.
 Narrow-phase predicates are evaluated in floating point with a
 conservative error bound.  The pairs with any sign decision within the
 bound go, in one batched call, through the exact predicate: numpy
@@ -26,6 +30,7 @@ filtered-exact predicate: the in-plane signs of coplanar contact are
 orientations against an apex lifted off the common plane.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -45,6 +50,7 @@ _POLE_SEED = 20240317
 # far above the ~1e-16 rounding of a 4-term dot product of unit vectors,
 # so that two roundings of one sum can never drop the best candidate
 _POLE_MARGIN = 1e-12
+_PAIR_CHUNK = 1 << 16  # bucket pairs per chunk in _broad_phase
 
 
 class PoleSelectionError(RuntimeError):
@@ -64,6 +70,21 @@ def _max_dots(cand, vertices):
     return worst[:len(cand)]
 
 
+@functools.cache
+def _pole_candidates():
+    """The seeded sample, then the 8 axes, as unit rows (read-only).
+
+    Drawn on first use, once per process: a command that never tests
+    embeddedness does not pay for them.
+    """
+    cand = np.concatenate([
+        np.random.default_rng(_POLE_SEED).standard_normal((_POLE_SAMPLES, 4)),
+        np.eye(4), -np.eye(4)])
+    cand /= np.linalg.norm(cand, axis=1)[:, None]
+    cand.flags.writeable = False
+    return cand
+
+
 def select_pole(vertices):
     """Point of S^3 far from every vertex (maximizing the minimum distance).
 
@@ -76,10 +97,7 @@ def select_pole(vertices):
     exceed the exact value of the candidate with the smallest bound,
     the only ones that can win.  Returns (pole, clearance_angle).
     """
-    rng = np.random.default_rng(_POLE_SEED)
-    cand = rng.standard_normal((_POLE_SAMPLES, 4))
-    cand = np.concatenate([cand, np.eye(4), -np.eye(4)])
-    cand /= np.linalg.norm(cand, axis=1)[:, None]
+    cand = _pole_candidates()
     stride = -(-len(vertices) // _POLE_CHUNK)
     bound = (cand @ vertices[::stride].T).max(axis=1)
     if stride == 1:             # every vertex sampled: the bound is exact
@@ -94,7 +112,7 @@ def select_pole(vertices):
         k = int(np.argmin(exact))
         best, worst = int(rows[k]), exact[k]
     clearance = math.acos(min(1.0, max(-1.0, worst)))
-    return cand[best], clearance
+    return cand[best].copy(), clearance
 
 
 def stereographic_project(vertices, pole):
@@ -339,13 +357,22 @@ def _broad_phase(points, triangles):
     new_bucket[1:] = (cells[1:] != cells[:-1]).any(axis=1)
     starts = np.nonzero(new_bucket)[0]
     sizes = np.diff(np.append(starts, len(cells)))
+    # entry e pairs with the rest[e] entries after it in its bucket
+    rest = np.repeat(starts + sizes, sizes) - np.arange(len(cells)) - 1
+    entries = np.flatnonzero(rest)
+    rest = rest[entries]
+    # whole entries in chunks of about _PAIR_CHUNK pairs, each entry in
+    # the chunk its first pair falls in: the chunks bound the pair
+    # temporaries, and one pass over all pairs was slower
+    chunk = (np.cumsum(rest) - rest) // _PAIR_CHUNK
+    cuts = np.flatnonzero(np.diff(chunk)) + 1
     lo_t, hi_t, tri_t = lo.T.copy(), hi.T.copy(), triangles.T.copy()
-    keys = [np.empty(0, dtype=np.int64)]
-    for size in np.unique(sizes[sizes > 1]):
-        first = starts[sizes == size]
-        members = owners[first[:, None] + np.arange(size)]
-        iu, ju = np.triu_indices(size, 1)
-        ti, tj = members[:, iu].ravel(), members[:, ju].ravel()
+    keys = []
+    for e, r in zip(np.split(entries, cuts), np.split(rest, cuts)):
+        ti = np.repeat(e, r)
+        # the k-th pair of entry e is (e, e + 1 + k)
+        tj = ti + 1 + np.arange(len(ti)) - np.repeat(np.cumsum(r) - r, r)
+        ti, tj = owners[ti], owners[tj]
         # AABB overlap re-check (hash cells over-approximate), one axis
         # at a time on the pairs left, then no shared vertex
         for lo_k, hi_k in zip(lo_t, hi_t):
@@ -354,7 +381,11 @@ def _broad_phase(points, triangles):
         vi, vj = tri_t[:, ti], tri_t[:, tj]
         keep = np.logical_and.reduce([x != y for x in vi for y in vj])
         keys.append(ti[keep] * n_tri + tj[keep])
-    keys = np.unique(np.concatenate(keys))
+    # a pair found in several cells is dropped after the first: by a sort
+    # and a neighbour compare (numpy >= 2.3 sends a bare np.unique of
+    # int64 through a hash table, many times slower than a sort)
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     return np.stack([keys // n_tri, keys % n_tri], axis=1)
 
 

@@ -135,16 +135,17 @@ class SphericalTriMesh:
         if (t[:, 0] == t[:, 1]).any() or (t[:, 1] == t[:, 2]).any() \
                 or (t[:, 0] == t[:, 2]).any():
             raise MeshError("triangle with a repeated vertex")
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        keys = directed[:, 0] * v + directed[:, 1]
-        if len(np.unique(keys)) != len(keys):
+        tail = t.T.ravel()
+        head = t[:, [1, 2, 0]].T.ravel()
+        # distinct directed edges, each with its reverse among them: then
+        # every edge is shared by exactly two triangles, and there are 3F/2
+        forward = np.sort(tail * v + head)
+        if (forward[1:] == forward[:-1]).any():
             raise MeshError("inconsistent orientation: repeated directed edge")
-        und = np.sort(directed, axis=1)
-        ukeys, counts = np.unique(und[:, 0] * v + und[:, 1], return_counts=True)
-        if (counts != 2).any():
+        if not np.array_equal(forward, np.sort(head * v + tail)):
             raise MeshError("mesh is not closed: edge not shared by exactly "
                             "two triangles")
-        self._edge_count = len(ukeys)
+        self._edge_count = 3 * f // 2
         if self.normals is not None:
             self.normals = np.ascontiguousarray(self.normals, dtype=float)
             if self.normals.shape != self.vertices.shape:
@@ -211,7 +212,8 @@ class SphericalTriMesh:
         return float(self.triangle_areas().sum())
 
     def adjacency(self):
-        """CSR vertex adjacency (summed duplicates; indices per row sorted)."""
+        """CSR vertex adjacency (summed duplicates; indices per row sorted),
+        computed once per mesh (read-only arrays)."""
         if "adjacency" not in self._cache:
             t = self.triangles
             rows = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
@@ -221,8 +223,24 @@ class SphericalTriMesh:
                 shape=(self.vertex_count, self.vertex_count)).tocsr()
             a = a + a.T
             a.sort_indices()
+            for x in (a.data, a.indices, a.indptr):
+                _read_only(x)
             self._cache["adjacency"] = a
         return self._cache["adjacency"]
+
+    def _with_vertices(self, vertices, normals, kappas, name):
+        """Mesh on a copy of these triangles at new vertex positions.
+
+        It starts with this mesh's adjacency and component count, which
+        depend on the triangles alone (shared, read-only); its own
+        validation still runs.
+        """
+        return SphericalTriMesh(
+            vertices=vertices, triangles=self.triangles.copy(),
+            normals=normals, kappas=kappas, genus=self.genus, name=name,
+            normal_doc=self.normal_doc,
+            _cache={"adjacency": self.adjacency(),
+                    "components": self.component_count})
 
     def estimated_normals(self):
         """Discrete surface normals (unit, tangent to S^3).
@@ -453,7 +471,9 @@ def offset_mesh(mesh, t):
     Uses the mesh's analytic normals when present, otherwise estimated
     ones.  Raises HorizonError for |t| at or beyond `offset_horizon(mesh)`.
     Analytic normals and curvatures are transported to the offset mesh,
-    the curvatures as `geometry.curvature_transport` does.
+    the curvatures as `geometry.curvature_transport` does.  The offset
+    mesh keeps the triangles, and shares the mesh's adjacency and
+    component count from the start.
     """
     if mesh.normals is not None:
         normals = mesh.normals
@@ -475,7 +495,5 @@ def offset_mesh(mesh, t):
         if mesh.kappas is not None:
             tt = math.tan(t)
             new_kappas = (mesh.kappas + tt) / (1.0 - mesh.kappas * tt)
-    return SphericalTriMesh(
-        vertices=new_vertices, triangles=mesh.triangles.copy(),
-        normals=new_normals, kappas=new_kappas, genus=mesh.genus,
-        name=f"{mesh.name}|offset{t:+g}", normal_doc=mesh.normal_doc)
+    return mesh._with_vertices(new_vertices, new_normals, new_kappas,
+                               f"{mesh.name}|offset{t:+g}")

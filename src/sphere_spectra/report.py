@@ -9,6 +9,7 @@ them for auditing.  Schema version 1.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -41,7 +42,9 @@ class SchemaMismatchError(ValueError):
     """Report files with differing schema versions cannot be merged."""
 
 
+@functools.cache
 def tool_version():
+    """The installed package version, looked up once per process."""
     try:
         return _im.version("sphere-spectra")
     except _im.PackageNotFoundError:

@@ -593,6 +593,35 @@ def test_broad_phase_matches_sweep(make):
     assert np.array_equal(pairs, _sweep_pairs(points, mesh.triangles))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, intersect._PAIR_CHUNK])
+@pytest.mark.parametrize("make", [
+    lambda: _crossed_flat_tori(),
+    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.4),
+    lambda: offset_mesh(gen_geodesic_sphere(math.pi / 4.0, 3), 0.2),
+], ids=["crossed-flat-tori", "clifford-16-t0.4", "sphere-3-t0.2"])
+def test_broad_phase_chunks_match_brute_force(make, chunk, monkeypatch):
+    # every non-adjacent pair with overlapping closed boxes, whatever
+    # number of bucket pairs each chunk holds
+    monkeypatch.setattr(intersect, "_PAIR_CHUNK", chunk)
+    mesh = make()
+    points = _projected(mesh)
+    ref = _sweep_pairs(points, mesh.triangles)
+    pairs = _broad_phase(points, mesh.triangles)
+    assert pairs.dtype == np.int64 and len(ref) > 100
+    assert np.array_equal(pairs, ref)
+
+
+def test_select_pole_candidates_drawn_once():
+    assert intersect._pole_candidates() is intersect._pole_candidates()
+    assert not intersect._pole_candidates().flags.writeable
+    vertices = gen_clifford_torus(16, 16).vertices
+    pole, clearance = select_pole(vertices)
+    pole[:] = 0.0          # the caller's copy, not the candidate table
+    again, _ = select_pole(vertices)
+    assert abs(np.linalg.norm(again) - 1.0) < 1e-12
+    assert select_pole(vertices)[1] == clearance
+
+
 def _crossed_flat_tori():
     return combine_meshes(
         gen_flat_torus(0.3, 10, 10),

@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from sphere_spectra import geometry
+from sphere_spectra import generators, geometry
 from sphere_spectra import mesh as mesh_module
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
@@ -57,6 +57,39 @@ def test_flat_torus_reduces_to_clifford():
     assert np.array_equal(a.triangles, b.triangles)
 
 
+def _icosphere_loop(subdiv):
+    """The icosphere as a loop over faces, one midpoint per new edge."""
+    ico = generators._ICO_VERTS
+    verts = list(ico / np.linalg.norm(ico, axis=1)[:, None])
+    faces = [tuple(f) for f in generators._ICO_FACES]
+    for _ in range(subdiv):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for (i, j, k) in faces:
+            ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
+            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk),
+                          (ij, jk, ki)]
+        faces = new_faces
+    return np.array(verts), np.array(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("subdiv", range(6))
+def test_icosphere_matches_midpoint_loop(subdiv):
+    verts, faces = generators._icosphere(subdiv)
+    ref_verts, ref_faces = _icosphere_loop(subdiv)
+    assert np.array_equal(verts, ref_verts)
+    assert np.array_equal(faces, ref_faces)
+
+
 def test_geodesic_sphere_family():
     for r, subdiv, area in [(math.pi / 2.0, 5, 4.0 * math.pi),
                             (math.pi / 6.0, 4, math.pi)]:
@@ -89,11 +122,19 @@ def test_generator_normals_match_estimates():
 # ---------------------------------------------------------------------------
 # validation
 
+NOT_CLOSED = "^mesh is not closed: edge not shared by exactly two triangles$"
+REPEATED_EDGE = "^inconsistent orientation: repeated directed edge$"
+TETRA = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]]
+
+
 def test_rejects_open_mesh():
     verts = np.eye(4)
     tris = np.array([[0, 1, 2]])
-    with pytest.raises(MeshError, match="not closed"):
+    with pytest.raises(MeshError, match=NOT_CLOSED):
         SphericalTriMesh(vertices=verts, triangles=tris)
+    # a closed tetrahedron less one face
+    with pytest.raises(MeshError, match=NOT_CLOSED):
+        SphericalTriMesh(vertices=verts, triangles=np.array(TETRA[1:]))
 
 
 def test_rejects_inconsistent_orientation():
@@ -101,8 +142,24 @@ def test_rejects_inconsistent_orientation():
     verts = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0],
                       [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 3], [0, 2, 3]])
-    with pytest.raises(MeshError, match="orientation|not closed"):
+    with pytest.raises(MeshError, match=REPEATED_EDGE):
         SphericalTriMesh(vertices=verts, triangles=tris)
+
+
+def test_rejects_non_manifold_edge():
+    # a third triangle on the tetrahedron's edge (0, 1), both ways round:
+    # two of three triangles on one edge always run it the same way
+    verts = np.concatenate([np.eye(4), [[0.0, 0.0, -1.0, 0.0]]])
+    for extra in ([0, 1, 4], [1, 0, 4]):
+        with pytest.raises(MeshError, match=REPEATED_EDGE):
+            SphericalTriMesh(vertices=verts,
+                             triangles=np.array(TETRA + [extra]))
+
+
+def test_rejects_duplicated_triangle():
+    with pytest.raises(MeshError, match=REPEATED_EDGE):
+        SphericalTriMesh(vertices=np.eye(4),
+                         triangles=np.array(TETRA + [TETRA[2]]))
 
 
 def test_accepts_oriented_tetrahedron():
@@ -329,6 +386,35 @@ def test_offset_curvature_consistency():
         got = np.sort(geom.kappas, axis=1)
         assert abs(got[:, 0] - expected[0]).max() <= 0.03 * max(1, abs(expected[0]))
         assert abs(got[:, 1] - expected[1]).max() <= 0.03 * max(1, abs(expected[1]))
+
+
+@pytest.mark.parametrize("derive", [
+    lambda mesh: offset_mesh(mesh, 0.1),
+    lambda mesh: rotate_mesh(mesh, 0, 2, 0.7),
+], ids=["offset", "rotate"])
+@pytest.mark.parametrize("make", [
+    lambda: gen_clifford_torus(16, 12),
+    lambda: gen_geodesic_sphere(1.0, 3),
+    lambda: combine_meshes(gen_geodesic_sphere(0.5, 3),
+                           gen_geodesic_sphere(1.0, 3)),
+], ids=["clifford", "sphere", "union"])
+def test_derived_mesh_keeps_connectivity(make, derive):
+    parent = make()
+    child = derive(parent)
+    fresh = SphericalTriMesh(vertices=child.vertices,
+                             triangles=child.triangles)
+    adj = child.adjacency()
+    assert adj is parent.adjacency()
+    assert not any(x.flags.writeable
+                   for x in (adj.data, adj.indices, adj.indptr))
+    ref = fresh.adjacency()
+    assert all(np.array_equal(x, y) for x, y in [
+        (adj.indptr, ref.indptr), (adj.indices, ref.indices),
+        (adj.data, ref.data)])
+    assert child.component_count == fresh.component_count \
+        == parent.component_count
+    assert child.edge_count == fresh.edge_count == parent.edge_count
+    assert child.triangles is not parent.triangles
 
 
 def test_rotate_mesh_is_rigid():

@@ -204,3 +204,21 @@ def test_one_shape_operator_per_mesh(tmp_path, monkeypatch):
     rep = verify_surface(mesh, offsets=(0.1, 0.2))
     assert [row["status"] for row in rep["offsets"]] == ["embedded"] * 2
     assert len(calls) == 3
+
+
+def test_tool_version_looked_up_once(monkeypatch):
+    lookups = []
+
+    def version(name):
+        lookups.append(name)
+        return "9.9.9"
+
+    R.tool_version.cache_clear()
+    monkeypatch.setattr(R._im, "version", version)
+    try:
+        mesh = gen_clifford_torus(16, 16)
+        tools = {verify_surface(mesh)["tool"] for _ in range(2)}
+        assert tools == {"sphere-spectra 9.9.9"}
+        assert lookups == ["sphere-spectra"]
+    finally:
+        R.tool_version.cache_clear()
