@@ -8,8 +8,9 @@ Subcommands::
     verify-oracles  radial integral-identity suite over a dimension list
     report          merge verification reports into CSV/JSON
 
-Exit codes: 0 ok, 2 usage, 3 mesh error, 4 solver failure, 5 failed
-oracle check, 6 report schema mismatch.
+Exit codes: 0 ok, 2 usage (a file that cannot be read or written
+included), 3 mesh error, 4 solver failure, 5 failed oracle check, 6
+report schema mismatch.
 
 A config file (--config) holds `key = value` lines ('#' starts a
 comment); keys are the long option names of the chosen subcommand and
@@ -376,8 +377,9 @@ def main(argv=None):
     except (HorizonError, PoleSelectionError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_MESH
-    except ValueError as exc:
-        # after the handlers above: MeshError and HorizonError subclass it
+    except (ValueError, OSError) as exc:
+        # after the handlers above: MeshError and HorizonError subclass
+        # ValueError; an OSError names the file that could not be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

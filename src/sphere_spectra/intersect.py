@@ -9,16 +9,18 @@ sample of the vertices and measures it exactly only for the candidates
 that can still win.
 
 The projected mesh goes through a uniform spatial hash with cells twice
-the median triangle box (broad phase) and a triangle-triangle
-intersection test between non-adjacent triangles (narrow phase).  The
-broad phase pairs each (cell, triangle) entry with the later entries of
-its cell by index arithmetic, in chunks of whole entries of about
-_PAIR_CHUNK pairs, and drops a pair found in several cells by a sort and
-a neighbour compare.
-Narrow-phase predicates are evaluated in floating point with a
-conservative error bound.  The pairs with any sign decision within the
-bound go, in one batched call, through the exact predicate: numpy
-re-checks every sign it needs against the same bound, and exact integer
+the median triangle box (broad phase) and the exact triangle-triangle
+test between non-adjacent triangles.  The broad phase pairs each (cell,
+triangle) entry with the later entries of its cell by index arithmetic,
+in chunks of whole entries of about _PAIR_CHUNK pairs, and drops a pair
+found in several cells by a sort and a neighbour compare.  Its pairs,
+sorted, go to `triangles_intersect` in ascending order, in chunks that
+start at _EXACT_CHUNK pairs and double, until enough witnesses are
+found; so the witnesses are always the smallest meeting pairs.
+
+`triangles_intersect` evaluates every sign in floating point with a
+conservative error bound first, in one batched call per kind of sign:
+numpy checks every sign against that bound, and exact integer
 arithmetic computes only the signs floats leave undecided.  Those go,
 per batch, through one conversion to integers (every float is an
 integer over a power of two) and one object-array determinant in Python
@@ -51,6 +53,7 @@ _POLE_SEED = 20240317
 # so that two roundings of one sum can never drop the best candidate
 _POLE_MARGIN = 1e-12
 _PAIR_CHUNK = 1 << 16  # bucket pairs per chunk in _broad_phase
+_EXACT_CHUNK = 2048    # pairs in self_intersection_test's first chunk
 
 
 class PoleSelectionError(RuntimeError):
@@ -266,29 +269,6 @@ def _coplanar_segment_hits_exact(p, q, tri):
     return inside[0] | inside[1] | cross.any(axis=1)
 
 
-def _edges_and_triangles(t1, t2):
-    """Each edge of either triangle of a pair, with the other triangle.
-
-    t1, t2 are (P, 3, 3) stacks.  Returns p, q and tri, (2, P, 3, 3)
-    each: edge k of side s runs from p[s, :, k] to q[s, :, k] and is
-    tested against the triangle tri[s] (side 0: edges of t1 against t2).
-    """
-    p = np.stack([t1, t2])
-    return p, np.roll(p, -1, axis=2), p[::-1]
-
-
-def _side_args(p, tri):
-    """orient3d arguments of every edge end p against its triangle's plane."""
-    return tri[:, :, None, 0], tri[:, :, None, 1], tri[:, :, None, 2], p
-
-
-def _line_args(p, q, tri, mask):
-    """orient3d arguments of the masked edges' lines against the edges
-    (a, b), (b, c), (c, a) of their triangles: (p, a, b, q) and so on."""
-    t = np.broadcast_to(tri[:, :, None], p.shape[:3] + (3, 3))[mask]
-    return p[mask][:, None], t, np.roll(t, -1, axis=1), q[mask][:, None]
-
-
 def triangles_intersect(tri1, tri2):
     """Exact triangle-triangle intersection in R^3 (contact counts).
 
@@ -302,19 +282,27 @@ def triangles_intersect(tri1, tri2):
     """
     t1 = np.asarray(tri1, dtype=float)
     t2 = np.asarray(tri2, dtype=float)
-    p, q, tri = _edges_and_triangles(t1.reshape(-1, 3, 3),
-                                     t2.reshape(-1, 3, 3))
-    sp = _orient3d_exact(*_side_args(p, tri))
+    # edge k of side s runs from p[s, :, k] to q[s, :, k] and is tested
+    # against the triangle tri[s] (side 0: edges of t1 against t2)
+    p = np.stack([t1.reshape(-1, 3, 3), t2.reshape(-1, 3, 3)])
+    q = np.roll(p, -1, axis=2)
+    tri = p[::-1]
+    sp = _orient3d_exact(tri[:, :, None, 0], tri[:, :, None, 1],
+                         tri[:, :, None, 2], p)
     sq = np.roll(sp, -1, axis=2)
     coplanar = (sp == 0) & (sq == 0)
     reach = (sp * sq <= 0) & ~coplanar
     meets = np.zeros(sp.shape, dtype=bool)
-    uvw = _orient3d_exact(*_line_args(p, q, tri, reach))
+    # the line of edge pq against the edges (a, b), (b, c), (c, a) of its
+    # triangle: the signs of (p, a, b, q) and so on
+    edge_tri = np.broadcast_to(tri[:, :, None], p.shape[:3] + (3, 3))
+    t = edge_tri[reach]
+    uvw = _orient3d_exact(p[reach][:, None], t, np.roll(t, -1, axis=1),
+                          q[reach][:, None])
     meets[reach] = ~((uvw > 0).any(axis=1) & (uvw < 0).any(axis=1))
     if coplanar.any():
         meets[coplanar] = _coplanar_segment_hits_exact(
-            p[coplanar], q[coplanar],
-            np.broadcast_to(tri[:, :, None], p.shape[:3] + (3, 3))[coplanar])
+            p[coplanar], q[coplanar], edge_tri[coplanar])
     hit = meets.any(axis=(0, 2))
     return hit if t1.ndim == 3 else bool(hit[0])
 
@@ -389,41 +377,17 @@ def _broad_phase(points, triangles):
     return np.stack([keys // n_tri, keys % n_tri], axis=1)
 
 
-def _narrow_phase(points, triangles, pairs):
-    """Split the (P, 2) candidate pairs into certain hits and uncertain pairs.
-
-    The signs of `triangles_intersect` as far as `_orient3d_filter`
-    proves them; a pair that one of the unproved signs could decide
-    goes to the exact fallback.
-    """
-    tp = points[triangles]
-    p, q, tri = _edges_and_triangles(tp[pairs[:, 0]], tp[pairs[:, 1]])
-    sp = _orient3d_filter(*_side_args(p, tri))
-    # a triangle strictly on one side of the other's plane: no contact
-    alive = np.flatnonzero(~((sp > 0).all(axis=2)
-                             | (sp < 0).all(axis=2)).any(axis=0))
-    p, q, tri, sp = p[:, alive], q[:, alive], tri[:, alive], sp[:, alive]
-    sq = np.roll(sp, -1, axis=2)
-    cross = sp * sq < 0
-    uvw = _orient3d_filter(*_line_args(p, q, tri, cross))
-    pierce = np.zeros(sp.shape, dtype=bool)
-    unsure = (sp == 0) | (sq == 0)
-    pierce[cross] = (uvw > 0).all(axis=1) | (uvw < 0).all(axis=1)
-    unsure[cross] = (uvw == 0).any(axis=1) & ~pierce[cross]
-    hits = pierce.any(axis=(0, 2))
-    uncertain = unsure.any(axis=(0, 2)) & ~hits
-    return (list(map(tuple, pairs[alive[hits]].tolist())),
-            list(map(tuple, pairs[alive[uncertain]].tolist())))
-
-
 def self_intersection_test(mesh, max_witnesses=64):
     """Test a mesh on S^3 for self-intersections.
 
     Returns (embedded, witnesses): `embedded` is True when no pair of
-    non-adjacent triangles meets; `witnesses` lists offending triangle
-    index pairs (capped at max_witnesses).  Disjoint nested components
-    are embedded.  Raises PoleSelectionError when no projection pole
-    clears the surface.  Witnesses are (i, j) tuples of ints, i < j.
+    non-adjacent triangles meets; `witnesses` lists the max_witnesses
+    smallest meeting triangle index pairs, in ascending order, as (i, j)
+    tuples of ints with i < j.  The candidate pairs are decided exactly
+    in ascending chunks, and the test stops after the chunk that brings
+    max(max_witnesses, 1) witnesses, so a cap of 0 still decides
+    `embedded`.  Disjoint nested components are embedded.  Raises
+    PoleSelectionError when no projection pole clears the surface.
     """
     if max_witnesses < 0:
         raise ValueError(f"max_witnesses must be >= 0, got {max_witnesses}")
@@ -439,14 +403,14 @@ def self_intersection_test(mesh, max_witnesses=64):
             f"triangle-size margin {margin:.4f} rad; mesh too dense in S^3")
     points = stereographic_project(mesh.vertices, pole)
     pairs = _broad_phase(points, mesh.triangles)
-    hits, fuzzy = _narrow_phase(points, mesh.triangles, pairs)
-    witnesses = list(hits)
+    proj = points[mesh.triangles]
     # one witness decides the verdict even when none are to be listed
-    room = max(max_witnesses, 1) - len(witnesses)
-    if room > 0 and fuzzy:
-        undecided = np.array(fuzzy, dtype=np.int64)
-        proj = points[mesh.triangles]
-        meets = triangles_intersect(proj[undecided[:, 0]],
-                                    proj[undecided[:, 1]])
-        witnesses += map(tuple, undecided[meets][:room].tolist())
-    return not witnesses, sorted(witnesses)[:max_witnesses]
+    want = max(max_witnesses, 1)
+    witnesses = []
+    lo, size = 0, _EXACT_CHUNK
+    while lo < len(pairs) and len(witnesses) < want:
+        chunk = pairs[lo:lo + size]
+        meets = triangles_intersect(proj[chunk[:, 0]], proj[chunk[:, 1]])
+        witnesses += map(tuple, chunk[meets].tolist())
+        lo, size = lo + size, 2 * size
+    return not witnesses, witnesses[:max_witnesses]

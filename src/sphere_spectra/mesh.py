@@ -42,7 +42,10 @@ def write_text_atomic(text, path):
     path = os.path.abspath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     # O_EXCL: never write through a file or link that is already there
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:      # named by the path asked for, not the temp
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

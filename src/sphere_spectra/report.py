@@ -290,6 +290,11 @@ CSV_FIELDS = [
 ] + [f"verdict_{name}" for name in _VERDICTS]
 
 
+# the top-level report keys report_to_csv_row reads
+_CSV_SECTIONS = ("surface", "area", "spectrum", "curvature", "bound",
+                 "simons", "timing_s", "verdicts")
+
+
 def report_to_csv_row(report):
     spec = report["spectrum"] or {}
     verdicts = report["verdicts"]
@@ -321,10 +326,20 @@ def write_json_atomic(data, path):
 
 
 def load_report(path):
+    """Read one JSON report.  A file without the schema field, or a
+    current-schema file without a section `report_to_csv_row` reads,
+    raises SchemaMismatchError."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "schema" not in data:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:       # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a JSON report ({exc})") from exc
+    if not isinstance(data, dict) or "schema" not in data:
         raise SchemaMismatchError(f"{path}: missing schema field")
+    missing = [key for key in _CSV_SECTIONS if key not in data]
+    if data["schema"] == SCHEMA_VERSION and missing:
+        raise SchemaMismatchError(
+            f"{path}: schema {SCHEMA_VERSION} report without {missing[0]!r}")
     return data
 
 

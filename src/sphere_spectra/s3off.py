@@ -22,9 +22,15 @@ __all__ = ["read_s3off", "write_s3off"]
 
 
 def read_s3off(path):
-    """Load and validate a mesh from an S3OFF file."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Load and validate a mesh from an S3OFF file.
+
+    Anything that does not parse as S3OFF raises MeshError naming path.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not ASCII text") from exc
     if not lines or lines[0] != "S3OFF":
         raise MeshError(f"{path}: missing S3OFF header")
     try:
@@ -41,15 +47,22 @@ def read_s3off(path):
         raise MeshError(f"{path}: malformed vertex line") from exc
     if verts.shape != (v_count, 4):
         raise MeshError(f"{path}: vertex lines must hold 4 floats")
+    bad = f"{path}: triangle line must read '3 i j k', i j k integers"
     tris = []
     for ln in lines[2 + v_count:]:
         toks = ln.split()
         if len(toks) != 4 or toks[0] != "3":
-            raise MeshError(f"{path}: triangle line must read '3 i j k'")
-        tris.append([int(t) for t in toks[1:]])
-    return SphericalTriMesh(
-        vertices=verts, triangles=np.array(tris, dtype=np.int64),
-        name=os.path.basename(path))
+            raise MeshError(bad)
+        try:
+            tris.append([int(t) for t in toks[1:]])
+        except ValueError as exc:
+            raise MeshError(bad) from exc
+    try:
+        tris = np.array(tris, dtype=np.int64)
+    except OverflowError as exc:
+        raise MeshError(f"{path}: triangle index out of range") from exc
+    return SphericalTriMesh(vertices=verts, triangles=tris,
+                            name=os.path.basename(path))
 
 
 def write_s3off(mesh, path):

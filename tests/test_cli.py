@@ -124,6 +124,36 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     assert "mesh error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    b"S3OFF\n1 1\n1 0 0 0\n3 0 1 x\n",
+    b"S3OFF\n1 1\n1 0 0 0\n3 0 1 2.5\n",
+    b"S3OFF\n1 1\n1 0 0 \xff0\n3 0 1 2\n",
+], ids=["letter", "fraction", "non-ascii"])
+def test_unparsable_s3off_exit_code(body, tmp_path, capsys):
+    bad = tmp_path / "bad.s3off"
+    bad.write_bytes(body)
+    assert main(["verify-surface", "--mesh", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"mesh error: {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["verify-surface", "--mesh", "{tmp}/missing.s3off"], "missing.s3off"),
+    (["offsets", "--mesh", "{tmp}/missing.s3off"], "missing.s3off"),
+    (["verify-surface", "--res", "8", "--out", "{tmp}/no/rep.json"],
+     "rep.json"),
+    (["verify-surface", "--res", "8", "--csv", "{tmp}/no/rep.csv"], "rep.csv"),
+    (["constants", "--out", "{tmp}/no/c.json"], "c.json"),
+    (["report", "{tmp}/missing.json"], "missing.json"),
+], ids=["mesh", "offsets-mesh", "out", "csv", "constants-out", "report"])
+def test_file_errors_exit_usage(argv, path, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert f"{tmp_path}/" in err and f"{path}'" in err
+
+
 def test_non_finite_vertex_exit_code(tmp_path, capsys):
     mesh_path = tmp_path / "nan.s3off"
     write_s3off(gen_geodesic_sphere(math.pi / 2.0, 3), mesh_path)
@@ -246,6 +276,31 @@ def test_report_merge_and_schema_mismatch(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["report", str(out), str(bad)]) == 6
     assert "schema" in capsys.readouterr().err
+
+
+def test_report_missing_section_is_schema_mismatch(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["verify-surface", "--gen", "sphere", "--r", "0.9",
+                 "--subdiv", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    for key in ("spectrum", "timing_s", "verdicts"):
+        bad = tmp_path / f"no-{key}.json"
+        bad.write_text(json.dumps({k: v for k, v in data.items() if k != key}))
+        assert main(["report", str(out), str(bad)]) == 6
+        assert capsys.readouterr().err \
+            == f"schema mismatch: {bad}: schema 1 report without '{key}'\n"
+
+
+@pytest.mark.parametrize("body", [b"nope\n", b'{"schema": "\xff"}\n'],
+                         ids=["not-json", "not-utf8"])
+def test_report_unreadable_json_names_file(body, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    assert main(["report", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {bad}: not a JSON report (")
+    assert err.count("\n") == 1
 
 
 def test_report_empty_inputs_header_only(capsys):

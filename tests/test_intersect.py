@@ -629,7 +629,7 @@ def _crossed_flat_tori():
 
 
 def test_pipeline_matches_brute_force_enumeration():
-    # full pipeline (hash broad phase + filtered narrow phase) against a
+    # full pipeline (hash broad phase + exact predicate in chunks) against a
     # plain O(n^2) sweep with the exact predicate, witness-for-witness
     union = _crossed_flat_tori()
     embedded, witnesses = self_intersection_test(union, max_witnesses=10**6)
@@ -647,10 +647,10 @@ def test_witness_cap_does_not_decide_embeddedness(monkeypatch):
     assert self_intersection_test(union, max_witnesses=0) == (False, [])
     embedded, witnesses = self_intersection_test(union, max_witnesses=1)
     assert not embedded and len(witnesses) == 1
-    # the same with every pair left to the exact fallback
-    monkeypatch.setattr(intersect, "_narrow_phase",
-                        lambda points, triangles, pairs:
-                        ([], list(map(tuple, pairs))))
+    # the same with every sign left to integers and one pair a chunk
+    monkeypatch.setattr(intersect, "_orient3d_filter",
+                        lambda *pts: np.zeros(len(pts[0]), dtype=np.int8))
+    monkeypatch.setattr(intersect, "_EXACT_CHUNK", 1)
     assert self_intersection_test(union, max_witnesses=0) == (False, [])
 
 
@@ -677,22 +677,17 @@ def _crossed_clifford_32():
 ], ids=["clifford-16-t0.1", "clifford-16-t0.4", "clifford-16-t0.7",
         "crossed-clifford-32", "crossed-flat-tori"])
 def test_witnesses_match_fraction_loop(make):
-    # the fallback as a loop: float hits first, then the undecided pairs in
-    # order through the rational predicate until max(cap, 1) witnesses
+    # every candidate pair through the rational predicate: the witnesses
+    # are the `cap` smallest meeting pairs, whatever the cap
     mesh = make()
     points = _projected(mesh)
-    hits, fuzzy = intersect._narrow_phase(
-        points, mesh.triangles, _broad_phase(points, mesh.triangles))
     tp = points[mesh.triangles]
-    assert all(_triangles_intersect_fraction(tp[i], tp[j]) for i, j in hits)
-    meets = [(i, j) for i, j in fuzzy
+    meets = [(i, j) for i, j in _broad_phase(points, mesh.triangles).tolist()
              if _triangles_intersect_fraction(tp[i], tp[j])]
-    # at 230 the crossed flat tori list their 228 float hits and the first
-    # 2 of 14 undecided hits, not the 230 smallest witnesses
+    assert meets == sorted(meets)
     for cap in (0, 1, 64, 230, 10**6):
-        witnesses = hits + meets[:max(max(cap, 1) - len(hits), 0)]
         assert self_intersection_test(mesh, max_witnesses=cap) \
-            == (not witnesses, sorted(witnesses)[:cap])
+            == (not meets, meets[:cap])
 
 
 def test_exact_fallback_converts_once_per_batch(monkeypatch):
@@ -707,10 +702,16 @@ def test_exact_fallback_converts_once_per_batch(monkeypatch):
     assert 1 <= len(rows) <= 2 and sum(rows) > 100
 
 
-def test_float_hits_fill_default_cap_without_integers(monkeypatch):
-    def no_integers(*points):
-        raise AssertionError("integer determinant evaluated")
-
-    monkeypatch.setattr(intersect, "_scaled_ints", no_integers)
-    embedded, witnesses = self_intersection_test(_crossed_clifford_32())
+def test_default_cap_stops_before_every_pair(monkeypatch):
+    # the crossed tori meet in their first chunk: at the default cap the
+    # later candidate pairs are never decided
+    rows = []
+    decide = intersect.triangles_intersect
+    monkeypatch.setattr(intersect, "triangles_intersect",
+                        lambda t1, t2: rows.append(len(t1)) or decide(t1, t2))
+    mesh = _crossed_clifford_32()
+    embedded, witnesses = self_intersection_test(mesh)
     assert not embedded and len(witnesses) == 64
+    pairs = _broad_phase(_projected(mesh), mesh.triangles)
+    assert rows and sum(rows) < len(pairs)
+    assert rows == [intersect._EXACT_CHUNK << k for k in range(len(rows))]

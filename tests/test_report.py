@@ -8,6 +8,7 @@ from sphere_spectra import mesh as M
 from sphere_spectra import report as R
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
+    rotate_mesh,
 )
 from sphere_spectra.mesh import MeshError, offset_mesh
 from sphere_spectra.s3off import read_s3off, write_s3off
@@ -175,6 +176,20 @@ def test_offset_row_analytic_h_spans_every_vertex():
     assert row["h_analytic_max"] == float(h.max())
     assert row["h_analytic_min"] == pytest.approx(2.44610, abs=1e-5)
     assert row["h_analytic_max"] == pytest.approx(4.43561, abs=1e-5)
+
+
+def test_intersecting_offset_row_fails_offsets_verdict(clifford_report):
+    # two clifford tori crossed at 0.9 rad meet (Frankel), and so do
+    # their parallel surfaces at t = 0.1
+    crossed = combine_meshes(
+        gen_clifford_torus(32, 32),
+        rotate_mesh(gen_clifford_torus(32, 32), 0, 2, 0.9))
+    row = offset_row(crossed, 0.1)
+    assert row["status"] == "intersecting" and row["witnesses"] == 64
+    report = dict(clifford_report, offsets=clifford_report["offsets"] + [row])
+    verdict = compute_verdicts(report)["offsets_embedded"]
+    assert verdict == {"passed": False,
+                       "detail": "self-intersection at t in [0.1]"}
 
 
 def test_disconnected_mesh_rejected_before_assembly(monkeypatch):

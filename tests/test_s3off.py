@@ -54,6 +54,18 @@ def test_rejects_non_unit_vertex(tmp_path):
 
 def test_rejects_bad_triangle_line(tmp_path):
     path = tmp_path / "bad.s3off"
-    path.write_text("S3OFF\n1 1\n1 0 0 0\n4 0 0 0\n")
-    with pytest.raises(MeshError, match="3 i j k"):
+    for line in ("4 0 0 0", "3 0 1", "3 0 1 x", "3 0 1 2.5"):
+        path.write_text(f"S3OFF\n1 1\n1 0 0 0\n{line}\n")
+        with pytest.raises(MeshError, match=f"^{path}: triangle line must "
+                                            "read '3 i j k'"):
+            read_s3off(path)
+    path.write_text("S3OFF\n1 1\n1 0 0 0\n3 0 1 99999999999999999999\n")
+    with pytest.raises(MeshError, match=f"^{path}: triangle index out of"):
+        read_s3off(path)
+
+
+def test_rejects_non_ascii_byte(tmp_path):
+    path = tmp_path / "bad.s3off"
+    path.write_bytes(b"S3OFF\n1 1\n1 0 0 0\xc3\xa9\n3 0 1 2\n")
+    with pytest.raises(MeshError, match=f"^{path}: not ASCII text$"):
         read_s3off(path)
