@@ -126,7 +126,11 @@ def offset_mean_curvature_bound(n, lam, eps):
         raise ValueError("lam must be positive")
     if not (0 < eps <= lam / 2.0):
         raise ValueError(f"need 0 < eps <= lam/2, got eps={eps}, lam={lam}")
-    return lam * eps / (lam - eps) * (n / _power(lam, 2) + 1.0)
+    bound = lam * eps / (lam - eps) * (n / _power(lam, 2) + 1.0)
+    if bound == math.inf:
+        # lam * eps overflowed; eps <= lam/2 keeps this form finite
+        bound = eps / (1.0 - eps / lam) * (n / _power(lam, 2) + 1.0)
+    return bound
 
 
 def tube_volume(entries, r, side=+1):

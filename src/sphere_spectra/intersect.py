@@ -40,7 +40,8 @@ import numpy as np
 __all__ = ["PoleSelectionError", "select_pole", "stereographic_project",
            "self_intersection_test", "triangles_intersect"]
 
-_ORIENT_EPS = 1e-14
+# Shewchuk's o3derrboundA for the float determinant of `_orient3d_filter`
+_ORIENT_EPS = (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53
 # the float filter of the exact predicates is trusted only where under-
 # and overflow cannot outweigh the rounding bound
 _FILTER_TINY = 2.0 ** -600
@@ -144,9 +145,22 @@ def stereographic_project(vertices, pole):
 def _orient3d_filter(a, b, c, d):
     """Signs of det[b-a, c-a, d-a] that floats prove, 0 where they cannot.
 
-    The float determinant is within _ORIENT_EPS times its permanent of
-    the true one, so a sign is proved when |det| clears that bound.  The
-    bound covers rounding only: overflow gives inf/nan and fails the
+    With eps = 2^-53 and no under- or overflow, each operation rounds
+    by a factor (1 + delta), |delta| <= eps.  Every term of the float
+    determinant is a product of three exact differences times the
+    roundings it passed through, at most seven: its three differences,
+    the product in its 2x2 minor, the minor's subtraction, the product
+    with u and the first of the two sums.  So before the last sum the
+    float value is within (7 eps + O(eps^2)) perm of the true
+    determinant, perm being the sum of the six terms' magnitudes; and the
+    last sum rounds by eps times its own result, which changes no sign
+    the bound proves.  Shewchuk (Discrete Comput. Geom. 18, 1997) bounds
+    the second-order terms, the rounding of the float permanent and of
+    the product _ORIENT_EPS * perm by 56 eps^2, which gives his
+    o3derrboundA = (7 + 56 eps) eps for this very evaluation order, and a
+    sign is proved when |det| exceeds that bound.
+
+    The bound covers rounding only: overflow gives inf/nan and fails the
     comparison, and the range checks (permanent above 2^-600, max |b-a|
     below 2^300) keep underflow -- at most 2^-1074 per product, times
     |b-a| -- far below it.  A proved sign is never 0.

@@ -13,9 +13,11 @@ eigenfunction, leaving the radial factor ODE
 F'' + n cot(t) F' - (n / sin^2 t) F = 0 with the regular branch F ~ t.
 
 Every `verify_*` function computes both sides of its identity or
-inequality with independent numerics (quadrature or finite differences)
-and reports the gap or slack; `judge` is the one pass rule of them all.
-`ORACLES` is the suite that `sphere-spectra verify-oracles` prints.
+inequality independently (by quadrature, or pointwise from closed-form
+derivatives for the Bochner identity) and returns a report whose gap or
+slack `judge`, the one pass rule of them all, compares with a relative
+threshold.  `ORACLES` is the suite that `sphere-spectra verify-oracles`
+prints.
 """
 
 import math
@@ -108,9 +110,8 @@ def judge(report_type, name, lhs, rhs, rtol, extras=None):
 _QUAD_TOL = 1e-10
 # pass threshold of the hemisphere chain (the rtol of `judge`)
 _CHAIN_TOL = 1e-8
-# finite-difference grid of the pointwise Bochner residual
+# grid of the pointwise Bochner identity
 _BOCHNER_GRID_POINTS = 10**4
-_BOCHNER_FD_STEP = 2e-3
 # largest |theta| the hemisphere series serves: the equator plus room for
 # the residual stencil of half-width 3 * _RESIDUAL_FD_STEP around it
 _THETA_MAX = math.pi / 2.0 + 0.05
@@ -152,31 +153,36 @@ def _fd_derivatives(func, x, h):
 
 
 def verify_bochner_radial(n, r0, r1):
-    """Max pointwise residual of the harmonic-gradient identity
+    """Pointwise harmonic-gradient identity
     Delta |grad v|^2 = 2 |Hess v|^2 + 2 n |grad v|^2 on an annulus.
 
-    v is the radial harmonic (v' = sin^-n).  The left side is evaluated
-    by finite differences of g = v'^2; the right side in closed form, so
-    agreement cross-checks the radial reduction formulas.
+    v is the radial harmonic (v' = sin^-n), so g = |grad v|^2 = sin^-2n r
+    with g' = -2n cos r sin^(-2n-1) r and
+    g'' = 2n sin^-2n r + 2n(2n+1) cos^2 r sin^(-2n-2) r in closed form.
+    The left side is the radial Laplacian g'' + n cot r g'; the right side
+    is built from v' and v'' = -n cot r v', so agreement cross-checks the
+    radial reduction formulas, the Ricci term 2n |grad v|^2 included.
+
+    Returns the IdentityReport, at rtol 1e-10, of the grid point with the
+    largest |lhs - rhs| / (1 + |lhs|): it passes exactly when every point
+    of the grid does, at any rtol.
     """
     n = _check_dim(n)
     if not (0.0 < r0 < r1 < math.pi):
         raise ValueError("need 0 < r0 < r1 < pi")
-    pad = 4.0 * _BOCHNER_FD_STEP
-    if r0 - pad <= 0 or r1 + pad >= math.pi:
-        raise ValueError("annulus too close to the poles for the FD stencil")
     r = np.linspace(r0, r1, _BOCHNER_GRID_POINTS)
-
-    def g(x):
-        return radial_harmonic_derivative(n, x) ** 2
-
-    g1, g2 = _fd_derivatives(g, r, _BOCHNER_FD_STEP)
-    lhs = g2 + n * (np.cos(r) / np.sin(r)) * g1
+    s, c = np.sin(r), np.cos(r)
+    g1 = -2.0 * n * c * s ** (-2.0 * n - 1.0)
+    g2 = 2.0 * n * s ** (-2.0 * n) \
+        + 2.0 * n * (2.0 * n + 1.0) * c ** 2 * s ** (-2.0 * n - 2.0)
+    lhs = g2 + n * (c / s) * g1
     vp = radial_harmonic_derivative(n, r)
-    vpp = -n * (np.cos(r) / np.sin(r)) * vp
-    hess2 = vpp ** 2 + n * (vp * np.cos(r) / np.sin(r)) ** 2
+    vpp = -n * (c / s) * vp
+    hess2 = vpp ** 2 + n * (vp * c / s) ** 2
     rhs = 2.0 * hess2 + 2.0 * n * vp ** 2
-    return float(np.max(np.abs(lhs - rhs)))
+    i = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    return judge(IdentityReport, f"annulus({r0},{r1})", float(lhs[i]),
+                 float(rhs[i]), 1e-10, {"r": float(r[i])})
 
 
 def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
@@ -474,18 +480,11 @@ def verify_collar_trace_hemisphere(n, t, beta, profile):
 # the suite: each kind maps n to its reports, in print order.  The CLI
 # prints 3 of the 6 Reilly profiles; the acceptance tests add the others.
 
-def _bochner_check(n):
-    # lhs 0, so the threshold 1e-6 is absolute
-    r0 = 0.3 if n == 2 else 0.5
-    return [judge(IdentityReport, f"annulus({r0},1.2)", 0.0,
-                  verify_bochner_radial(n, r0, 1.2), 1e-6)]
-
-
 ORACLES = {
     "reilly": lambda n: [verify_reilly_radial(n, radius, PROFILES[name])
                          for name in ("cos", "r2", "gauss")
                          for radius in (0.5, 1.0, 1.4)],
-    "bochner": _bochner_check,
+    "bochner": lambda n: [verify_bochner_radial(n, 0.3, 1.2)],
     "interior": lambda n: [verify_interior_gradient_radial(n, 0.3, 1.3, t)
                            for t in (0.1, 0.2)],
     "chain": lambda n: verify_choiwang_chain_hemisphere(n).reports,

@@ -42,14 +42,21 @@ def test_constants_json_output(tmp_path, capsys):
     assert data["chain"]["valid"] is True
 
 
-@pytest.mark.parametrize("lam,collar", [("1e308", "0"),
-                                        ("1e60", "2.3147736397e-121")])
-def test_constants_huge_lambda(lam, collar, capsys):
-    # lam ** 6 overflows at both, lam ** 2 at 1e308 only
-    assert main(["constants", "--lambda", lam]) == 0
+@pytest.mark.parametrize("args,collar,eps_tilde", [
+    pytest.param(["--lambda", "1e308"], "0", "0.471404520791",
+                 id="1e308-0"),
+    pytest.param(["--lambda", "1e60"], "2.3147736397e-121",
+                 "0.471404520791", id="1e60-2.3147736397e-121"),
+    pytest.param(["--lambda", "1e308", "--eps", "4e307"], "0",
+                 "6.66666666667e+307", id="1e308-eps4e307-0")])
+def test_constants_huge_lambda(args, collar, eps_tilde, capsys):
+    # lam ** 6 overflows at all three, lam ** 2 at 1e308 only, and
+    # lam * eps in the offset mean-curvature bound at eps = 4e307
+    assert main(["constants", *args]) == 0
     rows = {line.split()[0]: line.split()[1]
             for line in capsys.readouterr().out.splitlines()[1:]}
-    assert (rows["bound"], rows["t_collar"]) == ("1", collar)
+    assert (rows["bound"], rows["t_collar"], rows["eps_tilde"]) \
+        == ("1", collar, eps_tilde)
 
 
 def test_usage_error_exit_code():
@@ -238,6 +245,13 @@ def test_verify_oracles_prints_the_table(capsys):
     assert Counter(kind for kind, n, _ in rows if n == 2) == {
         "reilly": 9, "bochner": 1, "interior": 2, "chain": 4, "collar": 8}
     assert lines[-1] == "48/48 checks passed"
+
+
+def test_verify_oracles_pass_past_dimension_four(capsys):
+    # every threshold is relative, so the Bochner row holds at n >= 5,
+    # where its right side grows like sin(0.3)^(-2n)
+    assert main(["verify-oracles", "--dims", "2,3,4,5,6,7,8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "168/168 checks passed"
 
 
 def test_verify_oracles_only_skips_other_kinds(monkeypatch, capsys):

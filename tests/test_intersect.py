@@ -130,6 +130,45 @@ def test_orient3d_exactly_coplanar(clifford_rectangles):
     assert set(_assert_orient3d_agrees(grid)) == {0}
 
 
+# near-coplanar quadruples whose float determinant, rounded in the
+# filter's evaluation order, has the wrong sign
+WRONG_SIGN_QUADS = [
+    [("0x1.b3905ae78aea4p-1", "-0x1.82bd1a1656f30p-1", "-0x1.f4b9dc75bdc1ap-1"),
+     ("0x1.3d3bb86bf12e8p-2", "0x1.afee438899f48p-3", "0x1.dc48f3e494e34p-1"),
+     ("0x1.cb255174dc554p-1", "0x1.04c0dfd30fea2p-1", "-0x1.61cb50df7d1e4p-1"),
+     ("0x1.1e5705f290267p-2", "0x1.b0d86d50bdc60p+0", "0x1.833528763d40ep+0")],
+    [("-0x1.afaafb8bb1da0p-3", "-0x1.93d8d28a4ade0p-5", "0x1.fe9ca1bafc344p-1"),
+     ("0x1.5a79d1b7b1d30p-2", "0x1.fd15852c16600p-4", "-0x1.f205a47b31570p-4"),
+     ("-0x1.23475377c8b22p-1", "0x1.5ff089bd15220p-1", "0x1.06c9a4de7a538p-1"),
+     ("0x1.31221afb99a0bp-1", "0x1.a8540181103c3p-3", "-0x1.4c11fdfec5d85p-1")],
+    [("0x1.bb6913fcba590p-3", "-0x1.3764572886044p-2", "0x1.2cf27e95d7b7cp-1"),
+     ("-0x1.dbd10b77b5ab0p-2", "-0x1.861f318231740p-3", "-0x1.2dc27bc71d7a2p-1"),
+     ("-0x1.6638b7fc5f3a8p-2", "-0x1.7f954de63f00ep-1", "-0x1.0ed32789aad40p-4"),
+     ("-0x1.d7a7ed70bc678p-2", "-0x1.d80508c319f3cp-5", "-0x1.53537abf34ccdp-1")],
+]
+
+
+def test_orient3d_filter_leaves_wrong_float_signs_open():
+    quads = np.array([[[float.fromhex(x) for x in p] for p in q]
+                      for q in WRONG_SIGN_QUADS])
+    a, b, c, d = quads.transpose(1, 0, 2)
+    u, v, w = b - a, c - a, d - a
+    m0 = v[:, 1] * w[:, 2] - v[:, 2] * w[:, 1]
+    m1 = v[:, 0] * w[:, 2] - v[:, 2] * w[:, 0]
+    m2 = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
+    det = u[:, 0] * m0 - u[:, 1] * m1 + u[:, 2] * m2
+    exact = np.array([_orient3d_fraction(*q) for q in quads])
+    assert (np.sign(det) == -exact).all() and (exact != 0).all()
+    # the first misses by over 2 eps times its permanent, so a filter
+    # bound of 2 eps would prove its wrong sign
+    au, av, aw = np.abs(u[0]), np.abs(v[0]), np.abs(w[0])
+    perm = (au[0] * (av[1] * aw[2] + av[2] * aw[1])
+            + au[1] * (av[0] * aw[2] + av[2] * aw[0])
+            + au[2] * (av[0] * aw[1] + av[1] * aw[0]))
+    assert abs(det[0]) > 2.0 * 2.0 ** -53 * perm
+    assert (_orient3d_filter(a, b, c, d) == 0).all()
+
+
 def test_orient_extreme_exponents():
     rng = np.random.default_rng(8)
     mant = rng.uniform(-1.0, 1.0, (400, 4, 3))

@@ -33,9 +33,32 @@ def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
 
 
 @pytest.mark.parametrize("n,r0,r1", [(2, 0.3, 1.2), (3, 0.5, 1.0),
-                                     (4, 0.6, 1.2)])
+                                     (4, 0.6, 1.2), (5, 0.3, 1.2),
+                                     (8, 0.3, 1.2), (12, 0.3, 1.2)])
 def test_bochner_residual(n, r0, r1):
-    assert radial.verify_bochner_radial(n, r0, r1) <= 1e-6
+    rep = radial.verify_bochner_radial(n, r0, r1)
+    assert rep.passed and rep.name == f"annulus({r0},{r1})"
+    assert rep.gap / (1.0 + abs(rep.lhs)) <= 1e-13
+    assert r0 <= rep.extras["r"] <= r1
+
+
+def test_bochner_closed_forms_match_finite_differences():
+    # independent reference at n = 2: 7-point differences of g = sin^-4
+    # against the closed-form g', g'' and the Laplacian the check reports
+    n = 2
+    rep = radial.verify_bochner_radial(n, 0.3, 1.2)
+    r = np.append(np.linspace(0.3, 1.2, 101), rep.extras["r"])
+    d1, d2 = radial._fd_derivatives(
+        lambda x: radial.radial_harmonic_derivative(n, x) ** 2, r, 2e-3)
+    s, c = np.sin(r), np.cos(r)
+    np.testing.assert_allclose(d1, -2.0 * n * c * s ** (-2.0 * n - 1.0),
+                               rtol=1e-9)
+    np.testing.assert_allclose(
+        d2, 2.0 * n * s ** (-2.0 * n)
+        + 2.0 * n * (2.0 * n + 1.0) * c ** 2 * s ** (-2.0 * n - 2.0),
+        rtol=1e-9)
+    assert d2[-1] + n * (c[-1] / s[-1]) * d1[-1] \
+        == pytest.approx(rep.lhs, rel=1e-9)
 
 
 def test_bochner_constant_function_trivial():
@@ -51,8 +74,6 @@ def test_bochner_constant_function_trivial():
 def test_bochner_domain_checks():
     with pytest.raises(ValueError):
         radial.verify_bochner_radial(2, 1.2, 0.3)
-    with pytest.raises(ValueError):
-        radial.verify_bochner_radial(2, 1e-4, 1.0)   # FD stencil leaves domain
 
 
 # ---------------------------------------------------------------------------
