@@ -4,19 +4,20 @@ Two 2-simplices in 4-space generically miss each other, so the
 well-posed test projects the mesh to R^3 first: stereographic projection
 from a pole chosen automatically as far as possible from the surface (a
 diffeomorphism of S^3 minus the pole, so embeddedness is preserved).
-The pole search bounds every candidate's distance to the mesh from a
-sample of the vertices and measures it exactly only for the candidates
-that can still win.
+The pole search bounds every candidate's distance to the mesh from
+seeded vertex samples that grow 8x a level, and measures it exactly
+only for the candidates that can still win.
 
 The projected mesh goes through a uniform spatial hash with cells twice
 the median triangle box (broad phase) and the exact triangle-triangle
-test between non-adjacent triangles.  The broad phase pairs each (cell,
-triangle) entry with the later entries of its cell by index arithmetic,
-in chunks of whole entries of about _PAIR_CHUNK pairs, and drops a pair
-found in several cells by a sort and a neighbour compare.  Its pairs,
-sorted, go to `triangles_intersect` in ascending order, in chunks that
-start at _EXACT_CHUNK pairs and double, until enough witnesses are
-found; so the witnesses are always the smallest meeting pairs.
+test between non-adjacent triangles.  The broad phase sorts its (cell,
+triangle) entries by one int64 key, pairs each entry with the later
+entries of its cell by index arithmetic, in chunks of whole entries of
+about _PAIR_CHUNK pairs, and drops a pair found in several cells by a
+sort and a neighbour compare.  Its pairs, sorted, go to
+`triangles_intersect` in ascending order, in chunks that start at
+_EXACT_CHUNK pairs and double, until enough witnesses are found; so the
+witnesses are always the smallest meeting pairs.
 
 `triangles_intersect` evaluates every sign in floating point with a
 conservative error bound first, in one batched call per kind of sign:
@@ -49,6 +50,7 @@ _FILTER_HUGE = 2.0 ** 300
 _POLE_CHUNK = 256     # vertices per chunk in select_pole: an 8 MB product
 _POLE_SAMPLES = 4096  # seeded random pole candidates, besides the 8 axes
 _POLE_SEED = 20240317
+_POLE_SAMPLE = 64     # vertices in select_pole's first sample
 # a sampled maximum is compared with an exact one only up to this margin,
 # far above the ~1e-16 rounding of a 4-term dot product of unit vectors,
 # so that two roundings of one sum can never drop the best candidate
@@ -95,28 +97,29 @@ def select_pole(vertices):
     Deterministic: candidates are a fixed seeded sample plus the
     coordinate axes, and the pole is the first candidate whose largest
     <pole, v_i> (the cosine of its distance to the nearest vertex) is
-    least.  That largest value is first bounded from below by its
-    maximum over every ceil(V / 256)-th vertex; it is computed exactly
-    over all vertices only for the candidates whose bound does not
-    exceed the exact value of the candidate with the smallest bound,
-    the only ones that can win.  Returns (pole, clearance_angle).
+    least.  That largest value is bounded from below by its maximum over
+    seeded random vertex samples, of 64 and then 8x more a level while
+    fewer than V.  A level keeps the candidates whose bound is at most
+    the least exact value yet of a level's best-bounded one, the only
+    ones that can win; the last ones kept are measured exactly.  The
+    sample sets the cost, never the pole.  Returns (pole, clearance_angle).
     """
     cand = _pole_candidates()
-    stride = -(-len(vertices) // _POLE_CHUNK)
-    bound = (cand @ vertices[::stride].T).max(axis=1)
-    if stride == 1:             # every vertex sampled: the bound is exact
-        best = int(np.argmin(bound))
-        worst = bound[best]
-    else:
-        first = int(np.argmin(bound))
-        top = _max_dots(cand[first:first + 1], vertices)[0]
-        # ascending rows keep the first-index tie-break of np.argmin
-        rows = np.flatnonzero(bound <= top + _POLE_MARGIN)
-        exact = _max_dots(cand[rows], vertices)
-        k = int(np.argmin(exact))
-        best, worst = int(rows[k]), exact[k]
-    clearance = math.acos(min(1.0, max(-1.0, worst)))
-    return cand[best].copy(), clearance
+    draw = np.random.default_rng(_POLE_SEED).integers
+    # ascending rows keep the first-index tie-break of np.argmin
+    rows = np.arange(len(cand))
+    top, size = np.inf, _POLE_SAMPLE
+    while size < len(vertices):
+        sample = vertices[draw(len(vertices), size=size)]
+        bound = (cand[rows] @ sample.T).max(axis=1)
+        first = rows[int(np.argmin(bound))]
+        top = min(top, _max_dots(cand[first:first + 1], vertices)[0])
+        rows = rows[bound <= top + _POLE_MARGIN]
+        size *= 8
+    exact = _max_dots(cand[rows], vertices)
+    k = int(np.argmin(exact))
+    clearance = math.acos(min(1.0, max(-1.0, exact[k])))
+    return cand[rows[k]].copy(), clearance
 
 
 def stereographic_project(vertices, pole):
@@ -178,7 +181,8 @@ def _orient3d_filter(a, b, c, d):
             + au[..., 2] * (av[..., 0] * aw[..., 1] + av[..., 1] * aw[..., 0]))
     bound = _ORIENT_EPS * perm
     ok = ((bound > _ORIENT_EPS * _FILTER_TINY)
-          & (au.max(axis=-1) < _FILTER_HUGE))
+          & (np.maximum(np.maximum(au[..., 0], au[..., 1]), au[..., 2])
+             < _FILTER_HUGE))
     return (ok & (det > bound)).astype(np.int8) - (ok & (det < -bound))
 
 
@@ -327,10 +331,11 @@ def _broad_phase(points, triangles):
     Returns the pairs (i < j) as a sorted (P, 2) int64 array.
     """
     tp = points[triangles]
-    lo = tp.min(axis=1)
-    hi = tp.max(axis=1)
+    lo = np.minimum(np.minimum(tp[:, 0], tp[:, 1]), tp[:, 2])
+    hi = np.maximum(np.maximum(tp[:, 0], tp[:, 1]), tp[:, 2])
     n_tri = len(triangles)
-    ext = (hi - lo).max(axis=1)
+    ext = hi - lo
+    ext = np.maximum(np.maximum(ext[:, 0], ext[:, 1]), ext[:, 2])
     # any cell size gives the same pairs (two overlapping closed boxes
     # share a cell; the re-check below decides), so it is chosen for
     # speed.  At the median extent a typical box touches 8 cells and
@@ -342,21 +347,24 @@ def _broad_phase(points, triangles):
     cell = max(2.0 * float(np.median(ext)), 1e-12)
     lo_idx = np.floor(lo / cell).astype(np.int64)
     span = np.floor(hi / cell).astype(np.int64) - lo_idx + 1
-    # one (cell, triangle) entry per cell a triangle's AABB touches: the
-    # k-th entry of a triangle is k unravelled in its own span
-    count = span.prod(axis=1)
+    # one (cell, triangle) entry per cell a triangle's AABB touches, keyed
+    # (x * ny + y) * nz + z: the k-th entry of a triangle is k unravelled
+    # in its own span.  A key that wraps past 2^63 only merges buckets,
+    # whose extra pairs the box re-check below drops.
+    ny, nz = ((lo_idx + span).max(axis=0) - lo_idx.min(axis=0))[1:]
+    count = span[:, 0] * span[:, 1] * span[:, 2]
     owners = np.repeat(np.arange(n_tri), count)
     k = np.arange(len(owners)) - np.repeat(np.cumsum(count) - count, count)
-    cells = lo_idx[owners]
-    for axis in (2, 1, 0):
+    cells = ((lo_idx[:, 0] * ny + lo_idx[:, 1]) * nz + lo_idx[:, 2])[owners]
+    for axis, stride in ((2, 1), (1, nz), (0, ny * nz)):
         size = span[owners, axis]
-        cells[:, axis] += k % size
+        cells += k % size * stride
         k //= size
     # stable: within a bucket the owners stay ascending, so i < j below
-    order = np.lexsort(cells.T)
+    order = np.argsort(cells, kind="stable")
     cells, owners = cells[order], owners[order]
     new_bucket = np.ones(len(cells), dtype=bool)
-    new_bucket[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    new_bucket[1:] = cells[1:] != cells[:-1]
     starts = np.nonzero(new_bucket)[0]
     sizes = np.diff(np.append(starts, len(cells)))
     # entry e pairs with the rest[e] entries after it in its bucket
@@ -409,7 +417,8 @@ def self_intersection_test(mesh, max_witnesses=64):
     tp = mesh.triangle_points()
     # chordal diameter -> angular bound on how far the surface can stray
     # from its vertices; the pole must clear vertices by more than that
-    diam = np.linalg.norm(tp - np.roll(tp, 1, axis=1), axis=2).max()
+    edge = tp - np.roll(tp, 1, axis=1)
+    diam = math.sqrt(sum(edge[..., i] ** 2 for i in range(4)).max())
     margin = 2.0 * math.asin(min(1.0, 0.5 * diam))
     if clearance <= margin + 1e-6:
         raise PoleSelectionError(

@@ -384,9 +384,9 @@ def discrete_shape_operator(mesh):
     The per-vertex normal is estimated from incident triangles, then a
     symmetric 2x2 operator S is fit in least squares to
     delta_normal = -S delta_position  over the one-ring, both sides
-    projected to the tangent plane.  Curvature
-    sign convention is the package one: geodesic spheres have positive
-    curvature toward their center.
+    projected to the tangent plane, in closed form for all vertices at
+    once.  Curvature sign convention is the package one: geodesic
+    spheres have positive curvature toward their center.
 
     Vertices whose one-ring fit is rank deficient fall back to the mesh's
     analytic curvatures when present, otherwise raise MeshQualityError.
@@ -400,11 +400,12 @@ def discrete_shape_operator(mesh):
     src = np.repeat(np.arange(mesh.vertex_count), counts)
     dx = v[indices] - v[src]
     dn = normals[indices] - normals[src]
-    a1 = np.einsum("ij,ij->i", dx, t1[src])
-    a2 = np.einsum("ij,ij->i", dx, t2[src])
-    b1 = np.einsum("ij,ij->i", dn, t1[src])
-    b2 = np.einsum("ij,ij->i", dn, t2[src])
 
+    def coords(t):          # one gathered frame axis alive at a time
+        e = t[src]
+        return np.einsum("ij,ij->i", dx, e), np.einsum("ij,ij->i", dn, e)
+
+    (a1, b1), (a2, b2) = coords(t1), coords(t2)
     V = mesh.vertex_count
 
     def seg(x):
@@ -417,38 +418,38 @@ def discrete_shape_operator(mesh):
     r2 = -(seg(a2 * b1) + seg(a1 * b2))
     r3 = -seg(a2 * b2)
 
-    lhs = np.zeros((V, 3, 3))
-    lhs[:, 0, 0] = p11
-    lhs[:, 0, 1] = lhs[:, 1, 0] = p12
-    lhs[:, 1, 1] = p11 + p22
-    lhs[:, 1, 2] = lhs[:, 2, 1] = p12
-    lhs[:, 2, 2] = p22
-    rhs = np.stack([r1, r2, r3], axis=1)
-
-    dets = np.linalg.det(lhs)
-    scale = np.maximum(p11 + p22, 1e-300) ** 3
-    degenerate = dets < 1e-10 * scale
-    sol = np.zeros((V, 3))
-    ok = ~degenerate
-    if ok.any():
-        sol[ok] = np.linalg.solve(lhs[ok], rhs[ok, :, None])[:, :, 0]
+    # the normal equations [[p11, p12, 0], [p12, p11 + p22, p12],
+    # [0, p12, p22]] (s11, s12, s22) = r, solved by the adjugate over
+    # the determinant (p11 + p22)(p11 p22 - p12^2)
+    trace = p11 + p22
+    dets = trace * (p11 * p22 - p12 * p12)
+    degenerate = dets < 1e-10 * np.maximum(trace, 1e-300) ** 3
+    inv = 1.0 / np.where(degenerate, 1.0, dets)
+    s11 = ((trace * p22 - p12 * p12) * r1 - p12 * p22 * r2
+           + p12 * p12 * r3) * inv
+    s12 = (p11 * p22 * r2 - p12 * (p22 * r1 + p11 * r3)) * inv
+    s22 = (p12 * p12 * r1 - p11 * p12 * r2
+           + (p11 * trace - p12 * p12) * r3) * inv
     if degenerate.any():
         if mesh.kappas is None:
             i = int(np.argmax(degenerate))
             raise MeshQualityError(
                 f"rank-deficient one-ring fit at vertex {i} and no analytic "
                 "curvatures to fall back on")
-        sol[degenerate, 0] = mesh.kappas[degenerate, 0]
-        sol[degenerate, 1] = 0.0
-        sol[degenerate, 2] = mesh.kappas[degenerate, 1]
+        s11[degenerate] = mesh.kappas[degenerate, 0]
+        s12[degenerate] = 0.0
+        s22[degenerate] = mesh.kappas[degenerate, 1]
 
-    s_ops = np.zeros((V, 2, 2))
-    s_ops[:, 0, 0] = sol[:, 0]
-    s_ops[:, 0, 1] = s_ops[:, 1, 0] = sol[:, 1]
-    s_ops[:, 1, 1] = sol[:, 2]
-    kappas = np.linalg.eigvalsh(s_ops)
-    norm_a = np.sqrt(sol[:, 0] ** 2 + 2.0 * sol[:, 1] ** 2 + sol[:, 2] ** 2)
-    mean_h = sol[:, 0] + sol[:, 2]
+    s_ops = np.stack([np.stack([s11, s12], 1), np.stack([s12, s22], 1)], 1)
+    # eigenvalues of S: the larger in magnitude is mid +- hypot((s11 - s22)
+    # / 2, s12), the other det S over it, accurate also where it is small
+    mid = 0.5 * (s11 + s22)
+    big = mid + np.copysign(np.hypot(0.5 * (s11 - s22), s12), mid)
+    small = np.divide(s11 * s22 - s12 * s12, big, out=np.zeros(V),
+                      where=big != 0.0)
+    kappas = np.sort(np.stack([big, small], axis=1), axis=1)
+    norm_a = np.sqrt(s11 ** 2 + 2.0 * s12 ** 2 + s22 ** 2)
+    mean_h = s11 + s22
     areas = vertex_areas(mesh)
     genus = None
     if mesh.component_count == 1:

@@ -511,9 +511,11 @@ def test_select_pole_matches_full_matrix(make):
 @pytest.mark.parametrize("make", [
     lambda: gen_geodesic_sphere(math.pi / 4.0, 4),
     lambda: gen_clifford_torus(32, 32),
-], ids=["sphere-4", "clifford-32"])
+    # an even grid, where a regular vertex sample aliases with the torus
+    lambda: gen_clifford_torus(128, 128),
+], ids=["sphere-4", "clifford-32", "clifford-128"])
 def test_select_pole_exact_for_few_candidates(make, monkeypatch):
-    # the sampled bound leaves under 1% of the 4104 candidates to the
+    # the sampled bounds leave under 1% of the 4104 candidates to the
     # exact maximum over every vertex
     rows = []
     exact = intersect._max_dots
@@ -522,6 +524,21 @@ def test_select_pole_exact_for_few_candidates(make, monkeypatch):
                         or exact(cand, vertices))
     select_pole(make().vertices)
     assert 1 <= sum(rows) < 0.01 * 4104
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_clifford_torus(64, 64),
+    lambda: _crossed_clifford_32(),
+], ids=["clifford-64", "crossed-clifford-32"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_select_pole_invariant_under_vertex_permutation(make, seed):
+    # the vertex sample sets only the cost: a relabelled mesh gets the
+    # bitwise-same pole and clearance
+    vertices = make().vertices
+    perm = np.random.default_rng(seed).permutation(len(vertices))
+    pole, clearance = select_pole(vertices)
+    again, cleared = select_pole(vertices[perm])
+    assert np.array_equal(again, pole) and cleared == clearance
 
 
 def test_stereographic_preserves_structure():

@@ -319,12 +319,82 @@ def test_shape_operator_sign_convention():
     assert geom.kappas.min() > 0
 
 
-def test_shape_operator_falls_back_or_raises():
-    # a tetrahedron has 3-vertex one-rings: the fit is fine; but a mesh
-    # with analytic curvature attachments must never raise
+def test_shape_operator_falls_back_or_raises(monkeypatch):
     mesh = gen_clifford_torus(8, 8)
     geom = discrete_shape_operator(mesh)
     assert np.isfinite(geom.norm_A).all()
+    # tangent frames whose two axes coincide at vertex 0 give its one-ring
+    # fit rank 1 there and nowhere else: the analytic curvatures stand in
+    # for it, and a mesh without them raises
+    frames = mesh_module._tangent_frames
+
+    def one_axis_at_zero(vertices, normals):
+        t1, t2 = frames(vertices, normals)
+        t2[0] = t1[0]
+        return t1, t2
+
+    monkeypatch.setattr(mesh_module, "_tangent_frames", one_axis_at_zero)
+    fallback = discrete_shape_operator(gen_clifford_torus(8, 8))
+    assert np.array_equal(fallback.shape_operators[0], np.diag(mesh.kappas[0]))
+    np.testing.assert_allclose(fallback.kappas[0], np.sort(mesh.kappas[0]),
+                               rtol=1e-15)
+    assert np.array_equal(fallback.kappas[1:], geom.kappas[1:])
+    with pytest.raises(MeshQualityError,
+                       match="rank-deficient one-ring fit at vertex 0 and "
+                             "no analytic curvatures"):
+        discrete_shape_operator(SphericalTriMesh(mesh.vertices,
+                                                 mesh.triangles))
+
+
+def _linalg_fit(mesh):
+    """The one-ring normal equations solved by np.linalg: the (V, 3, 3)
+    systems through det/solve, the operators' eigenvalues by eigvalsh."""
+    normals = mesh.estimated_normals()
+    v = mesh.vertices
+    t1, t2 = mesh_module._tangent_frames(v, normals)
+    adj = mesh.adjacency()
+    src = np.repeat(np.arange(mesh.vertex_count), np.diff(adj.indptr))
+    dx = v[adj.indices] - v[src]
+    dn = normals[adj.indices] - normals[src]
+    a1, a2 = (dx * t1[src]).sum(axis=1), (dx * t2[src]).sum(axis=1)
+    b1, b2 = (dn * t1[src]).sum(axis=1), (dn * t2[src]).sum(axis=1)
+
+    def seg(x):
+        return np.bincount(src, weights=x, minlength=mesh.vertex_count)
+
+    p11, p12, p22 = seg(a1 * a1), seg(a1 * a2), seg(a2 * a2)
+    zero = np.zeros_like(p11)
+    lhs = np.stack([np.stack([p11, p12, zero], axis=1),
+                    np.stack([p12, p11 + p22, p12], axis=1),
+                    np.stack([zero, p12, p22], axis=1)], axis=1)
+    rhs = -np.stack([seg(a1 * b1), seg(a2 * b1) + seg(a1 * b2),
+                     seg(a2 * b2)], axis=1)
+    assert (np.linalg.det(lhs) >= 1e-10 * (p11 + p22) ** 3).all()
+    sol = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    s_ops = np.stack([sol[:, :2], sol[:, 1:]], axis=1)
+    return s_ops, np.linalg.eigvalsh(s_ops)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_clifford_torus(32, 32),
+    lambda: gen_geodesic_sphere(math.pi / 4.0, 3),
+    lambda: offset_mesh(gen_clifford_torus(32, 32), 0.7),
+    lambda: offset_mesh(gen_geodesic_sphere(math.pi / 4.0, 3), 0.2),
+], ids=["clifford-32", "sphere-3", "clifford-32-t0.7", "sphere-3-t0.2"])
+def test_shape_operator_closed_form_matches_linalg(make):
+    mesh = make()
+    geom = discrete_shape_operator(mesh)
+    s_ops, kappas = _linalg_fit(mesh)
+    scale = 1e-13 * max(1.0, geom.lam_max)
+    np.testing.assert_allclose(geom.shape_operators, s_ops,
+                               rtol=1e-13, atol=scale)
+    # each principal curvature to 1e-13 of itself, the small one of an
+    # offset torus (-0.086 against 11.7 at t = 0.7) included
+    np.testing.assert_allclose(geom.kappas, kappas, rtol=1e-13)
+    np.testing.assert_allclose(
+        geom.norm_A, np.sqrt((s_ops ** 2).sum(axis=(1, 2))), rtol=1e-13)
+    np.testing.assert_allclose(geom.mean_H, s_ops[:, 0, 0] + s_ops[:, 1, 1],
+                               rtol=1e-13, atol=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,20 @@ def test_bochner_closed_forms_match_finite_differences():
         d2, 2.0 * n * s ** (-2.0 * n)
         + 2.0 * n * (2.0 * n + 1.0) * c ** 2 * s ** (-2.0 * n - 2.0),
         rtol=1e-9)
-    assert d2[-1] + n * (c[-1] / s[-1]) * d1[-1] \
+    # the report is in units of g
+    assert (d2[-1] + n * (c[-1] / s[-1]) * d1[-1]) * s[-1] ** (2.0 * n) \
         == pytest.approx(rep.lhs, rel=1e-9)
 
 
-def test_bochner_constant_function_trivial():
-    # both sides vanish identically for constant v; closed-form check that
-    # the RHS formula is zero when v' = 0
-    r = np.linspace(0.3, 1.0, 11)
-    vp = np.zeros_like(r)
-    vpp = np.zeros_like(r)
-    hess2 = vpp ** 2 + 2 * (vp * np.cos(r) / np.sin(r)) ** 2
-    assert np.all(2.0 * hess2 + 4.0 * vp ** 2 == 0.0)
+@pytest.mark.parametrize("n,r0,r1", [(2, 0.3, 1.2), (8, 0.3, 1.2),
+                                     (64, 0.3, 1.2), (300, 0.3, 1.2),
+                                     (64, 1e-4, 1.0)])
+def test_bochner_finite_at_large_n(n, r0, r1):
+    # both sides in units of g = sin^-2n r: no overflow where g itself
+    # overflows (n = 300 at r = 0.3), and no numpy warning on the way
+    with np.errstate(all="raise"):
+        rep = radial.verify_bochner_radial(n, r0, r1)
+    assert rep.passed and math.isfinite(rep.lhs)
 
 
 def test_bochner_domain_checks():
