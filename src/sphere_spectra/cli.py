@@ -13,8 +13,10 @@ included), 3 mesh error, 4 solver failure, 5 failed oracle check, 6
 report schema mismatch.
 
 A config file (--config) holds `key = value` lines ('#' starts a
-comment); keys are the long option names of the chosen subcommand and
-explicit flags override the file.  The environment variable
+comment).  Each line is read as the option `--key=value` of the chosen
+subcommand, ahead of the command line's own options, so it is checked
+like a flag and the command line overrides it; keys that name no option
+of the subcommand are ignored.  The environment variable
 SPHERE_SPECTRA_SEED overrides the RNG seed from either source.
 """
 
@@ -39,8 +41,27 @@ EXIT_ORACLE = 5
 EXIT_SCHEMA = 6
 
 
-def _read_config(path):
-    values = {}
+class _ParseError(Exception):
+    """A parse error, with the (sub)parser that found it."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, so that `main` can tell an error in a config
+    file from one on the command line."""
+
+    def error(self, message):
+        raise _ParseError(self, message)
+
+
+def _config_args(path):
+    """The `key = value` lines of a config file as `--key=value` options,
+    one token each, so that an option's value is never taken for a
+    positional argument."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -49,53 +70,19 @@ def _read_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
-    return values
-
-
-def _apply_config(args, parser):
-    """Fill argparse values that were left at None from the config file.
-
-    Config keys are the long option names of the subcommand (dashes or
-    underscores); explicit flags always win.
-    """
-    if not getattr(args, "config", None):
-        return args
-    values = _read_config(args.config)
-    sub = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            sub = action.choices[args.command]
-            break
-    actions = {}
-    for action in (sub._actions if sub else []):
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                actions[opt[2:].replace("-", "_")] = action
-    for key, value in values.items():
-        action = actions.get(key)
-        if action is None or not hasattr(args, action.dest):
-            continue
-        if getattr(args, action.dest) is None:
-            value = action.type(value) if action.type else value
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"{key} = {value!r}: not one of "
-                                 f"{', '.join(map(str, action.choices))}")
-            args.__dict__[action.dest] = value
-    return args
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _resolve_seed(args):
     env = os.environ.get("SPHERE_SPECTRA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"SPHERE_SPECTRA_SEED={env!r} is not an integer") from None
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return 0
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"SPHERE_SPECTRA_SEED={env!r} is not an integer") from None
 
 
 def _parse_list(text, kind):
@@ -111,22 +98,19 @@ def _parse_list(text, kind):
 
 
 def _build_mesh(args):
-    if getattr(args, "mesh", None):
+    if args.mesh:
         return read_s3off(args.mesh)
-    gen = args.gen or "clifford"
-    res = args.res if args.res is not None else 64
-    subdiv = args.subdiv if args.subdiv is not None else 4
-    if gen == "clifford":
-        return gen_clifford_torus(res, res)
-    if gen == "flat-torus":
+    if args.gen == "clifford":
+        return gen_clifford_torus(args.res, args.res)
+    if args.gen == "flat-torus":
         r = args.r if args.r is not None else 0.5
-        return gen_flat_torus(r, res, res)
-    if gen == "equator":
-        return gen_geodesic_sphere(math.pi / 2.0, subdiv)
-    if gen == "sphere":
+        return gen_flat_torus(r, args.res, args.res)
+    if args.gen == "equator":
+        return gen_geodesic_sphere(math.pi / 2.0, args.subdiv)
+    if args.gen == "sphere":
         r = args.r if args.r is not None else math.pi / 4.0
-        return gen_geodesic_sphere(r, subdiv)
-    raise MeshError(f"unknown generator {gen!r}")
+        return gen_geodesic_sphere(r, args.subdiv)
+    raise MeshError(f"unknown generator {args.gen!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +124,7 @@ _CHAIN_ROWS = (
 
 
 def _cmd_constants(args):
-    n = args.dim if args.dim is not None else 2
+    n = args.dim
     bc = consts.compute_bound_constants(n)
     rows = [
         ("a_n", bc.a_n, f">= floor {bc.a_floor:.8g}"),
@@ -151,7 +135,7 @@ def _cmd_constants(args):
     out = {"schema": rep.SCHEMA_VERSION, "tool": f"sphere-spectra {rep.tool_version()}",
            "dim": n, "a_n": bc.a_n, "b_n": bc.b_n, "c_n": bc.c_n,
            "a_floor": bc.a_floor, "b_ceiling": bc.b_ceiling}
-    lam = getattr(args, "lam", None)
+    lam = args.lam
     if lam is not None:
         bound = consts.eigenvalue_lower_bound(n, lam)
         branch = consts.bound_branch(n, lam)
@@ -180,9 +164,8 @@ def _cmd_constants(args):
 def _cmd_verify_surface(args):
     offsets = _parse_list(args.offsets, float) if args.offsets else []
     mesh = _build_mesh(args)
-    seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else 1e-8
-    data = rep.verify_surface(mesh, tol=tol, seed=seed, offsets=offsets)
+    data = rep.verify_surface(mesh, tol=args.tol, seed=_resolve_seed(args),
+                              offsets=offsets)
     spec = data["spectrum"]
     cur = data["curvature"]
     print(f"surface: {data['surface']['name']}  "
@@ -217,7 +200,7 @@ def _cmd_verify_surface(args):
 
 
 def _cmd_offsets(args):
-    ts = _parse_list(args.ts, float) if args.ts else [0.1, 0.2, 0.3]
+    ts = _parse_list(args.ts, float)
     mesh = _build_mesh(args)
     horizon = offset_horizon(mesh)
     print(f"surface: {mesh.name}   horizon T = {horizon:.6f}")
@@ -241,7 +224,7 @@ def _cmd_offsets(args):
 
 
 def _cmd_verify_oracles(args):
-    dims = _parse_list(args.dims, int) if args.dims else [2, 3, 4]
+    dims = _parse_list(args.dims, int)
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     rows = []
@@ -296,25 +279,25 @@ def _cmd_report(args):
 
 def _add_mesh_arguments(sub):
     sub.add_argument("--gen", choices=["clifford", "flat-torus", "equator",
-                                       "sphere"], default=None,
-                     help="generator family (default clifford)")
+                                       "sphere"], default="clifford",
+                     help="generator family (default %(default)s)")
     sub.add_argument("--mesh", default=None, help="path to an S3OFF file")
-    sub.add_argument("--res", type=int, default=None,
+    sub.add_argument("--res", type=int, default=64,
                      help="grid resolution per circle for torus generators")
-    sub.add_argument("--subdiv", type=int, default=None,
+    sub.add_argument("--subdiv", type=int, default=4,
                      help="icosphere subdivision level for sphere generators")
     sub.add_argument("--r", type=float, default=None,
                      help="tube parameter (flat-torus) or radius (sphere)")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphere-spectra",
         description="spectral geometry of closed surfaces in the 3-sphere")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("constants", help="dimensional constants and bound")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=int, default=2)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="curvature bound max ||A||")
     p.add_argument("--eps", type=float, default=None)
@@ -325,9 +308,9 @@ def build_parser():
 
     p = subs.add_parser("verify-surface", help="full verification pipeline")
     _add_mesh_arguments(p)
-    p.add_argument("--tol", type=float, default=None,
-                   help="eigensolver residual tolerance (default 1e-8)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="eigensolver residual tolerance (default %(default)s)")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offsets", default=None,
                    help="comma list of offset distances for the embeddedness table")
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -337,12 +320,14 @@ def build_parser():
 
     p = subs.add_parser("offsets", help="parallel-surface table")
     _add_mesh_arguments(p)
-    p.add_argument("--ts", default=None, help="comma list of offsets")
+    p.add_argument("--ts", default="0.1,0.2,0.3",
+                   help="comma list of offsets (default %(default)s)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_offsets)
 
     p = subs.add_parser("verify-oracles", help="radial identity suite")
-    p.add_argument("--dims", default=None, help="comma list of dimensions")
+    p.add_argument("--dims", default="2,3,4",
+                   help="comma list of dimensions (default %(default)s)")
     p.add_argument("--only", default=None, choices=list(radial.ORACLES),
                    help="one kind of the 24 checks per dimension: reilly 9, "
                         "bochner 1, interior 2, chain 4, collar 8")
@@ -362,13 +347,22 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, parser)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = parser.parse_args(argv)
+    except _ParseError as exc:
+        # prints the usage of the (sub)parser that failed and exits 2
+        argparse.ArgumentParser.error(exc.parser, str(exc))
+    if args.config:
+        # the file's options go first, so the command line's override
+        # them; keys that name no option are left over and ignored
+        try:
+            args, _ = parser.parse_known_args(
+                [args.command, *_config_args(args.config), *argv[1:]])
+        except (OSError, ValueError, _ParseError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except MeshError as exc:

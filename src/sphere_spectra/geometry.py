@@ -51,12 +51,9 @@ def kappa_max(kappas):
 # ---------------------------------------------------------------------------
 
 def _critical_t(kappa):
-    """Offset distance at which a single curvature kappa becomes singular."""
-    if kappa > 0:
-        return math.atan(1.0 / kappa)
-    if kappa < 0:
-        return math.atan(1.0 / kappa)   # negative: singularity on the t<0 side
-    return math.inf
+    """Offset distance at which a single curvature kappa becomes singular
+    (negative for kappa < 0: the singularity is on the t < 0 side)."""
+    return math.atan(1.0 / kappa) if kappa != 0 else math.inf
 
 
 def curvature_transport(kappa, t):

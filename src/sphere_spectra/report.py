@@ -145,12 +145,9 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
     volume = None
     if lam_for_bound > 0:
         t0 = time.perf_counter()
-        tube = constants.tube_integral(n, lam_for_bound)
-        volume = {
-            "lam": lam_for_bound,
-            "tube_integral": tube,
-            "bound_sharp": constants.sphere_volume(n + 1) / (2.0 * tube),
-        }
+        vb = constants.volume_upper_bound(n, lam_for_bound)
+        volume = {"lam": lam_for_bound, "tube_integral": vb.tube,
+                  "bound_sharp": vb.sharp}
         timing["tube_integral"] = time.perf_counter() - t0
 
     simons = float(np.sum(
@@ -258,7 +255,8 @@ def compute_verdicts(report):
         simons = report["simons"]["integral"]
         verdicts["simons"] = _verdict(
             simons >= SIMONS_FLOOR,
-            f"discrete Simons integral {simons:.4g} >= {SIMONS_FLOOR}")
+            f"discrete Simons integral {round(simons, 6) + 0.0:.6f} "
+            f">= {SIMONS_FLOOR}")
 
     if cur["mean_convex"] and report["volume"] is not None:
         area = report["area"]["discrete"]

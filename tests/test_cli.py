@@ -90,10 +90,12 @@ def test_usage_error_exit_code():
       "nan"], None),
     (["verify-oracles", "--dims", "2", "--tol", "nan"], None),
     (["verify-oracles", "--dims", "2", "--tol", "-1"], None),
+    (["offsets", "--gen", "clifford", "--res", "8", "--ts", ""], None),
+    (["verify-oracles", "--dims", ""], None),
 ], ids=["dim", "lambda", "sphere-radius", "oracle-dims", "seed-env",
         "empty-dims", "empty-ts", "empty-offsets", "lambda-nan", "lambda-inf",
         "beta-inf", "tol-nan", "tol-inf", "ts-nan", "offsets-nan",
-        "oracle-tol-nan", "oracle-tol-negative"])
+        "oracle-tol-nan", "oracle-tol-negative", "blank-ts", "blank-dims"])
 def test_bad_values_exit_usage(argv, env_seed, monkeypatch, capsys):
     if env_seed is not None:
         monkeypatch.setenv("SPHERE_SPECTRA_SEED", env_seed)
@@ -353,6 +355,62 @@ def test_config_value_outside_choices(argv, line, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "config error" in captured.err and "bogus" in captured.err
     assert "checks passed" not in captured.out
+
+
+def test_config_bad_value_names_option(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dim = x\n")
+    assert main(["constants", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1 and "--dim" in captured.err
+    assert captured.out == ""
+
+
+def test_config_missing_file_names_path(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["constants", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+def test_config_offsets_precedence(tmp_path, capsys):
+    cfg = tmp_path / "offsets.cfg"
+    cfg.write_text("res = 8\nts = 0.1\n")
+    assert main(["offsets", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("surface: clifford(8x8) ")
+    assert [row.split()[0] for row in lines[2:]] == ["0.100"]
+    # a command-line flag overrides the file's line
+    assert main(["offsets", "--config", str(cfg), "--res", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("surface: clifford(12x12) ")
+    assert [row.split()[0] for row in lines[2:]] == ["0.100"]
+
+
+def test_config_seed_precedence(tmp_path, monkeypatch, capsys):
+    # the environment overrides --seed, which overrides the config file
+    cfg = tmp_path / "surface.cfg"
+    cfg.write_text("gen = clifford\nres = 8\nseed = 3\n")
+    out = tmp_path / "rep.json"
+    monkeypatch.delenv("SPHERE_SPECTRA_SEED", raising=False)
+    for extra, env, seed in [([], None, 3), (["--seed", "5"], None, 5),
+                             (["--seed", "5"], "7", 7)]:
+        if env is not None:
+            monkeypatch.setenv("SPHERE_SPECTRA_SEED", env)
+        assert main(["verify-surface", "--config", str(cfg), *extra,
+                     "--out", str(out)]) == 0
+        assert load_report(out)["parameters"]["seed"] == seed
+    capsys.readouterr()
+
+
+def test_config_unknown_key_ignored(tmp_path, capsys):
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text("colour = red\ndim = 3\n")
+    assert main(["constants", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "n = 3" in captured.out and captured.err == ""
 
 
 def test_seed_env_override(tmp_path, monkeypatch, capsys):
