@@ -10,7 +10,7 @@ Subcommands::
 
 Exit codes: 0 ok, 2 usage (a file that cannot be read or written
 included), 3 mesh error, 4 solver failure, 5 failed oracle check, 6
-report schema mismatch.
+report schema mismatch, 141 (128 + SIGPIPE) stdout closed by its reader.
 
 A config file (--config) holds `key = value` lines ('#' starts a
 comment).  Each line is read as the option `--key=value` of the chosen
@@ -39,6 +39,7 @@ EXIT_MESH = 3
 EXIT_SOLVER = 4
 EXIT_ORACLE = 5
 EXIT_SCHEMA = 6
+EXIT_PIPE = 141
 
 
 class _ParseError(Exception):
@@ -57,10 +58,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(self, message)
 
 
-def _config_args(path):
+def _config_args(parser, command, path):
     """The `key = value` lines of a config file as `--key=value` options,
     one token each, so that an option's value is never taken for a
-    positional argument."""
+    positional argument.  Keys that name no option of the subcommand are
+    dropped: argparse would read such a token as a positional argument
+    when its value holds a space."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -70,8 +73,23 @@ def _config_args(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            tokens.append(f"--{key.replace('_', '-')}={value}")
+            key = key.replace("_", "-")
+            if _names_option(parser, command, key):
+                tokens.append(f"--{key}={value}")
     return tokens
+
+
+def _names_option(parser, command, key):
+    """Whether `--key` is an option of the subcommand, by parsing it alone
+    with a spaceless value: an option takes it or rejects it, anything
+    else is left over."""
+    if any(c.isspace() for c in key):
+        return False
+    try:
+        _, extra = parser.parse_known_args([command, f"--{key}=0"])
+    except _ParseError:
+        return True
+    return not extra
 
 
 def _resolve_seed(args):
@@ -355,16 +373,23 @@ def main(argv=None):
         # prints the usage of the (sub)parser that failed and exits 2
         argparse.ArgumentParser.error(exc.parser, str(exc))
     if args.config:
-        # the file's options go first, so the command line's override
-        # them; keys that name no option are left over and ignored
+        # the file's options go first, so the command line's override them
         try:
-            args, _ = parser.parse_known_args(
-                [args.command, *_config_args(args.config), *argv[1:]])
+            args = parser.parse_args(
+                [args.command, *_config_args(parser, args.command, args.config),
+                 *argv[1:]])
         except (OSError, ValueError, _ParseError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): no error line, and
+        # stdout goes to devnull so that the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
@@ -373,7 +398,8 @@ def main(argv=None):
         return EXIT_MESH
     except (ValueError, OSError) as exc:
         # after the handlers above: MeshError and HorizonError subclass
-        # ValueError; an OSError names the file that could not be opened
+        # ValueError, BrokenPipeError OSError; an OSError names the file
+        # that could not be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

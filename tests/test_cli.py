@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import sphere_spectra
 from sphere_spectra import radial
 from sphere_spectra.cli import main
 from sphere_spectra.generators import (
@@ -411,6 +415,40 @@ def test_config_unknown_key_ignored(tmp_path, capsys):
     assert main(["constants", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
     assert "n = 3" in captured.out and captured.err == ""
+
+
+def test_config_unknown_key_with_space_ignored(tmp_path, capsys):
+    # argparse reads an unknown `--colour=dark red` as a positional
+    # argument, which `report` would take for an input path
+    cfg = tmp_path / "extra.cfg"
+    cfg.write_text("colour = dark red\nmy colour = red\n")
+    assert main(["report", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("name,")
+    assert len(captured.out.splitlines()) == 1 and captured.err == ""
+
+
+_CLOSED_STDOUT_CHILD = """
+import os, sys
+from sphere_spectra.cli import main
+read_end, write_end = os.pipe()
+os.close(read_end)
+os.dup2(write_end, 1)
+sys.exit(main(["constants"]))
+"""
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exit_code(buffered):
+    # buffered, the write fails only at the flush; unbuffered, at the print
+    src = os.path.dirname(os.path.dirname(sphere_spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    proc = subprocess.run([sys.executable, "-c", _CLOSED_STDOUT_CHILD],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_seed_env_override(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -73,12 +75,13 @@ def test_cross_check_against_arpack(case):
 
 
 def _count_splu(monkeypatch):
+    """Patches `splu` to append each factorization it returns to a list."""
     calls = []
     splu = spla.splu
 
     def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
+        calls.append(splu(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     return calls
@@ -89,6 +92,49 @@ def test_one_factorization_per_call(clifford_pair, monkeypatch):
     res = smallest_nonzero_eig(clifford_pair, tol=1e-10)
     assert res.iterations > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shift", ["near", "fixed"])
+def test_factorization_fill(clifford_pair, monkeypatch, shift):
+    # nnz(L + U) is 210k in the minimum-degree order on A + A^T, 401k in
+    # SuperLU's default COLAMD order; both shifts pivot on the diagonal
+    trial = gen_clifford_torus(64, 64).vertices if shift == "near" else None
+    calls = _count_splu(monkeypatch)
+    res = smallest_nonzero_eig(clifford_pair, trial=trial)
+    assert res.below_shift == (1 if shift == "near" else None)
+    assert len(calls) == 1
+    assert calls[0].L.nnz + calls[0].U.nnz < 300_000
+    assert np.array_equal(calls[0].perm_r, calls[0].perm_c)
+
+
+INERTIA_MESHES = {
+    "clifford-12": lambda: gen_clifford_torus(12, 12),
+    "equator-3": lambda: gen_geodesic_sphere(math.pi / 2.0, 3),
+    "sphere-pi_4-3": lambda: gen_geodesic_sphere(math.pi / 4.0, 3),
+    "flat-torus-0.4": lambda: gen_flat_torus(0.4, 10, 14),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_spectrum(case):
+    pair = assemble_laplacian(INERTIA_MESHES[case]())
+    return pair, scipy.linalg.eigh(pair.stiffness.toarray(),
+                                   np.diag(pair.mass), eigvals_only=True)
+
+
+@pytest.mark.parametrize("mu", [-0.01, 0.5, 1.3, 1.9, 2.05, 3.7, 5.0, 8.0,
+                                15.0, 40.0])
+@pytest.mark.parametrize("case", list(INERTIA_MESHES))
+def test_inertia_count_matches_dense(case, mu):
+    # the factorization both shifts use: its negative pivots count the
+    # generalized eigenvalues below mu (Sylvester), as perm_r == perm_c
+    pair, eigs = _dense_spectrum(case)
+    assert np.abs(eigs - mu).min() > 1e-6 * max(abs(mu), 1.0)
+    lu = spla.splu((pair.stiffness - mu * sp.diags(pair.mass)).tocsc(),
+                   **spectral._SPLU_OPTIONS)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert np.count_nonzero(lu.U.diagonal() < 0) == np.count_nonzero(
+        eigs < mu)
 
 
 # the ARPACK meshes and a thin, non-minimal offset torus (~12:1 triangles)
