@@ -31,6 +31,11 @@ coordinates.  Touching configurations count as intersections.
 Every sign is the orientation of four points in R^3, from that one
 filtered-exact predicate: the in-plane signs of coplanar contact are
 orientations against an apex lifted off the common plane.
+
+Rows are gathered with np.take and filtered with np.compress, not with
+a[idx] or a[mask], which cost 3-10x more for the same values on numpy
+2.4; duplicates go by a sort, not by a bare np.unique, which numpy >= 2.3
+runs through a much slower hash table.
 """
 
 import functools
@@ -47,10 +52,13 @@ _ORIENT_EPS = (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53
 # and overflow cannot outweigh the rounding bound
 _FILTER_TINY = 2.0 ** -600
 _FILTER_HUGE = 2.0 ** 300
-_POLE_CHUNK = 256     # vertices per chunk in select_pole: an 8 MB product
+_POLE_CHUNK = 1 << 20  # entries per candidates x vertices product: 8 MB
 _POLE_SAMPLES = 4096  # seeded random pole candidates, besides the 8 axes
 _POLE_SEED = 20240317
 _POLE_SAMPLE = 64     # vertices in select_pole's first sample
+# select_pole measures this few candidates exactly with no further
+# level, whose product and exact best would cost about as much
+_POLE_FEW = 32
 # a sampled maximum is compared with an exact one only up to this margin,
 # far above the ~1e-16 rounding of a 4-term dot product of unit vectors,
 # so that two roundings of one sum can never drop the best candidate
@@ -65,13 +73,14 @@ class PoleSelectionError(RuntimeError):
 
 def _max_dots(cand, vertices):
     """max_i <c, v_i> for each row c of cand, over vertex chunks so that
-    no (candidates x vertices) matrix is formed."""
+    no product of more than _POLE_CHUNK entries is formed."""
     # two rows at least: numpy hands a one-row product to BLAS gemv,
     # whose sums round differently from the gemm every other call takes
     block = cand if len(cand) > 1 else np.repeat(cand, 2, axis=0)
     worst = np.full(len(block), -np.inf)
-    for lo in range(0, len(vertices), _POLE_CHUNK):
-        chunk = vertices[lo:lo + _POLE_CHUNK]
+    step = _POLE_CHUNK // len(block)
+    for lo in range(0, len(vertices), step):
+        chunk = vertices[lo:lo + step]
         np.maximum(worst, (block @ chunk.T).max(axis=1), out=worst)
     return worst[:len(cand)]
 
@@ -99,24 +108,27 @@ def select_pole(vertices):
     <pole, v_i> (the cosine of its distance to the nearest vertex) is
     least.  That largest value is bounded from below by its maximum over
     seeded random vertex samples, of 64 and then 8x more a level while
-    fewer than V.  A level keeps the candidates whose bound is at most
-    the least exact value yet of a level's best-bounded one, the only
-    ones that can win; the last ones kept are measured exactly.  The
-    sample sets the cost, never the pole.  Returns (pole, clearance_angle).
+    fewer than V and while more than _POLE_FEW candidates are left.  A
+    level keeps the candidates whose bound is at most the least exact
+    value yet of a level's best-bounded one, the only ones that can win;
+    the last ones kept are measured exactly.  The sample sets the cost,
+    never the pole.  Returns (pole, clearance_angle).
     """
     cand = _pole_candidates()
     draw = np.random.default_rng(_POLE_SEED).integers
     # ascending rows keep the first-index tie-break of np.argmin
     rows = np.arange(len(cand))
     top, size = np.inf, _POLE_SAMPLE
-    while size < len(vertices):
-        sample = vertices[draw(len(vertices), size=size)]
-        bound = (cand[rows] @ sample.T).max(axis=1)
+    while size < len(vertices) and len(rows) > _POLE_FEW:
+        sample = np.take(vertices, draw(len(vertices), size=size), axis=0)
+        # samples x candidates: numpy reduces down columns, across rows
+        # of over _POLE_FEW entries, about 4x faster than along rows of 64
+        bound = (sample @ np.take(cand, rows, axis=0).T).max(axis=0)
         first = rows[int(np.argmin(bound))]
         top = min(top, _max_dots(cand[first:first + 1], vertices)[0])
-        rows = rows[bound <= top + _POLE_MARGIN]
+        rows = np.compress(bound <= top + _POLE_MARGIN, rows)
         size *= 8
-    exact = _max_dots(cand[rows], vertices)
+    exact = _max_dots(np.take(cand, rows, axis=0), vertices)
     k = int(np.argmin(exact))
     clearance = math.acos(min(1.0, max(-1.0, exact[k])))
     return cand[rows[k]].copy(), clearance
@@ -230,9 +242,10 @@ def _orient3d_exact(a, b, c, d):
     shape = pts[0].shape[:-1]
     pts = [x.reshape(-1, 3) for x in pts]
     sign = _orient3d_filter(*pts)
-    todo = sign == 0
-    if todo.any():
-        quads = _scaled_ints(np.stack([x[todo] for x in pts], axis=1))
+    todo = np.flatnonzero(sign == 0)
+    if len(todo):
+        quads = _scaled_ints(np.stack([np.take(x, todo, axis=0)
+                                       for x in pts], axis=1))
         det = _det3(*quads.transpose(1, 2, 0))
         sign[todo] = (det > 0).astype(np.int8) - (det < 0)
     return sign.reshape(shape)
@@ -267,7 +280,7 @@ def _coplanar_segment_hits_exact(p, q, tri):
     normal = np.cross(tri[:, 1] - a, tri[:, 2] - a)
     k = np.argmax(np.abs(normal), axis=1)
     a_k = np.take_along_axis(a, k[:, None], axis=1)
-    apex = a + np.eye(3)[k] * np.maximum(1.0, np.abs(a_k))
+    apex = a + np.take(np.eye(3), k, axis=0) * np.maximum(1.0, np.abs(a_k))
     u = tri
     v = np.roll(u, -1, axis=1)                  # edge i runs u[i] -> v[i]
     p, q = p[:, None], q[:, None]
@@ -310,18 +323,24 @@ def triangles_intersect(tri1, tri2):
     sq = np.roll(sp, -1, axis=2)
     coplanar = (sp == 0) & (sq == 0)
     reach = (sp * sq <= 0) & ~coplanar
-    meets = np.zeros(sp.shape, dtype=bool)
+    # flat rows: edge r = (s * P + i) * 3 + k runs from p[r] to q[r] and
+    # is tested against the triangle tri[r // 3]
+    p, q, tri = p.reshape(-1, 3), q.reshape(-1, 3), tri.reshape(-1, 3, 3)
+    meets = np.zeros(sp.size, dtype=bool)
     # the line of edge pq against the edges (a, b), (b, c), (c, a) of its
     # triangle: the signs of (p, a, b, q) and so on
-    edge_tri = np.broadcast_to(tri[:, :, None], p.shape[:3] + (3, 3))
-    t = edge_tri[reach]
-    uvw = _orient3d_exact(p[reach][:, None], t, np.roll(t, -1, axis=1),
-                          q[reach][:, None])
-    meets[reach] = ~((uvw > 0).any(axis=1) & (uvw < 0).any(axis=1))
-    if coplanar.any():
-        meets[coplanar] = _coplanar_segment_hits_exact(
-            p[coplanar], q[coplanar], edge_tri[coplanar])
-    hit = meets.any(axis=(0, 2))
+    r = np.flatnonzero(reach)
+    t = np.take(tri, r // 3, axis=0)
+    uvw = _orient3d_exact(np.take(p, r, axis=0)[:, None], t,
+                          np.roll(t, -1, axis=1),
+                          np.take(q, r, axis=0)[:, None])
+    meets[r] = ~((uvw > 0).any(axis=1) & (uvw < 0).any(axis=1))
+    r = np.flatnonzero(coplanar)
+    if len(r):
+        meets[r] = _coplanar_segment_hits_exact(
+            np.take(p, r, axis=0), np.take(q, r, axis=0),
+            np.take(tri, r // 3, axis=0))
+    hit = meets.reshape(sp.shape).any(axis=(0, 2))
     return hit if t1.ndim == 3 else bool(hit[0])
 
 
@@ -330,7 +349,7 @@ def _broad_phase(points, triangles):
 
     Returns the pairs (i < j) as a sorted (P, 2) int64 array.
     """
-    tp = points[triangles]
+    tp = np.take(points, triangles, axis=0)
     lo = np.minimum(np.minimum(tp[:, 0], tp[:, 1]), tp[:, 2])
     hi = np.maximum(np.maximum(tp[:, 0], tp[:, 1]), tp[:, 2])
     n_tri = len(triangles)
@@ -355,14 +374,15 @@ def _broad_phase(points, triangles):
     count = span[:, 0] * span[:, 1] * span[:, 2]
     owners = np.repeat(np.arange(n_tri), count)
     k = np.arange(len(owners)) - np.repeat(np.cumsum(count) - count, count)
-    cells = ((lo_idx[:, 0] * ny + lo_idx[:, 1]) * nz + lo_idx[:, 2])[owners]
+    cells = np.take((lo_idx[:, 0] * ny + lo_idx[:, 1]) * nz + lo_idx[:, 2],
+                    owners)
     for axis, stride in ((2, 1), (1, nz), (0, ny * nz)):
-        size = span[owners, axis]
+        size = np.take(span[:, axis], owners)
         cells += k % size * stride
         k //= size
     # stable: within a bucket the owners stay ascending, so i < j below
     order = np.argsort(cells, kind="stable")
-    cells, owners = cells[order], owners[order]
+    cells, owners = np.take(cells, order), np.take(owners, order)
     new_bucket = np.ones(len(cells), dtype=bool)
     new_bucket[1:] = cells[1:] != cells[:-1]
     starts = np.nonzero(new_bucket)[0]
@@ -370,7 +390,7 @@ def _broad_phase(points, triangles):
     # entry e pairs with the rest[e] entries after it in its bucket
     rest = np.repeat(starts + sizes, sizes) - np.arange(len(cells)) - 1
     entries = np.flatnonzero(rest)
-    rest = rest[entries]
+    rest = np.take(rest, entries)
     # whole entries in chunks of about _PAIR_CHUNK pairs, each entry in
     # the chunk its first pair falls in: the chunks bound the pair
     # temporaries, and one pass over all pairs was slower
@@ -382,20 +402,26 @@ def _broad_phase(points, triangles):
         ti = np.repeat(e, r)
         # the k-th pair of entry e is (e, e + 1 + k)
         tj = ti + 1 + np.arange(len(ti)) - np.repeat(np.cumsum(r) - r, r)
-        ti, tj = owners[ti], owners[tj]
+        ti, tj = np.take(owners, ti), np.take(owners, tj)
         # AABB overlap re-check (hash cells over-approximate), one axis
         # at a time on the pairs left, then no shared vertex
         for lo_k, hi_k in zip(lo_t, hi_t):
-            keep = (lo_k[ti] <= hi_k[tj]) & (lo_k[tj] <= hi_k[ti])
-            ti, tj = ti[keep], tj[keep]
-        vi, vj = tri_t[:, ti], tri_t[:, tj]
-        keep = np.logical_and.reduce([x != y for x in vi for y in vj])
-        keys.append(ti[keep] * n_tri + tj[keep])
+            keep = np.take(lo_k, ti) <= np.take(hi_k, tj)
+            keep &= np.take(lo_k, tj) <= np.take(hi_k, ti)
+            ti, tj = np.compress(keep, ti), np.compress(keep, tj)
+        vi, vj = np.take(tri_t, ti, axis=1), np.take(tri_t, tj, axis=1)
+        keep = np.ones(len(ti), dtype=bool)
+        for x in vi:
+            for y in vj:
+                keep &= x != y
+        keys.append(np.compress(keep, ti) * n_tri + np.compress(keep, tj))
     # a pair found in several cells is dropped after the first: by a sort
     # and a neighbour compare (numpy >= 2.3 sends a bare np.unique of
-    # int64 through a hash table, many times slower than a sort)
+    # int64 through a hash table, many times slower than a sort), as rows
+    # go through np.take / np.compress, not a[idx] / a[mask], which cost
+    # 3-10x more on numpy 2.4
     keys = np.sort(np.concatenate(keys))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = np.compress(np.diff(keys, prepend=-1) != 0, keys)
     return np.stack([keys // n_tri, keys % n_tri], axis=1)
 
 
@@ -426,14 +452,15 @@ def self_intersection_test(mesh, max_witnesses=64):
             f"triangle-size margin {margin:.4f} rad; mesh too dense in S^3")
     points = stereographic_project(mesh.vertices, pole)
     pairs = _broad_phase(points, mesh.triangles)
-    proj = points[mesh.triangles]
+    proj = np.take(points, mesh.triangles, axis=0)
     # one witness decides the verdict even when none are to be listed
     want = max(max_witnesses, 1)
     witnesses = []
     lo, size = 0, _EXACT_CHUNK
     while lo < len(pairs) and len(witnesses) < want:
         chunk = pairs[lo:lo + size]
-        meets = triangles_intersect(proj[chunk[:, 0]], proj[chunk[:, 1]])
-        witnesses += map(tuple, chunk[meets].tolist())
+        meets = triangles_intersect(np.take(proj, chunk[:, 0], axis=0),
+                                    np.take(proj, chunk[:, 1], axis=0))
+        witnesses += map(tuple, np.compress(meets, chunk, axis=0).tolist())
         lo, size = lo + size, 2 * size
     return not witnesses, witnesses[:max_witnesses]

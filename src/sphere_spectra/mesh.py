@@ -195,7 +195,7 @@ class SphericalTriMesh:
 
     def triangle_points(self):
         """(F, 3, 4) array of triangle corner coordinates."""
-        return self.vertices[self.triangles]
+        return np.take(self.vertices, self.triangles, axis=0)
 
     def triangle_areas(self):
         """(F,) chordal triangle areas, computed once per mesh (read-only)."""
@@ -369,7 +369,7 @@ def _tangent_frames(vertices, normals):
     v = vertices
     nu = normals
     weight = np.abs(v) + np.abs(nu)
-    seed = np.eye(4)[np.argmin(weight, axis=1)]
+    seed = np.take(np.eye(4), np.argmin(weight, axis=1), axis=0)
     t1 = seed - v * np.einsum("ij,ij->i", seed, v)[:, None] \
         - nu * np.einsum("ij,ij->i", seed, nu)[:, None]
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
@@ -398,11 +398,11 @@ def discrete_shape_operator(mesh):
     indptr, indices = adj.indptr, adj.indices
     counts = np.diff(indptr)
     src = np.repeat(np.arange(mesh.vertex_count), counts)
-    dx = v[indices] - v[src]
-    dn = normals[indices] - normals[src]
+    dx = np.take(v, indices, axis=0) - np.take(v, src, axis=0)
+    dn = np.take(normals, indices, axis=0) - np.take(normals, src, axis=0)
 
     def coords(t):          # one gathered frame axis alive at a time
-        e = t[src]
+        e = np.take(t, src, axis=0)
         return np.einsum("ij,ij->i", dx, e), np.einsum("ij,ij->i", dn, e)
 
     (a1, b1), (a2, b2) = coords(t1), coords(t2)

@@ -14,7 +14,9 @@ from sphere_spectra.intersect import (
     select_pole, self_intersection_test, stereographic_project,
     triangles_intersect,
 )
-from sphere_spectra.mesh import SphericalTriMesh, offset_mesh
+from sphere_spectra.mesh import (
+    SphericalTriMesh, discrete_shape_operator, offset_mesh,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +468,54 @@ def test_coplanar_far_from_origin(monkeypatch):
     assert sum(len(args[0]) for args in calls) > 1000
 
 
+def test_triangles_intersect_empty_batch():
+    empty = np.empty((0, 3, 3))
+    got = triangles_intersect(empty, empty)
+    assert got.dtype == bool and got.shape == (0,)
+
+
+def test_batch_with_no_edge_reaching_a_plane(monkeypatch):
+    # parallel triangles a height apart: every side sign is proved, and
+    # the line signs are asked for no edge at all
+    rng = np.random.default_rng(23)
+    n = 40
+    first = rng.integers(-6, 7, (n, 3, 3)).astype(float)
+    first[:, :, 2] = 0.0
+    second = first[:, [1, 2, 0]] + [0.5, -0.25, 0.0]
+    second[:, :, 2] = rng.choice([0.5, 1.0, -3.0], (n, 1))
+    keep = _nondegenerate(first, second)
+    first, second = first[keep], second[keep]
+    rows = []
+    orient = intersect._orient3d_exact
+    monkeypatch.setattr(intersect, "_orient3d_exact",
+                        lambda *pts: rows.append(np.shape(pts[0]))
+                        or orient(*pts))
+    assert not triangles_intersect(first, second).any()
+    assert rows[0] == (2, len(first), 1, 3) and rows[1][0] == 0
+    assert _assert_batch_agrees(first, second) == [False] * len(first)
+
+
+def test_batch_of_only_coplanar_pairs(monkeypatch):
+    # the four kinds of coplanar pairs shuffled into one batch: every edge
+    # of both sides takes the coplanar path, and the batch answers as the
+    # pair-by-pair calls do
+    pairs = _tilted_plane_pairs(24, 60).values()
+    first = np.concatenate([a for a, _ in pairs])
+    second = np.concatenate([b for _, b in pairs])
+    order = np.random.default_rng(24).permutation(len(first))
+    first, second = first[order], second[order]
+    calls = []
+    coplanar = intersect._coplanar_segment_hits_exact
+    monkeypatch.setattr(intersect, "_coplanar_segment_hits_exact",
+                        lambda *args: calls.append(len(args[0]))
+                        or coplanar(*args))
+    got = triangles_intersect(first, second).tolist()
+    assert calls == [6 * len(first)]
+    assert got == [triangles_intersect(x, y) for x, y in zip(first, second)]
+    assert _assert_batch_agrees(first, second) == got
+    assert {True, False} <= set(got)
+
+
 def test_batched_predicate_random_generic():
     rng = np.random.default_rng(14)
     tri_a = rng.uniform(-1.0, 1.0, (300, 3, 3))
@@ -488,8 +538,8 @@ def test_select_pole_clears_mesh():
 
 @pytest.mark.parametrize("make", [
     lambda: gen_clifford_torus(32, 32),
-    lambda: gen_geodesic_sphere(math.pi / 4.0, 4),    # V = 2562, partial chunk
-    lambda: gen_clifford_torus(16, 16),               # V = 256, one chunk
+    lambda: gen_geodesic_sphere(math.pi / 4.0, 4),    # V = 2562
+    lambda: gen_clifford_torus(16, 16),               # V = 256
     lambda: _crossed_clifford_32(),                   # a 2-way tie
     # a single candidate measured exactly, and not an axis
     lambda: rotate_mesh(gen_geodesic_sphere(0.3, 3), 0, 1, 0.3),
@@ -506,6 +556,21 @@ def test_select_pole_matches_full_matrix(make):
     pole, clearance = select_pole(vertices)
     assert np.array_equal(pole, cand[best])
     assert clearance == math.acos(min(1.0, max(-1.0, worst[best])))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_geodesic_sphere(math.pi / 4.0, 4),
+    lambda: gen_clifford_torus(16, 16),
+    lambda: _crossed_clifford_32(),
+], ids=["sphere-4", "clifford-16", "crossed-clifford-32"])
+def test_select_pole_chunks_do_not_change_pole(make, monkeypatch):
+    # products of 4104 entries: one vertex a chunk for all candidates,
+    # partial chunks for the few measured exactly
+    vertices = make().vertices
+    pole, clearance = select_pole(vertices)
+    monkeypatch.setattr(intersect, "_POLE_CHUNK", 4104)
+    again, cleared = select_pole(vertices)
+    assert np.array_equal(again, pole) and cleared == clearance
 
 
 @pytest.mark.parametrize("make", [
@@ -614,6 +679,20 @@ def test_dense_mesh_rejected():
 def _projected(mesh):
     pole, _ = select_pole(mesh.vertices)
     return stereographic_project(mesh.vertices, pole)
+
+
+def test_broad_phase_empty_when_every_pair_shares_a_vertex():
+    # any two faces of a tetrahedron share an edge: their boxes overlap,
+    # and no candidate pair is left
+    verts = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0],
+                      [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+    tris = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+    tetra = SphericalTriMesh(vertices=verts, triangles=tris, genus=0)
+    points = stereographic_project(verts, np.full(4, -0.5))
+    pairs = _broad_phase(points, tetra.triangles)
+    assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
+    assert len(_sweep_pairs(points, tetra.triangles)) == 0
+    assert self_intersection_test(tetra) == (True, [])
 
 
 def _sweep_pairs(points, triangles):
@@ -771,3 +850,48 @@ def test_default_cap_stops_before_every_pair(monkeypatch):
     pairs = _broad_phase(_projected(mesh), mesh.triangles)
     assert rows and sum(rows) < len(pairs)
     assert rows == [intersect._EXACT_CHUNK << k for k in range(len(rows))]
+
+
+
+def _relaid(mesh, layout):
+    """The mesh built again from Fortran-ordered or strided copies of
+    its arrays."""
+    def lay(a):
+        if a is None:
+            return None
+        if layout == "fortran":
+            return np.asfortranarray(a)
+        wide = np.zeros((2 * a.shape[0], 3 * a.shape[1]), dtype=a.dtype)
+        wide[::2, ::3] = a
+        return wide[::2, ::3]
+
+    laid = [lay(mesh.vertices), lay(mesh.triangles)]
+    assert not any(a.flags.c_contiguous for a in laid)
+    return SphericalTriMesh(vertices=laid[0], triangles=laid[1],
+                            normals=lay(mesh.normals),
+                            kappas=lay(mesh.kappas), genus=mesh.genus)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("make", [
+    _crossed_flat_tori,
+    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.4),
+], ids=["crossed-flat-tori", "clifford-16-t0.4"])
+def test_outputs_independent_of_memory_layout(make, layout):
+    # the flat-row gathers read the arrays the mesh lays out itself, so
+    # the input layout changes no output bit
+    mesh = make()
+    other = _relaid(mesh, layout)
+    geom, again = discrete_shape_operator(mesh), discrete_shape_operator(other)
+    for name in ("areas", "normals", "shape_operators", "kappas", "norm_A",
+                 "mean_H"):
+        assert np.array_equal(getattr(geom, name), getattr(again, name)), name
+    assert self_intersection_test(other, max_witnesses=10**6) \
+        == self_intersection_test(mesh, max_witnesses=10**6)
+    tp = _projected(mesh)[mesh.triangles]
+    pairs = _broad_phase(_projected(mesh), mesh.triangles)
+    first, second = tp[pairs[:, 0]], tp[pairs[:, 1]]
+    expected = triangles_intersect(first, second)
+    strided = np.repeat(second, 2, axis=0)[::2]
+    assert np.array_equal(
+        triangles_intersect(np.asfortranarray(first), strided), expected)
