@@ -367,19 +367,19 @@ def _broad_phase(points, triangles):
     lo_idx = np.floor(lo / cell).astype(np.int64)
     span = np.floor(hi / cell).astype(np.int64) - lo_idx + 1
     # one (cell, triangle) entry per cell a triangle's AABB touches, keyed
-    # (x * ny + y) * nz + z: the k-th entry of a triangle is k unravelled
-    # in its own span.  A key that wraps past 2^63 only merges buckets,
-    # whose extra pairs the box re-check below drops.
+    # (x * ny + y) * nz + z: the entries are expanded one axis at a time,
+    # each repeated once per cell of the triangle's span on that axis and
+    # moved by its offset in the span, so they stay owner-major with z
+    # fastest.  A key that wraps past 2^63 only merges buckets, whose
+    # extra pairs the box re-check below drops.
     ny, nz = ((lo_idx + span).max(axis=0) - lo_idx.min(axis=0))[1:]
-    count = span[:, 0] * span[:, 1] * span[:, 2]
-    owners = np.repeat(np.arange(n_tri), count)
-    k = np.arange(len(owners)) - np.repeat(np.cumsum(count) - count, count)
-    cells = np.take((lo_idx[:, 0] * ny + lo_idx[:, 1]) * nz + lo_idx[:, 2],
-                    owners)
-    for axis, stride in ((2, 1), (1, nz), (0, ny * nz)):
+    owners = np.arange(n_tri)
+    cells = (lo_idx[:, 0] * ny + lo_idx[:, 1]) * nz + lo_idx[:, 2]
+    for axis, stride in ((0, ny * nz), (1, nz), (2, 1)):
         size = np.take(span[:, axis], owners)
-        cells += k % size * stride
-        k //= size
+        owners, cells = np.repeat(owners, size), np.repeat(cells, size)
+        cells += (np.arange(len(cells))
+                  - np.repeat(np.cumsum(size) - size, size)) * stride
     # stable: within a bucket the owners stay ascending, so i < j below
     order = np.argsort(cells, kind="stable")
     cells, owners = np.take(cells, order), np.take(owners, order)

@@ -388,8 +388,8 @@ def discrete_shape_operator(mesh):
     once.  Curvature sign convention is the package one: geodesic
     spheres have positive curvature toward their center.
 
-    Vertices whose one-ring fit is rank deficient fall back to the mesh's
-    analytic curvatures when present, otherwise raise MeshQualityError.
+    Raises MeshQualityError where a vertex's one-ring fit is rank
+    deficient.
     """
     normals = mesh.estimated_normals()
     v = mesh.vertices
@@ -424,21 +424,16 @@ def discrete_shape_operator(mesh):
     trace = p11 + p22
     dets = trace * (p11 * p22 - p12 * p12)
     degenerate = dets < 1e-10 * np.maximum(trace, 1e-300) ** 3
-    inv = 1.0 / np.where(degenerate, 1.0, dets)
+    if degenerate.any():
+        raise MeshQualityError(
+            f"rank-deficient one-ring fit at vertex "
+            f"{int(np.argmax(degenerate))}")
+    inv = 1.0 / dets
     s11 = ((trace * p22 - p12 * p12) * r1 - p12 * p22 * r2
            + p12 * p12 * r3) * inv
     s12 = (p11 * p22 * r2 - p12 * (p22 * r1 + p11 * r3)) * inv
     s22 = (p12 * p12 * r1 - p11 * p12 * r2
            + (p11 * trace - p12 * p12) * r3) * inv
-    if degenerate.any():
-        if mesh.kappas is None:
-            i = int(np.argmax(degenerate))
-            raise MeshQualityError(
-                f"rank-deficient one-ring fit at vertex {i} and no analytic "
-                "curvatures to fall back on")
-        s11[degenerate] = mesh.kappas[degenerate, 0]
-        s12[degenerate] = 0.0
-        s22[degenerate] = mesh.kappas[degenerate, 1]
 
     s_ops = np.stack([np.stack([s11, s12], 1), np.stack([s12, s22], 1)], 1)
     # eigenvalues of S: the larger in magnitude is mid +- hypot((s11 - s22)

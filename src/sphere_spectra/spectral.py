@@ -9,19 +9,18 @@ iteration, and a Rayleigh-Ritz projection of the block.
 
 The shift sigma is a fixed negative number, or, given trial vectors, a
 near shift just below their smallest Rayleigh quotient (an upper bound
-for lambda1).  The near shift is tried only when the column giving that
-quotient is close to an eigenvector (relative residual within the
-shift's margin), and used only when its factorization certifies that no
-nonzero eigenvalue lies at or below it.  Both shifts are factored the
-same way: SuperLU in symmetric mode with diagonal pivots, in Liu's
-multiple minimum degree order on the pattern of A + A^T (ACM TOMS 11,
-1985), factors  P^T (stiffness - sigma mass) P = L U.  By Sylvester's
-law of inertia the negative diagonal entries of U count the eigenvalues
-below the shift (Parlett, The Symmetric Eigenvalue Problem).  That count
-must be exactly 1, the constant mode.  In every other case --
-no usable trial vector, one far from every eigenvector, another count,
-off-diagonal pivots, or an exactly singular pivot -- the solver factors
-at the fixed shift instead, and the result records which shift it used.
+for lambda1) when that is positive, used only when its factorization
+certifies that no nonzero eigenvalue lies at or below it.  Both shifts
+are factored the same way: SuperLU in symmetric mode with diagonal
+pivots, in Liu's multiple minimum degree order on the pattern of A + A^T
+(ACM TOMS 11, 1985), factors  P^T (stiffness - sigma mass) P = L U.  By
+Sylvester's law of inertia the negative diagonal entries of U count the
+eigenvalues below the shift (Parlett, The Symmetric Eigenvalue Problem).
+That count is the only rule: it must be exactly 1, the constant mode.
+In every other case -- no trial column with a quotient, a smallest
+quotient that is not positive, another count, off-diagonal pivots, or
+an exactly singular pivot -- the solver factors at the fixed shift
+instead, and the result records which shift it used.
 
 The start block is drawn from a seeded generator.  When the near shift is
 used, the trial columns that chose it (deflated, M-orthonormalized, with
@@ -73,7 +72,8 @@ _BLOCK = 6
 # coordinates of a minimal surface), the shift stays clear of lambda1 for
 # the inertia count, yet near enough for shift-invert to converge in a
 # few iterations: 2 on the generated surfaces with the warm start, 4-7
-# from a random start, against 8-16 at _SHIFT.
+# from a random start, against 8-16 at _SHIFT.  Where the quotient lies
+# further above lambda1 than this, the count rejects the shift.
 _TRIAL_MARGIN = 0.05
 # Fewest outer iterations before a warm-started solve may stop.  After one
 # block solve the random columns have not yet resolved the lambda1
@@ -112,7 +112,10 @@ class EigenResult:
     of the near-shift factorization (eigenvalues below the near shift,
     the constant mode included): 1 when that factorization was used, and
     then `shift` is the near shift; any other count sent the solver to
-    the fixed shift.  It is None when no count was taken.
+    the fixed shift.  It is None when no count was taken: no trial, no
+    trial column with a positive smallest Rayleigh quotient, or a
+    near-shift factorization with an exactly singular or an off-diagonal
+    pivot.
     """
     lambda1: float
     eigenvector: np.ndarray
@@ -251,12 +254,8 @@ def _near_factorization(trial, stiff, mass, factor):
     """Factorization at the near shift mu, if certified.
 
     mu is (1 - _TRIAL_MARGIN) times the smallest Rayleigh quotient theta
-    of the trial columns that have one.  The factorization is tried only
-    when that column's relative residual rho is within the margin too:
-    then some eigenvalue lies within rho * theta of theta (Weinstein), as
-    where the vertex coordinates are eigenfunctions.  A column further
-    from every eigenvector says little about lambda1, and on such
-    surfaces the count rejected the shift after a wasted factorization.
+    of the trial columns that have one, when theta is positive.  The
+    factorization is certified when its count of negative pivots is 1.
     Returns (lu, mu, count, start): `count` is the number of negative
     pivots, None when no valid count was taken; `lu` is None unless the
     count is 1, and then `start` holds the deflated trial columns that
@@ -264,15 +263,8 @@ def _near_factorization(trial, stiff, mass, factor):
     """
     x = np.asarray(trial, dtype=float).reshape(len(mass), -1)
     x, quot = _rayleigh_quotients(x, stiff, mass)
-    if np.isnan(quot).all():
-        return None, None, None, None
-    j = int(np.nanargmin(quot))
-    theta = float(quot[j])
-    resid = stiff @ x[:, j] - theta * (mass * x[:, j])
-    rho = np.sqrt(np.einsum("i,i->", resid, resid / mass)
-                  / np.einsum("i,i->", x[:, j], mass * x[:, j])) \
-        / max(theta, 1e-300)
-    if not (theta > 0.0 and rho <= _TRIAL_MARGIN):
+    theta = np.nan if np.isnan(quot).all() else float(np.nanmin(quot))
+    if not theta > 0.0:
         return None, None, None, None
     mu = (1.0 - _TRIAL_MARGIN) * theta
     try:

@@ -319,13 +319,13 @@ def test_shape_operator_sign_convention():
     assert geom.kappas.min() > 0
 
 
-def test_shape_operator_falls_back_or_raises(monkeypatch):
+def test_shape_operator_rank_deficient_raises(monkeypatch):
     mesh = gen_clifford_torus(8, 8)
     geom = discrete_shape_operator(mesh)
     assert np.isfinite(geom.norm_A).all()
     # tangent frames whose two axes coincide at vertex 0 give its one-ring
-    # fit rank 1 there and nowhere else: the analytic curvatures stand in
-    # for it, and a mesh without them raises
+    # fit rank 1 there and nowhere else: the mesh raises whether or not it
+    # carries analytic curvatures
     frames = mesh_module._tangent_frames
 
     def one_axis_at_zero(vertices, normals):
@@ -334,16 +334,11 @@ def test_shape_operator_falls_back_or_raises(monkeypatch):
         return t1, t2
 
     monkeypatch.setattr(mesh_module, "_tangent_frames", one_axis_at_zero)
-    fallback = discrete_shape_operator(gen_clifford_torus(8, 8))
-    assert np.array_equal(fallback.shape_operators[0], np.diag(mesh.kappas[0]))
-    np.testing.assert_allclose(fallback.kappas[0], np.sort(mesh.kappas[0]),
-                               rtol=1e-15)
-    assert np.array_equal(fallback.kappas[1:], geom.kappas[1:])
-    with pytest.raises(MeshQualityError,
-                       match="rank-deficient one-ring fit at vertex 0 and "
-                             "no analytic curvatures"):
-        discrete_shape_operator(SphericalTriMesh(mesh.vertices,
-                                                 mesh.triangles))
+    for rank_deficient in (gen_clifford_torus(8, 8),
+                           SphericalTriMesh(mesh.vertices, mesh.triangles)):
+        with pytest.raises(MeshQualityError,
+                           match="rank-deficient one-ring fit at vertex 0$"):
+            discrete_shape_operator(rank_deficient)
 
 
 def _linalg_fit(mesh):

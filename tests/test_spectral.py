@@ -210,9 +210,8 @@ def test_warm_start_dependent_trial_columns():
 def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
     # cos(2 theta) is an eigenvector for lambda ~ 8, so 8 nonzero
     # eigenvalues lie below its shift and the count rejects it; seeded
-    # noise has a quotient far above lambda1 and is far from every
-    # eigenvector, so no near factorization is tried; a zero trial has
-    # no usable column
+    # noise has a quotient far above lambda1, and the count rejects its
+    # shift too; a zero trial has no usable column
     n = clifford_pair.size
     verts = gen_clifford_torus(64, 64).vertices
     theta = np.arctan2(verts[:, 1], verts[:, 0])
@@ -226,6 +225,9 @@ def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
     if kind == "cos-2-theta":
         assert res.below_shift == 9
         assert len(calls) == 2
+    elif kind == "noise":
+        assert res.below_shift > 1
+        assert len(calls) == 2
     else:
         assert res.below_shift is None
         assert len(calls) == 1
@@ -234,27 +236,56 @@ def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
     assert np.array_equal(res.eigenvector, fixed.eigenvector)
 
 
-def test_coordinates_off_eigenvectors_not_factorized(monkeypatch):
-    # a torus pinched along one circle: its coordinates are far from
-    # eigenvectors (relative residual ~0.5), and lambda1 ~ 1.64 lies
-    # below 0.95 times their smallest quotient ~ 1.73, so a count would
-    # reject the near shift; the residual test skips the factorization
-    base = gen_clifford_torus(48, 48)
+def _irregular_torus(res, pinch=0.0, jitter=0.0, seed=0):
+    """The Clifford torus, vertices and triangles only, with each grid
+    parameter moved by jitter * h * U(-1, 1) (h the grid step) and
+    pinched along one circle: a = pi/4 + pinch cos(theta) in
+    (cos a cos theta, cos a sin theta, sin a cos phi, sin a sin phi)."""
+    base = gen_clifford_torus(res, res)
+    rng = np.random.default_rng(seed)
+    h = 2.0 * math.pi / res
     th = np.arctan2(base.vertices[:, 1], base.vertices[:, 0])
     ph = np.arctan2(base.vertices[:, 3], base.vertices[:, 2])
-    a = math.pi / 4.0 + 0.6 * np.cos(th)
+    th = th + jitter * h * rng.uniform(-1.0, 1.0, len(th))
+    ph = ph + jitter * h * rng.uniform(-1.0, 1.0, len(ph))
+    a = math.pi / 4.0 + pinch * np.cos(th)
     verts = np.stack([np.cos(a) * np.cos(th), np.cos(a) * np.sin(th),
                       np.sin(a) * np.cos(ph), np.sin(a) * np.sin(ph)], 1)
-    pair = assemble_laplacian(
-        SphericalTriMesh(vertices=verts, triangles=base.triangles, genus=1))
+    return SphericalTriMesh(vertices=verts, triangles=base.triangles, genus=1)
+
+
+def test_count_rejects_pinched_torus(monkeypatch):
+    # pinched by 0.6, lambda1 ~ 1.64 lies below 0.95 times the
+    # coordinates' smallest quotient ~ 1.73: the count at the near shift
+    # is 2, and the solver falls back to the fixed shift
+    mesh = _irregular_torus(48, pinch=0.6)
+    verts = mesh.vertices
+    pair = assemble_laplacian(mesh)
     fixed = smallest_nonzero_eig(pair)
     assert fixed.lambda1 < 0.95 * min(
         rayleigh_quotient(verts[:, j], pair) for j in range(4))
     calls = _count_splu(monkeypatch)
     res = smallest_nonzero_eig(pair, trial=verts)
-    assert len(calls) == 1
-    assert (res.shift, res.below_shift) == (-1e-2, None)
+    assert len(calls) == 2
+    assert (res.shift, res.below_shift) == (-1e-2, 2)
     assert res.lambda1 == fixed.lambda1        # bitwise
+
+
+@pytest.mark.parametrize("res, pinch, jitter", [(32, 0.0, 0.15),
+                                                (48, 0.3, 0.0)],
+                         ids=["jittered-clifford-32", "pinched-48"])
+def test_irregular_torus_takes_near_shift(res, pinch, jitter):
+    # the coordinates are not eigenvectors here (relative residual 0.055
+    # and 0.17), yet their smallest quotient lies within the margin of
+    # lambda1, so the count certifies the near shift
+    mesh = _irregular_torus(res, pinch=pinch, jitter=jitter, seed=1)
+    pair = assemble_laplacian(mesh)
+    fixed = smallest_nonzero_eig(pair)
+    near = smallest_nonzero_eig(pair, trial=mesh.vertices)
+    assert near.below_shift == 1
+    assert 0.0 < near.shift < near.lambda1
+    assert near.iterations <= 4
+    assert near.lambda1 == pytest.approx(fixed.lambda1, rel=1e-12)
 
 
 def test_rayleigh_quotient_properties(clifford_pair):
