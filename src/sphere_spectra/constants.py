@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _power, offset_mean_curvature_bound
+from .geometry import _check_dim, _power, offset_mean_curvature_bound
 from .quadrature import integrate
 
 __all__ = [
@@ -25,12 +25,6 @@ __all__ = [
     "tube_integral", "tube_integral_floor", "volume_upper_bound",
     "VolumeBound", "sphere_volume",
 ]
-
-
-def _check_dim(n):
-    if not float(n).is_integer() or n < 2:
-        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    return int(n)
 
 
 def sphere_volume(d):
@@ -174,8 +168,8 @@ def tube_integral(n, lam):
     volume bound for mean-convex hypersurfaces with max ||A|| <= lam.
     """
     n = _check_dim(n)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     upper = math.atan(1.0 / lam)
 
     def integrand(t):
@@ -188,8 +182,8 @@ def tube_integral(n, lam):
 def tube_integral_floor(n, lam):
     """Crude floor (5/54) (9/10)^(2n) / lam for the tube integral, lam >= 1/4."""
     n = _check_dim(n)
-    if lam < 0.25:
-        raise ValueError("floor only valid for lam >= 1/4")
+    if not 0.25 <= lam < math.inf:
+        raise ValueError(f"floor only valid for finite lam >= 1/4, got {lam}")
     return 5.0 / 54.0 * 0.9 ** (2 * n) / lam
 
 

@@ -104,6 +104,12 @@ def offset_mean_curvature(kappas, t):
     return float(sum(curvature_transport(float(k), t) for k in kappas))
 
 
+def _check_dim(n):
+    if not float(n).is_integer() or n < 2:
+        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
 def _power(x, k):
     """x ** k, or inf where it overflows: the bounds take their limits."""
     try:
@@ -117,8 +123,7 @@ def offset_mean_curvature_bound(n, lam, eps):
     curvature of any minimal curvature set with ||A|| <= lam, valid for
     offsets up to d_eps = arctan(eps/lam^2).  Requires 0 < eps <= lam/2.
     """
-    if not float(n).is_integer() or n < 2:
-        raise ValueError("n must be an integer >= 2")
+    n = _check_dim(n)
     if lam <= 0:
         raise ValueError("lam must be positive")
     if not (0 < eps <= lam / 2.0):

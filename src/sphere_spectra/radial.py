@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import _check_dim, sphere_volume
+from .constants import sphere_volume
+from .geometry import _check_dim
 from .quadrature import integrate
 
 __all__ = [

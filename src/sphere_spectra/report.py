@@ -120,8 +120,9 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
     timing["assembly"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     # the ambient coordinates are eigenfunctions on a minimal surface (and
-    # on a geodesic sphere), so their Rayleigh quotients lie near lambda1;
-    # where they lie too high, the inertia check rejects the shift
+    # on a geodesic sphere), so the smallest Ritz value of their span lies
+    # near lambda1; where it lies too high, the inertia check rejects the
+    # shift
     eig = spectral.smallest_nonzero_eig(pair, tol=tol, max_iter=max_iter,
                                         seed=seed, trial=mesh.vertices)
     timing["eigensolve"] = time.perf_counter() - t0

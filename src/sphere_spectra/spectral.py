@@ -8,26 +8,27 @@ solve in every iteration, explicit deflation of the constant mode every
 iteration, and a Rayleigh-Ritz projection of the block.
 
 The shift sigma is a fixed negative number, or, given trial vectors, a
-near shift just below their smallest Rayleigh quotient (an upper bound
-for lambda1) when that is positive, used only when its factorization
-certifies that no nonzero eigenvalue lies at or below it.  Both shifts
-are factored the same way: SuperLU in symmetric mode with diagonal
-pivots, in Liu's multiple minimum degree order on the pattern of A + A^T
-(ACM TOMS 11, 1985), factors  P^T (stiffness - sigma mass) P = L U.  By
+near shift just below the smallest Ritz value of their deflated span
+when that is positive, used only when its factorization certifies that
+no nonzero eigenvalue lies at or below it.  That Ritz value lies between
+lambda1 and the quotient of every trial column (Courant-Fischer), and
+depends on the span alone, not on the frame of R^4.  Both shifts are
+factored alike: SuperLU in symmetric mode with diagonal pivots, in Liu's
+multiple minimum degree order on the pattern of A + A^T (ACM TOMS 11,
+1985), factors  P^T (stiffness - sigma mass) P = L U.  By
 Sylvester's law of inertia the negative diagonal entries of U count the
 eigenvalues below the shift (Parlett, The Symmetric Eigenvalue Problem).
 That count is the only rule: it must be exactly 1, the constant mode.
-In every other case -- no trial column with a quotient, a smallest
-quotient that is not positive, another count, off-diagonal pivots, or
-an exactly singular pivot -- the solver factors at the fixed shift
-instead, and the result records which shift it used.
+In every other case -- an empty deflated span, a smallest Ritz value
+that is not positive, another count, off-diagonal pivots, or an exactly
+singular pivot -- the solver factors at the fixed shift instead, and the
+result records which shift it used.  A trial with a non-finite entry or
+mass norm raises ValueError before any factorization.
 
 The start block is drawn from a seeded generator.  When the near shift is
-used, the trial columns that chose it (deflated, M-orthonormalized, with
-numerically dependent directions dropped) replace its first columns: a
-warm start, after which the iteration ends in two steps where the trial
-spans the lambda1 eigenspace.  It never ends after the first step then
-(see _WARM_MIN_ITER).
+used, the lowest Ritz vectors of the trial span replace its first
+columns: a warm start, after which the iteration ends in two steps where
+the trial spans the lambda1 eigenspace, never after one (_WARM_MIN_ITER).
 
 Everything is deterministic for a fixed seed: the random draw does not
 depend on the trial, SuperLU is sequential, and the dense reductions over
@@ -67,12 +68,12 @@ _SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
 # Columns of the iterated block: the 4-fold lambda1 of the Clifford torus
 # and two more.
 _BLOCK = 6
-# Relative distance of the near shift below the trial vectors' smallest
-# Rayleigh quotient.  Where that quotient lands on lambda1 (the vertex
+# Relative distance of the near shift below the smallest Ritz value of
+# the trial span.  Where that value lands on lambda1 (the vertex
 # coordinates of a minimal surface), the shift stays clear of lambda1 for
 # the inertia count, yet near enough for shift-invert to converge in a
 # few iterations: 2 on the generated surfaces with the warm start, 4-7
-# from a random start, against 8-16 at _SHIFT.  Where the quotient lies
+# from a random start, against 8-16 at _SHIFT.  Where the Ritz value lies
 # further above lambda1 than this, the count rejects the shift.
 _TRIAL_MARGIN = 0.05
 # Fewest outer iterations before a warm-started solve may stop.  After one
@@ -81,8 +82,10 @@ _TRIAL_MARGIN = 0.05
 # undercount: x0 alone as trial on clifford 64x64 gave a cluster of 1
 # instead of 4 at every seed tried when stopping after one iteration.
 _WARM_MIN_ITER = 2
-# Gram eigenvalues of the trial columns below this fraction of the largest
-# are numerically dependent directions, left out of the start block.
+# Directions of the deflated trial span whose Gram eigenvalue is at or
+# below this fraction of the largest squared mass norm of a trial column
+# before deflation are dropped before the Rayleigh-Ritz step: the one
+# rule for constant, zero and numerically dependent columns.
 _DEPENDENT_CUT = 1e-10
 
 
@@ -112,10 +115,10 @@ class EigenResult:
     of the near-shift factorization (eigenvalues below the near shift,
     the constant mode included): 1 when that factorization was used, and
     then `shift` is the near shift; any other count sent the solver to
-    the fixed shift.  It is None when no count was taken: no trial, no
-    trial column with a positive smallest Rayleigh quotient, or a
-    near-shift factorization with an exactly singular or an off-diagonal
-    pivot.
+    the fixed shift.  It is None when no count was taken: no trial, a
+    trial span whose smallest Ritz value is not positive (or that is
+    empty after deflation), or a near-shift factorization with an
+    exactly singular or an off-diagonal pivot.
     """
     lambda1: float
     eigenvector: np.ndarray
@@ -135,10 +138,12 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, seed=0, trial=None):
     """Smallest nonzero eigenvalue of  stiffness x = lam mass x.
 
     pair: LaplacePair (or anything with .stiffness CSR and .mass vector).
-    trial: optional vector or (n, k) block whose Rayleigh quotients are
-    close to lambda1 (on a minimal surface in S^3, the vertex
-    coordinates); it chooses the shift and, when the near shift is used,
-    seeds the start block, see the module docstring.
+    trial: optional vector or (n, k) block whose span holds vectors with
+    Rayleigh quotients close to lambda1 (on a minimal surface in S^3,
+    the vertex coordinates); the smallest Ritz value of its deflated span
+    chooses the shift and, when the near shift is used, its Ritz vectors
+    seed the start block, see the module docstring.  Its entries and mass
+    norms must be finite.
     Returns an EigenResult whose eigenvector is M-orthogonal to constants
     and M-normalized.  Raises ConvergenceError when the residual target
     is not met within max_iter outer iterations.
@@ -170,8 +175,7 @@ def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, seed=0, trial=None):
     x_blk = m_orth(rng.standard_normal((n, block)))
     min_iter = 1
     if warm is not None:
-        warm = _m_orthonormal(warm, mass)[:, -block:]
-        x_blk[:, :warm.shape[1]] = warm
+        x_blk[:, :warm.shape[1]] = warm[:, :block]
         min_iter = min(_WARM_MIN_ITER, max_iter)
     best = (np.inf, None, np.inf)
 
@@ -220,53 +224,44 @@ def _deflation(mass):
     return m_orth
 
 
-def _rayleigh_quotients(x, stiff, mass):
-    """Deflated columns of x (n, k) and their Rayleigh quotients.
+def _trial_ritz(trial, stiff, mass):
+    """Rayleigh-Ritz on the deflated span of the trial columns.
 
-    A quotient is NaN where the column has zero mass norm after
-    deflation, relative to its mass norm before (e.g. a constant column).
+    The deflated columns are M-orthonormalized through their Gram matrix;
+    directions with a Gram eigenvalue at or below _DEPENDENT_CUT times
+    the largest squared mass norm of a column before deflation (constant,
+    zero or dependent columns) are dropped.  Returns the Ritz values in
+    ascending order and their M-orthonormal Ritz vectors (n, r); r is 0
+    when no direction is left.
     """
+    x = np.asarray(trial, dtype=float).reshape(len(mass), -1)
     before = np.einsum("ij,ij->j", x, mass[:, None] * x)
+    if not np.isfinite(before).all():
+        raise ValueError("trial has a non-finite entry or mass norm")
     x = _deflation(mass)(x)
-    xmx = np.einsum("ij,ij->j", x, mass[:, None] * x)
-    keep = np.isfinite(xmx) & (xmx > 1e-24 * np.maximum(before, 1e-300))
-    quot = np.full(len(xmx), np.nan)
-    if keep.any():
-        kept = x[:, keep]
-        quot[keep] = np.einsum("ij,ij->j", kept, stiff @ kept) / xmx[keep]
-    return x, quot
-
-
-def _m_orthonormal(x, mass):
-    """M-orthonormal basis (n, r) of the span of the columns of x (n, k).
-
-    From the eigenpairs of the Gram matrix x^T M x, in ascending order;
-    directions with an eigenvalue below _DEPENDENT_CUT times the largest
-    are dropped, so r < k where columns are (nearly) dependent.
-    """
     gram = np.einsum("ij,ik->jk", x, mass[:, None] * x)
     w, v = scipy.linalg.eigh(0.5 * (gram + gram.T))
-    keep = w > _DEPENDENT_CUT * w[-1]
-    return np.einsum("ij,jk->ik", x, v[:, keep] / np.sqrt(w[keep]))
+    keep = w > _DEPENDENT_CUT * before.max(initial=0.0)
+    basis = np.einsum("ij,jk->ik", x, v[:, keep] / np.sqrt(w[keep]))
+    a_small = np.einsum("ij,ik->jk", basis, stiff @ basis)
+    theta, w_small = scipy.linalg.eigh(0.5 * (a_small + a_small.T))
+    return theta, np.einsum("ij,jk->ik", basis, w_small)
 
 
 def _near_factorization(trial, stiff, mass, factor):
     """Factorization at the near shift mu, if certified.
 
-    mu is (1 - _TRIAL_MARGIN) times the smallest Rayleigh quotient theta
-    of the trial columns that have one, when theta is positive.  The
-    factorization is certified when its count of negative pivots is 1.
-    Returns (lu, mu, count, start): `count` is the number of negative
-    pivots, None when no valid count was taken; `lu` is None unless the
-    count is 1, and then `start` holds the deflated trial columns that
-    have a quotient (None otherwise).
+    mu is (1 - _TRIAL_MARGIN) times the smallest Ritz value theta of the
+    trial span, when theta is positive.  The factorization is certified
+    when its count of negative pivots is 1.  Returns (lu, mu, count,
+    start): `count` is the number of negative pivots, None when no valid
+    count was taken; `lu` is None unless the count is 1, and then
+    `start` holds the Ritz vectors in ascending order (None otherwise).
     """
-    x = np.asarray(trial, dtype=float).reshape(len(mass), -1)
-    x, quot = _rayleigh_quotients(x, stiff, mass)
-    theta = np.nan if np.isnan(quot).all() else float(np.nanmin(quot))
-    if not theta > 0.0:
+    theta, ritz = _trial_ritz(trial, stiff, mass)
+    if not (theta.size and theta[0] > 0.0):
         return None, None, None, None
-    mu = (1.0 - _TRIAL_MARGIN) * theta
+    mu = (1.0 - _TRIAL_MARGIN) * float(theta[0])
     try:
         lu = factor(mu)
     except RuntimeError:            # an exactly singular pivot
@@ -278,19 +273,22 @@ def _near_factorization(trial, stiff, mass, factor):
     count = int(np.count_nonzero(lu.U.diagonal() < 0))
     if count != 1:
         return None, mu, count, None
-    return lu, mu, count, x[:, ~np.isnan(quot)]
+    return lu, mu, count, ritz
 
 
 def rayleigh_quotient(x, pair):
     """Rayleigh quotient (x L x) / (x M x) after removing the constant mode.
 
-    Raises ValueError when the deflated vector has zero mass norm (e.g.
-    for constant input).
+    Raises ValueError when the vector or its mass norm is not finite, or
+    when the deflated vector has zero mass norm (e.g. for constant input).
     """
     mass = np.asarray(pair.mass, dtype=float)
-    quot = float(_rayleigh_quotients(
-        np.asarray(x, dtype=float).reshape(len(mass), 1), pair.stiffness,
-        mass)[1][0])
-    if np.isnan(quot):
+    x = np.asarray(x, dtype=float).reshape(len(mass))
+    before = np.einsum("i,i->", x, mass * x)
+    if not np.isfinite(before):
+        raise ValueError("vector has a non-finite entry or mass norm")
+    x = _deflation(mass)(x)
+    xmx = np.einsum("i,i->", x, mass * x)
+    if not xmx > 1e-24 * max(before, 1e-300):
         raise ValueError("vector has zero mass norm after deflation")
-    return quot
+    return float(np.einsum("i,i->", x, pair.stiffness @ x) / xmx)

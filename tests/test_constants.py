@@ -205,6 +205,15 @@ def test_tube_integral_floor_needs_quarter():
         C.tube_integral_floor(2, 0.2)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_volume_bound_rejects_lambda_outside_domain(lam):
+    for fn in (C.tube_integral, C.volume_upper_bound):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fn(2, lam)
+    with pytest.raises(ValueError, match="finite lam >= 1/4"):
+        C.tube_integral_floor(2, lam)
+
+
 def test_volume_upper_bound_n2():
     vb = C.volume_upper_bound(2, math.sqrt(2.0))
     assert abs(vb.sphere_vol - 2.0 * math.pi ** 2) < 1e-12

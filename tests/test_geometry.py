@@ -110,6 +110,8 @@ def test_offset_mean_curvature_bound_values():
     assert val == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
     with pytest.raises(ValueError):
         G.offset_mean_curvature_bound(2, lam, lam)
+    with pytest.raises(ValueError, match="integer >= 2, got 2.5"):
+        G.offset_mean_curvature_bound(2.5, lam, lam / 3.0)
 
 
 def test_offset_bound_dominates_transported_mean_curvature():

@@ -6,12 +6,13 @@ projection pole, unchanged: the full witness set must map exactly
 through the triangle permutation.  Rotations of S^3 move the pole and are
 not tested for it here.
 
-Spectrum: `verify_surface` must give the same lambda1 (to 1e-12
-relative; the fill-reducing ordering depends on the labels, so not
-bitwise), cluster, inertia count and verdicts under relabellings, the
-orientation flip, signed permutations of the coordinates and SO(4)
-rotations.  The solver's start block depends on the vertex coordinates,
-so this also shows that its result does not depend on the frame.
+Spectrum: `verify_surface` must give the same lambda1 and near shift (to
+1e-12 relative; the fill-reducing ordering depends on the labels, so not
+bitwise), cluster, inertia count, iteration count and verdicts under
+relabellings, the orientation flip, signed permutations of the
+coordinates and SO(4) rotations.  The solver's shift and start block
+come from the vertex coordinates, so this also shows that its result
+does not depend on the frame.
 """
 
 import math
@@ -26,8 +27,11 @@ from sphere_spectra.generators import (
     rotate_mesh,
 )
 from sphere_spectra.intersect import self_intersection_test
-from sphere_spectra.mesh import SphericalTriMesh, offset_mesh
+from sphere_spectra.mesh import (
+    SphericalTriMesh, assemble_laplacian, offset_mesh,
+)
 from sphere_spectra.report import verify_surface
+from sphere_spectra.spectral import smallest_nonzero_eig
 
 ALL = 10 ** 6
 
@@ -131,9 +135,25 @@ def test_witnesses_invariant_under_relabelling(reference, variant):
 # ---------------------------------------------------------------------------
 # spectrum
 
+def _pinched_torus(res, pinch):
+    """The Clifford torus pinched along one circle, vertices and triangles
+    only: a = pi/4 + pinch cos(theta) in
+    (cos a cos theta, cos a sin theta, sin a cos phi, sin a sin phi)."""
+    base = gen_clifford_torus(res, res)
+    th = np.arctan2(base.vertices[:, 1], base.vertices[:, 0])
+    ph = np.arctan2(base.vertices[:, 3], base.vertices[:, 2])
+    a = math.pi / 4.0 + pinch * np.cos(th)
+    verts = np.stack([np.cos(a) * np.cos(th), np.cos(a) * np.sin(th),
+                      np.sin(a) * np.cos(ph), np.sin(a) * np.sin(ph)], 1)
+    return SphericalTriMesh(vertices=verts, triangles=base.triangles, genus=1)
+
+
 SPECTRUM_MESHES = {
     "clifford-32": lambda: gen_clifford_torus(32, 32),
     "sphere-pi_4-3": lambda: gen_geodesic_sphere(math.pi / 4.0, 3),
+    # irregular: no coordinate is an eigenvector, so the near shift
+    # rests on the Ritz values of their span
+    "pinched-48-0.5": lambda: _pinched_torus(48, 0.5),
 }
 
 # det +1: a 4-cycle with one sign flip, a double swap, and a swap of
@@ -146,8 +166,8 @@ SIGNED_PERMUTATIONS = {
 
 
 def _rotated(mesh, rot):
-    return _rebuild(mesh, vertices=mesh.vertices @ rot.T,
-                    normals=mesh.normals @ rot.T)
+    normals = None if mesh.normals is None else mesh.normals @ rot.T
+    return _rebuild(mesh, vertices=mesh.vertices @ rot.T, normals=normals)
 
 
 def _signed_permutation(perm, signs):
@@ -171,6 +191,8 @@ def _assert_same_spectrum(reference, other, vertex_map, sign=1.0):
     assert spec["lambda1"] == pytest.approx(ref["lambda1"], rel=1e-12)
     assert len(spec["cluster"]) == len(ref["cluster"])
     assert spec["below_shift"] == ref["below_shift"] == 1
+    assert spec["shift"] == pytest.approx(ref["shift"], rel=1e-12)
+    assert spec["iterations"] == ref["iterations"]
     assert got["verdicts"] == rep["verdicts"]
     assert got["curvature"]["lam_discrete"] == pytest.approx(
         rep["curvature"]["lam_discrete"], rel=1e-12)
@@ -195,15 +217,36 @@ def test_spectrum_invariant_under_signed_permutations(spectrum_reference,
                           np.arange(mesh.vertex_count))
 
 
-@settings(max_examples=3, derandomize=True, deadline=None, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1))
-def test_spectrum_invariant_under_rotations(spectrum_reference, seed):
-    # Haar-distributed: QR of a Gaussian matrix, signs fixed by R's
-    # diagonal, det made +1 by flipping one column
+def _haar_rotation(seed):
+    """Haar-distributed: QR of a Gaussian matrix, signs fixed by R's
+    diagonal, det made +1 by flipping one column."""
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
     q *= np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
+    return q
+
+
+@settings(max_examples=3, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_spectrum_invariant_under_rotations(spectrum_reference, seed):
     mesh = spectrum_reference[0]
-    _assert_same_spectrum(spectrum_reference, _rotated(mesh, q),
+    _assert_same_spectrum(spectrum_reference,
+                          _rotated(mesh, _haar_rotation(seed)),
                           np.arange(mesh.vertex_count))
+
+
+@pytest.mark.parametrize("pinch", [0.5, 0.55])
+def test_near_shift_same_in_every_frame(pinch):
+    # the smallest Ritz value depends on the coordinates' span alone, so
+    # the identity frame and 15 Haar rotations take the same near shift
+    mesh = _pinched_torus(48, pinch)
+    ref = smallest_nonzero_eig(assemble_laplacian(mesh), trial=mesh.vertices)
+    assert ref.below_shift == 1
+    for seed in range(1, 16):
+        turned = _rotated(mesh, _haar_rotation(seed))
+        res = smallest_nonzero_eig(assemble_laplacian(turned),
+                                   trial=turned.vertices)
+        assert (res.below_shift, res.iterations) \
+            == (ref.below_shift, ref.iterations)
+        assert res.shift == pytest.approx(ref.shift, rel=1e-12)

@@ -32,7 +32,8 @@ def test_report_core_numbers(clifford_report):
     assert rep["parameters"] == {"seed": 0, "tol": 1e-8, "max_iter": 10000,
                                  "offsets": [0.3, 2.0]}
     assert rep["spectrum"]["lambda1"] == pytest.approx(2.0, rel=0.01)
-    # the near shift below the coordinates' Rayleigh quotient was certified
+    # the near shift below the smallest Ritz value of the coordinates'
+    # span was certified
     assert rep["spectrum"]["below_shift"] == 1
     assert 0.0 < rep["spectrum"]["shift"] < rep["spectrum"]["lambda1"]
     assert rep["curvature"]["lam_discrete"] == pytest.approx(

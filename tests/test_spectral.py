@@ -192,18 +192,33 @@ def test_warm_start_dependent_trial_columns():
     # four coordinates span only three directions
     mesh = rotate_mesh(gen_geodesic_sphere(math.pi / 2.0, 4), 0, 3, 0.3)
     pair = assemble_laplacian(mesh)
-    x, quot = spectral._rayleigh_quotients(mesh.vertices, pair.stiffness,
-                                           pair.mass)
-    assert np.isfinite(quot).all()
-    basis = spectral._m_orthonormal(x, pair.mass)
-    assert basis.shape == (pair.size, 3)
-    gram = np.einsum("ij,ik->jk", basis, pair.mass[:, None] * basis)
+    theta, ritz = spectral._trial_ritz(mesh.vertices, pair.stiffness,
+                                       pair.mass)
+    assert ritz.shape == (pair.size, 3)
+    assert np.all(np.diff(theta) >= 0.0)
+    gram = np.einsum("ij,ik->jk", ritz, pair.mass[:, None] * ritz)
     assert np.allclose(gram, np.eye(3), atol=1e-12)
     fixed = smallest_nonzero_eig(pair)
     near = smallest_nonzero_eig(pair, trial=mesh.vertices)
     assert near.below_shift == 1
     assert near.lambda1 == pytest.approx(fixed.lambda1, rel=1e-12)
     assert len(near.cluster) == 3
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "norm-overflow"])
+def test_non_finite_trial_raises_before_factorization(clifford_pair,
+                                                      monkeypatch, kind):
+    # a column with a NaN, an inf or an overflowing squared mass norm
+    # is an error, not a column to leave out
+    trial = gen_clifford_torus(64, 64).vertices.copy()
+    if kind == "norm-overflow":
+        trial[:, 2] *= 1e160
+    else:
+        trial[7, 2] = {"nan": np.nan, "inf": np.inf}[kind]
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(ValueError, match="trial has a non-finite entry"):
+        smallest_nonzero_eig(clifford_pair, trial=trial)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", ["cos-2-theta", "noise", "zero"])
@@ -255,15 +270,15 @@ def _irregular_torus(res, pinch=0.0, jitter=0.0, seed=0):
 
 
 def test_count_rejects_pinched_torus(monkeypatch):
-    # pinched by 0.6, lambda1 ~ 1.64 lies below 0.95 times the
-    # coordinates' smallest quotient ~ 1.73: the count at the near shift
-    # is 2, and the solver falls back to the fixed shift
+    # pinched by 0.6, lambda1 ~ 1.64 lies below 0.95 times the smallest
+    # Ritz value ~ 1.73 of the coordinates' span: the count at the near
+    # shift is 2, and the solver falls back to the fixed shift
     mesh = _irregular_torus(48, pinch=0.6)
     verts = mesh.vertices
     pair = assemble_laplacian(mesh)
     fixed = smallest_nonzero_eig(pair)
-    assert fixed.lambda1 < 0.95 * min(
-        rayleigh_quotient(verts[:, j], pair) for j in range(4))
+    theta = spectral._trial_ritz(verts, pair.stiffness, pair.mass)[0]
+    assert fixed.lambda1 < 0.95 * theta[0]
     calls = _count_splu(monkeypatch)
     res = smallest_nonzero_eig(pair, trial=verts)
     assert len(calls) == 2
@@ -276,8 +291,8 @@ def test_count_rejects_pinched_torus(monkeypatch):
                          ids=["jittered-clifford-32", "pinched-48"])
 def test_irregular_torus_takes_near_shift(res, pinch, jitter):
     # the coordinates are not eigenvectors here (relative residual 0.055
-    # and 0.17), yet their smallest quotient lies within the margin of
-    # lambda1, so the count certifies the near shift
+    # and 0.17), yet the smallest Ritz value of their span lies within
+    # the margin of lambda1, so the count certifies the near shift
     mesh = _irregular_torus(res, pinch=pinch, jitter=jitter, seed=1)
     pair = assemble_laplacian(mesh)
     fixed = smallest_nonzero_eig(pair)
@@ -293,8 +308,15 @@ def test_rayleigh_quotient_properties(clifford_pair):
     theta = np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0])
     assert rayleigh_quotient(np.cos(theta), clifford_pair) \
         == pytest.approx(2.0, rel=0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero mass norm"):
         rayleigh_quotient(np.ones(clifford_pair.size), clifford_pair)
+
+
+def test_rayleigh_quotient_rejects_non_finite(clifford_pair):
+    x = np.ones(clifford_pair.size)
+    x[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite entry"):
+        rayleigh_quotient(x, clifford_pair)
 
 
 def test_rayleigh_upper_bound_property(clifford_pair):
