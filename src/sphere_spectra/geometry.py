@@ -124,8 +124,8 @@ def offset_mean_curvature_bound(n, lam, eps):
     offsets up to d_eps = arctan(eps/lam^2).  Requires 0 < eps <= lam/2.
     """
     n = _check_dim(n)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     if not (0 < eps <= lam / 2.0):
         raise ValueError(f"need 0 < eps <= lam/2, got eps={eps}, lam={lam}")
     bound = lam * eps / (lam - eps) * (n / _power(lam, 2) + 1.0)

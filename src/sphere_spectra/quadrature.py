@@ -2,7 +2,8 @@
 
 Single shared 1D integration engine for the whole package: a 7/15-point
 Gauss-Kronrod rule driven by greedy interval bisection to an absolute
-error target.  Integrands must accept numpy arrays (they are evaluated
+error target, or with `relative=True` to one scaled by the integral's
+magnitude.  Integrands must accept numpy arrays (they are evaluated
 on all 15 nodes of an interval at once).
 """
 
@@ -32,10 +33,12 @@ _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
 _WK_FULL = np.concatenate([_WK[:-1], _WK[::-1]])
 _WG_FULL = np.zeros_like(_WK_FULL)
 _WG_FULL[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_ROUNDOFF = 10.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the interval budget is exhausted before the tolerance.
+    """Raised when the interval budget is exhausted before the tolerance,
+    or the value or its error estimate is not finite.
 
     Carries the best value and the achieved absolute error estimate.
     """
@@ -56,22 +59,31 @@ def _rule(f, a, b):
     diff = abs(k - g)
     # QUADPACK-style sharpened estimate; never report below a roundoff floor.
     err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
-    floor = 10.0 * np.finfo(float).eps * half * float(np.abs(fx) @ _WK_FULL)
+    floor = _ROUNDOFF * half * float(np.abs(fx) @ _WK_FULL)
     return k, max(err, floor)
 
 
-def integrate(f, a, b, tol=1e-10, limit=10**6):
-    """Integrate f over [a, b] to absolute tolerance tol.
+def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
+    """Integrate f over the finite interval [a, b] to absolute tolerance
+    tol, or with relative=True to tol * (1 + |k|), k the Kronrod value of
+    the first rule on [a, b].
 
     Returns (value, error_estimate).  Greedy bisection of the interval
     with the largest error estimate; raises QuadratureError if more than
-    `limit` intervals would be needed.
+    `limit` intervals would be needed or the result is not finite, and
+    ValueError for a NaN or negative tol.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds must be finite, got [{a}, {b}]")
     if not (b > a):
         if b == a:
             return 0.0, 0.0
         raise ValueError(f"inverted interval [{a}, {b}]")
     val, err = _rule(f, a, b)
+    if relative:
+        tol = tol * (1.0 + abs(val))
     # heap of (-err, seq, a, b, val, err); seq breaks ties deterministically
     seq = 0
     heap = [(-err, seq, a, b, val, err)]
@@ -114,4 +126,8 @@ def integrate(f, a, b, tol=1e-10, limit=10**6):
     # fixed summation order for determinism
     items = sorted(heap, key=lambda it: it[2])
     value = float(np.sum(np.array([it[4] for it in items])))
+    if not (math.isfinite(value) and math.isfinite(total_err)):
+        raise QuadratureError(
+            f"non-finite result {value} (error estimate {total_err})",
+            value=value, achieved=total_err)
     return value, total_err

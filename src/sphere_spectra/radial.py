@@ -106,8 +106,8 @@ def judge(report_type, name, lhs, rhs, rtol, extras=None):
     return InequalityReport(name, lhs, rhs, slack, tol, passed, extras)
 
 
-# absolute quadrature tolerance of every oracle but `verify_reilly_radial`,
-# whose tolerance the caller may vary
+# relative quadrature tolerance (`integrate(..., relative=True)`) of every
+# oracle but `verify_reilly_radial`, whose tolerance the caller may vary
 _QUAD_TOL = 1e-10
 # pass threshold of the hemisphere chain (the rtol of `judge`)
 _CHAIN_TOL = 1e-8
@@ -117,17 +117,6 @@ _BOCHNER_GRID_POINTS = 10**4
 # the residual stencil of half-width 3 * _RESIDUAL_FD_STEP around it
 _THETA_MAX = math.pi / 2.0 + 0.05
 _RESIDUAL_FD_STEP = 4e-3
-
-
-def _quad(f, a, b, tol):
-    """Adaptive quadrature with the absolute tolerance scaled by a
-    single-rule magnitude estimate (doubles cannot reach 1e-10 absolute
-    on integrals of magnitude ~1e4)."""
-    if b <= a:
-        return 0.0
-    rough, _ = integrate(f, a, b, tol=np.inf)
-    value, _ = integrate(f, a, b, tol=tol * (1.0 + abs(rough)))
-    return value
 
 
 def radial_harmonic_derivative(n, r):
@@ -215,8 +204,8 @@ def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
     def ricci_integrand(r):
         return n * profile.fp(r) ** 2 * omega * np.sin(r) ** n
 
-    lhs = _quad(lhs_integrand, 0.0, radius, tol)
-    ricci = _quad(ricci_integrand, 0.0, radius, tol)
+    lhs, _ = integrate(lhs_integrand, 0.0, radius, tol, relative=True)
+    ricci, _ = integrate(ricci_integrand, 0.0, radius, tol, relative=True)
     area = omega * math.sin(radius) ** n
     boundary = n * (math.cos(radius) / math.sin(radius)) \
         * float(profile.fp(radius)) ** 2 * area
@@ -250,8 +239,9 @@ def verify_interior_gradient_radial(n, r0, r1, t):
         vpp = -n * (c / s) * vp
         return (vpp ** 2 + n * (vp * c / s) ** 2) * omega * s ** n
 
-    lhs = _quad(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t, _QUAD_TOL)
-    hess = _quad(hess_integrand, r0, r1, _QUAD_TOL)
+    lhs, _ = integrate(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t, _QUAD_TOL,
+                       relative=True)
+    hess, _ = integrate(hess_integrand, r0, r1, _QUAD_TOL, relative=True)
     rhs = hess / ((n - 1) * t ** 2)
     return judge(InequalityReport,
                  f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
@@ -293,26 +283,26 @@ class HemisphereExtension:
                                     * np.arange(1, len(self._coeffs)))
         return g, dg_dz * 0.5 * np.sin(theta)
 
-    def f(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        g, _ = self._g_pair(theta)
-        out = self._scale * np.sin(theta) * g
-        return out if out.ndim else float(out)
-
-    def fp(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        g, gp = self._g_pair(theta)
-        out = self._scale * (np.cos(theta) * g + np.sin(theta) * gp)
-        return out if out.ndim else float(out)
-
-    def fpp(self, theta):
-        """F'' = -sin G + 2 cos G' + sin G'' with G'' from the G equation."""
+    def jet(self, theta):
+        """(F, F', F'') from one series evaluation: F = sin G, F'' = -sin G
+        + 2 cos G' + sin G'' with G'' from the G equation (nan at 0)."""
         theta = np.asarray(theta, dtype=float)
         g, gp = self._g_pair(theta)
         s, c = np.sin(theta), np.cos(theta)
-        gpp = (self.n + 1.0) * g - (self.n + 2.0) * (c / s) * gp
-        out = self._scale * (-s * g + 2.0 * c * gp + s * gpp)
-        return out if out.ndim else float(out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gpp = (self.n + 1.0) * g - (self.n + 2.0) * (c / s) * gp
+        return tuple(out if out.ndim else float(out) for out in (
+            self._scale * s * g, self._scale * (c * g + s * gp),
+            self._scale * (-s * g + 2.0 * c * gp + s * gpp)))
+
+    def f(self, theta):
+        return self.jet(theta)[0]
+
+    def fp(self, theta):
+        return self.jet(theta)[1]
+
+    def fpp(self, theta):
+        return self.jet(theta)[2]
 
     @property
     def boundary_derivative(self):
@@ -329,8 +319,8 @@ class HemisphereExtension:
         th = np.asarray(theta_grid, dtype=float)
         _, d2 = _fd_derivatives(self.f, th, _RESIDUAL_FD_STEP)
         s, c = np.sin(th), np.cos(th)
-        return np.abs(d2 + self.n * (c / s) * self.fp(th)
-                      - (self.n / s ** 2) * self.f(th))
+        f, fp, _ = self.jet(th)
+        return np.abs(d2 + self.n * (c / s) * fp - (self.n / s ** 2) * f)
 
 
 def solve_hemisphere_extension(n):
@@ -398,17 +388,19 @@ def verify_choiwang_chain_hemisphere(n):
 
     def grad_integrand(th):
         s = np.sin(th)
-        return (ext.fp(th) ** 2 + n * ext.f(th) ** 2 / s ** 2) * s ** n
+        f, fp, _ = ext.jet(th)
+        return (fp ** 2 + n * f ** 2 / s ** 2) * s ** n
 
     def hess_integrand(th):
         s, c = np.sin(th), np.cos(th)
-        f, fp, fpp = ext.f(th), ext.fp(th), ext.fpp(th)
+        f, fp, fpp = ext.jet(th)
         mixed = (2.0 * n / s ** 2) * (fp - (c / s) * f) ** 2
         fiber = n * ((f - c * s * fp) / s ** 2) ** 2
         return (fpp ** 2 + mixed + fiber) * s ** n
 
-    grad_energy = _quad(grad_integrand, 0.0, math.pi / 2.0, _QUAD_TOL)
-    hess_energy = _quad(hess_integrand, 0.0, math.pi / 2.0, _QUAD_TOL)
+    grad_energy, hess_energy = (
+        integrate(f, 0.0, math.pi / 2.0, _QUAD_TOL, relative=True)[0]
+        for f in (grad_integrand, hess_integrand))
     flux = ext.boundary_derivative * 1.0   # F(pi/2) = 1, ||Y||_2 = 1
     surface_gradient = ext.boundary_derivative ** 2 + n
 
@@ -463,8 +455,9 @@ def verify_collar_trace_hemisphere(n, t, beta, profile):
         fp, fpp = profile.fp(th), profile.fpp(th)
         return (fpp ** 2 + n * (fp * c / s) ** 2) * s ** n
 
-    collar_grad = _quad(grad_integrand, half_pi - t, half_pi, _QUAD_TOL)
-    collar_hess = _quad(hess_integrand, half_pi - t, half_pi, _QUAD_TOL)
+    collar_grad, collar_hess = (
+        integrate(f, half_pi - t, half_pi, _QUAD_TOL, relative=True)[0]
+        for f in (grad_integrand, hess_integrand))
     h_max = n * math.tan(t)
     rhs = offset_term + (h_max + beta) * omega * collar_grad \
         + omega * collar_hess / beta

@@ -114,6 +114,12 @@ def test_offset_mean_curvature_bound_values():
         G.offset_mean_curvature_bound(2.5, lam, lam / 3.0)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan, 0.0, -1.0])
+def test_offset_mean_curvature_bound_rejects_bad_lambda(lam):
+    with pytest.raises(ValueError, match="lam must be finite and positive"):
+        G.offset_mean_curvature_bound(2, lam, 0.1)
+
+
 def test_offset_bound_dominates_transported_mean_curvature():
     # Clifford curvatures at the endpoint offset d_eps stay below the bound
     lam, eps = math.sqrt(2.0), math.sqrt(2.0) / 3.0

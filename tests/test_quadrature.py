@@ -58,3 +58,42 @@ def test_roundoff_stall_detected_quickly():
     with pytest.raises(QuadratureError) as info:
         integrate(lambda x: 1e6 * np.exp(-x * x), 0.0, 3.0, tol=1e-14)
     assert 1e-12 < info.value.achieved < 1e-6
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-10, -math.inf])
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        integrate(np.exp, 0.0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (math.nan, 1.0), (math.inf, math.inf)])
+def test_non_finite_bounds_rejected(a, b):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        integrate(np.exp, a, b)
+
+
+def test_nan_integrand_raises():
+    with pytest.raises(QuadratureError, match="non-finite") as info:
+        integrate(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+    assert math.isnan(info.value.value)
+
+
+def test_infinite_integrand_raises():
+    # an inf node value makes the Gauss sum inf * 0 = nan
+    with pytest.raises(QuadratureError, match="non-finite") as info, \
+            np.errstate(invalid="ignore"):
+        integrate(lambda x: np.where(x > 0.5, np.inf, x), 0.0, 1.0)
+    assert not math.isfinite(info.value.achieved)
+
+
+def test_relative_tolerance_scales_by_first_rule():
+    # a 1e6-sized integrand: 1e-14 absolute is below the roundoff floor,
+    # 1e-14 relative to the first rule is not
+    def f(x):
+        return 1e6 * np.exp(-x * x)
+
+    k, _ = integrate(f, 0.0, 3.0, tol=math.inf)
+    val, err = integrate(f, 0.0, 3.0, tol=1e-14, relative=True)
+    assert err <= 1e-14 * (1.0 + abs(k))
+    assert (val, err) == integrate(f, 0.0, 3.0, tol=1e-14 * (1.0 + abs(k)))

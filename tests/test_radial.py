@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from sphere_spectra import radial
+from sphere_spectra import cli, quadrature, radial
+from sphere_spectra.quadrature import integrate
 from sphere_spectra.radial import PROFILES
 
 # boundary normal derivative of the hemisphere extension, closed forms
@@ -164,6 +165,9 @@ def test_hemisphere_extension_invariants(n):
         BOUNDARY_DERIVATIVE[n], rel=1e-10)
     # regular branch: F ~ c * theta at the pole
     assert ext.f(1e-6) / 1e-6 == pytest.approx(ext.fp(1e-7), rel=1e-4)
+    # at the pole itself F and F' are exact, without a warning
+    f0, fp0, _ = ext.jet(0.0)
+    assert f0 == 0.0 and fp0 == pytest.approx(ext.fp(1e-7), rel=1e-12)
 
 
 def test_hemisphere_extension_rejects_theta_past_series_range():
@@ -237,3 +241,63 @@ def test_collar_inequality_guards():
         radial.verify_collar_trace_hemisphere(2, 2.0, 0.5, PROFILES["cos"])
     with pytest.raises(ValueError):
         radial.verify_collar_trace_hemisphere(2, 0.3, -1.0, PROFILES["cos"])
+
+
+# ---------------------------------------------------------------------------
+# each Gauss-Kronrod rule and each hemisphere series evaluation happens once
+
+def _radial_integrals(monkeypatch, run):
+    """(integrand, a, b, tol) of every integral that run() takes."""
+    calls = []
+
+    def record(f, a, b, tol, relative=False):
+        assert relative
+        calls.append((f, a, b, tol))
+        return integrate(f, a, b, tol, relative=relative)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(radial, "integrate", record)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_relative_tolerance_equals_two_call_form(monkeypatch, n):
+    # relative=True aims at tol * (1 + |first rule|), the target a separate
+    # magnitude estimate (one rule, tol = inf) gives an absolute call
+    calls = _radial_integrals(monkeypatch, lambda: (
+        radial.verify_reilly_radial(n, 1.4, PROFILES["gauss"]),
+        radial.verify_collar_trace_hemisphere(n, 0.3, 0.5, PROFILES["cos"]),
+        radial.verify_choiwang_chain_hemisphere(n)))
+    assert len(calls) == 6
+    for f, a, b, tol in calls:
+        rough, _ = integrate(f, a, b, tol=math.inf)
+        one = integrate(f, a, b, tol, relative=True)
+        two = integrate(f, a, b, tol * (1.0 + abs(rough)))
+        assert [x.hex() for x in one] == [x.hex() for x in two]
+
+
+def test_verify_oracles_rules_each_interval_once(monkeypatch, capsys):
+    ruled = []      # (integrand, a, b, _g_pair calls while ruling it)
+    series = [0]
+    rule, g_pair = quadrature._rule, radial.HemisphereExtension._g_pair
+
+    def counted_rule(f, a, b):
+        before = series[0]
+        out = rule(f, a, b)
+        ruled.append((f, a, b, series[0] - before))
+        return out
+
+    def counted_g_pair(self, theta):
+        series[0] += 1
+        return g_pair(self, theta)
+
+    monkeypatch.setattr(quadrature, "_rule", counted_rule)
+    monkeypatch.setattr(radial.HemisphereExtension, "_g_pair", counted_g_pair)
+    assert cli.main(["verify-oracles", "--dims", "2"]) == 0
+    assert "24/24 checks passed" in capsys.readouterr().out
+    keys = [(f, a, b) for f, a, b, _ in ruled]
+    assert len(set(keys)) == len(keys)
+    chain = [count for f, _, _, count in ruled if f.__qualname__.startswith(
+        "verify_choiwang_chain_hemisphere.")]
+    assert len(chain) > 2 and set(chain) == {1}
