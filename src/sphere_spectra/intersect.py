@@ -21,12 +21,18 @@ witnesses are always the smallest meeting pairs.
 
 `triangles_intersect` evaluates every sign in floating point with a
 conservative error bound first, in one batched call per kind of sign:
-numpy checks every sign against that bound, and exact integer
-arithmetic computes only the signs floats leave undecided.  Those go,
-per batch, through one conversion to integers (every float is an
-integer over a power of two) and one object-array determinant in Python
-integers.  The reported verdict is therefore exact for the projected
-coordinates.  Touching configurations count as intersections.
+numpy checks every sign against Shewchuk's bound in doubles, then the
+signs doubles leave open with the same filter in np.longdouble, against
+the bound of its own unit roundoff (2^-64 on x87; on platforms where
+long double is no wider than double that stage is skipped, with the same
+signs).  Exact integer arithmetic computes only the signs both leave
+undecided -- exact zeros, extreme exponents, |det| below about 2^-61 of
+the permanent -- a handful of rows even on the near-degenerate
+quadruples of the symmetric tori.  Those go, per batch, through one
+conversion to integers (every float is an integer over a power of two)
+and one object-array determinant in Python integers.  The reported
+verdict is therefore exact for the projected coordinates.  Touching
+configurations count as intersections.
 
 Every sign is the orientation of four points in R^3, from that one
 filtered-exact predicate: the in-plane signs of coplanar contact are
@@ -157,28 +163,37 @@ def stereographic_project(vertices, pole):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _orient3d_filter(a, b, c, d):
-    """Signs of det[b-a, c-a, d-a] that floats prove, 0 where they cannot.
+def _orient3d_filter(a, b, c, d, errbound):
+    """Signs of det[b-a, c-a, d-a] that the inputs' floating-point type
+    proves, 0 where it cannot.
 
-    With eps = 2^-53 and no under- or overflow, each operation rounds
-    by a factor (1 + delta), |delta| <= eps.  Every term of the float
+    errbound is (7 + 56 eps) eps for the unit roundoff eps of that type:
+    _ORIENT_EPS for doubles (eps = 2^-53), `_long_orient_eps()` for
+    np.longdouble.  With no under- or overflow, each operation rounds
+    by a factor (1 + delta), |delta| <= eps.  Every term of the computed
     determinant is a product of three exact differences times the
     roundings it passed through, at most seven: its three differences,
     the product in its 2x2 minor, the minor's subtraction, the product
     with u and the first of the two sums.  So before the last sum the
-    float value is within (7 eps + O(eps^2)) perm of the true
+    computed value is within (7 eps + O(eps^2)) perm of the true
     determinant, perm being the sum of the six terms' magnitudes; and the
     last sum rounds by eps times its own result, which changes no sign
     the bound proves.  Shewchuk (Discrete Comput. Geom. 18, 1997) bounds
-    the second-order terms, the rounding of the float permanent and of
-    the product _ORIENT_EPS * perm by 56 eps^2, which gives his
-    o3derrboundA = (7 + 56 eps) eps for this very evaluation order, and a
-    sign is proved when |det| exceeds that bound.
+    the second-order terms, the rounding of the computed permanent and of
+    the product errbound * perm by 56 eps^2, which gives his
+    o3derrboundA = (7 + 56 eps) eps for this very evaluation order and
+    any eps, and a sign is proved when |det| exceeds that bound.
 
     The bound covers rounding only: overflow gives inf/nan and fails the
     comparison, and the range checks (permanent above 2^-600, max |b-a|
-    below 2^300) keep underflow -- at most 2^-1074 per product, times
-    |b-a| -- far below it.  A proved sign is never 0.
+    below 2^300) keep underflow -- at most 2^-1074 per double product,
+    times |b-a| -- far below it.  In long double, whose 15-bit exponent
+    reaches 2^+-16382, double inputs can neither under- nor overflow: a
+    nonzero difference of two doubles lies between 2^-1074 and 2^1025,
+    so every nonzero intermediate stays between about 2^-3500 and
+    2^3100.  The checks guard nothing there; they only pass the
+    extreme-exponent rows that doubles rejected on to integers.  A
+    proved sign is never 0.
     """
     u = b - a
     v = c - a
@@ -191,11 +206,33 @@ def _orient3d_filter(a, b, c, d):
     perm = (au[..., 0] * (av[..., 1] * aw[..., 2] + av[..., 2] * aw[..., 1])
             + au[..., 1] * (av[..., 0] * aw[..., 2] + av[..., 2] * aw[..., 0])
             + au[..., 2] * (av[..., 0] * aw[..., 1] + av[..., 1] * aw[..., 0]))
-    bound = _ORIENT_EPS * perm
-    ok = ((bound > _ORIENT_EPS * _FILTER_TINY)
+    bound = errbound * perm
+    ok = ((bound > errbound * _FILTER_TINY)
           & (np.maximum(np.maximum(au[..., 0], au[..., 1]), au[..., 2])
              < _FILTER_HUGE))
     return (ok & (det > bound)).astype(np.int8) - (ok & (det < -bound))
+
+
+@functools.cache
+def _long_orient_eps():
+    """(7 + 56 eps) eps for np.longdouble, or None where its arithmetic
+    is not both wider and longer-ranged than double's.
+
+    The unit roundoff eps = 2^-(nmant + 1) from np.finfo must be at most
+    2^-64 (x87 extended, IEEE quad) and the exponent must have 15 bits.
+    An array probe then checks that sums and products really round at
+    eps: an x87 unit set to 53-bit precision reports 64 bits in np.finfo
+    but rounds 1 + 2 eps to 1, which would make the bound false.  With
+    eps = 2^-p, 7 + 56 eps spans p bits, so the bound is exact.
+    """
+    info = np.finfo(np.longdouble)
+    if info.nmant < 63 or info.nexp < 15:
+        return None
+    eps = np.longdouble(2.0) ** -(info.nmant + 1)
+    x = np.ones(2, dtype=np.longdouble) + 2 * eps
+    if not ((x - 1 == 2 * eps).all() and (x * x - 1 == 4 * eps).all()):
+        return None
+    return (7 + 56 * eps) * eps
 
 
 def _scaled_ints(points):
@@ -233,20 +270,29 @@ def _det3(a, b, c, d):
 def _orient3d_exact(a, b, c, d):
     """Exact signs of det[b-a, c-a, d-a] over broadcast stacks (..., 3).
 
-    `_orient3d_filter` proves what it can; the signs it leaves open come
-    from one integer conversion of the open quadruples and one
-    object-array determinant over all of them.
+    `_orient3d_filter` proves what it can in doubles, then in long double
+    (where `_long_orient_eps` finds it wider) on the quadruples doubles
+    leave open; the signs left after both come from one integer
+    conversion of those quadruples and one object-array determinant over
+    all of them: exact zeros, extreme-exponent rows and rows with |det|
+    below about 2^-61 of the permanent.
     """
     pts = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                 for x in (a, b, c, d)))
     shape = pts[0].shape[:-1]
     pts = [x.reshape(-1, 3) for x in pts]
-    sign = _orient3d_filter(*pts)
+    sign = _orient3d_filter(*pts, _ORIENT_EPS)
     todo = np.flatnonzero(sign == 0)
+    quads = np.stack([np.take(x, todo, axis=0) for x in pts], axis=1)
+    long_eps = _long_orient_eps()
+    if len(todo) and long_eps is not None:
+        part = _orient3d_filter(
+            *quads.astype(np.longdouble).transpose(1, 0, 2), long_eps)
+        np.put(sign, todo, part)
+        todo = np.compress(part == 0, todo)
+        quads = np.compress(part == 0, quads, axis=0)
     if len(todo):
-        quads = _scaled_ints(np.stack([np.take(x, todo, axis=0)
-                                       for x in pts], axis=1))
-        det = _det3(*quads.transpose(1, 2, 0))
+        det = _det3(*_scaled_ints(quads).transpose(1, 2, 0))
         sign[todo] = (det > 0).astype(np.int8) - (det < 0)
     return sign.reshape(shape)
 

@@ -285,12 +285,14 @@ class HemisphereExtension:
 
     def jet(self, theta):
         """(F, F', F'') from one series evaluation: F = sin G, F'' = -sin G
-        + 2 cos G' + sin G'' with G'' from the G equation (nan at 0)."""
+        + 2 cos G' + sin G'' with G'' from the G equation.  At the pole
+        sin = G' = 0, so F''(0) = 0 for any finite G''; cot is taken as 0
+        there, which keeps G'' finite."""
         theta = np.asarray(theta, dtype=float)
         g, gp = self._g_pair(theta)
         s, c = np.sin(theta), np.cos(theta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gpp = (self.n + 1.0) * g - (self.n + 2.0) * (c / s) * gp
+        cot = np.divide(c, s, out=np.zeros(np.shape(s)), where=s != 0.0)
+        gpp = (self.n + 1.0) * g - (self.n + 2.0) * cot * gp
         return tuple(out if out.ndim else float(out) for out in (
             self._scale * s * g, self._scale * (c * g + s * gp),
             self._scale * (-s * g + 2.0 * c * gp + s * gpp)))

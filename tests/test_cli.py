@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import sphere_spectra
-from sphere_spectra import radial
+from sphere_spectra import cli, radial
 from sphere_spectra.cli import main
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_geodesic_sphere,
@@ -426,6 +426,63 @@ def test_config_unknown_key_with_space_ignored(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0].startswith("name,")
     assert len(captured.out.splitlines()) == 1 and captured.err == ""
+
+
+def test_parser_built_once_prints_as_fresh_parsers(tmp_path, monkeypatch,
+                                                   capsys):
+    # one parser serves every call of the process: successive commands,
+    # config files and usage errors print what a parser built for each
+    # call prints, and no value of one call leaks into the next
+    files = {"constants.cfg": "dim = 4\nlambda = 2.5\n",
+             "offsets.cfg": "res = 8\nts = 0.2\ncolour = dark red\n",
+             "oracles.cfg": "dims = 3\nonly = interior\n",
+             "report.cfg": "colour = red\n",
+             "bad.cfg": "dim = x\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cfg = {name: str(tmp_path / name) for name in files}
+    calls = [
+        ["constants", "--dim", "3", "--lambda", "1.8"],
+        ["verify-oracles", "--dims", "2", "--only", "bochner"],
+        ["constants", "--config", cfg["constants.cfg"]],
+        ["constants"],
+        ["offsets", "--res", "8", "--ts", "0.1"],
+        ["offsets", "--config", cfg["offsets.cfg"], "--ts", "0.3"],
+        ["verify-oracles", "--config", cfg["oracles.cfg"]],
+        ["verify-oracles", "--dims", "2", "--only", "bochner"],
+        ["report", "--config", cfg["report.cfg"]],
+        ["constants", "--config", cfg["bad.cfg"]],
+        ["constants", "--dim", "x"],
+        ["verify-oracles", "--only", "bogus"],
+        ["no-such-command"],
+        ["constants", "--lambda", "1.8"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    cached = cli._parser
+    cached.cache_clear()
+    try:
+        once = [run(argv) for argv in calls]
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_parser", build)
+        fresh = [run(argv) for argv in calls]
+    finally:
+        cached.cache_clear()
+    assert once == fresh
+    codes = [code for code, _, _ in once]
+    assert codes == [0] * 9 + [2] * 4 + [0]
+    assert "n = 4" in once[2][1] and "n = 2" in once[3][1]
 
 
 _CLOSED_STDOUT_CHILD = """

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -120,7 +121,7 @@ def clifford_rectangles():
 def test_orient3d_projected_clifford_rectangles(clifford_rectangles):
     quads = clifford_rectangles
     sign = _orient3d_filter(quads[:, 0], quads[:, 1], quads[:, 2],
-                            quads[:, 3])
+                            quads[:, 3], intersect._ORIENT_EPS)
     assert (sign == 0).mean() > 0.9                # floats cannot decide
     _assert_orient3d_agrees(quads)
 
@@ -150,25 +151,194 @@ WRONG_SIGN_QUADS = [
 ]
 
 
-def test_orient3d_filter_leaves_wrong_float_signs_open():
-    quads = np.array([[[float.fromhex(x) for x in p] for p in q]
-                      for q in WRONG_SIGN_QUADS])
-    a, b, c, d = quads.transpose(1, 0, 2)
+def _filter_det(a, b, c, d):
+    """The determinant and permanent of `_orient3d_filter`, in its
+    evaluation order and the inputs' dtype."""
     u, v, w = b - a, c - a, d - a
     m0 = v[:, 1] * w[:, 2] - v[:, 2] * w[:, 1]
     m1 = v[:, 0] * w[:, 2] - v[:, 2] * w[:, 0]
     m2 = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
     det = u[:, 0] * m0 - u[:, 1] * m1 + u[:, 2] * m2
+    au, av, aw = np.abs(u), np.abs(v), np.abs(w)
+    perm = (au[:, 0] * (av[:, 1] * aw[:, 2] + av[:, 2] * aw[:, 1])
+            + au[:, 1] * (av[:, 0] * aw[:, 2] + av[:, 2] * aw[:, 0])
+            + au[:, 2] * (av[:, 0] * aw[:, 1] + av[:, 1] * aw[:, 0]))
+    return det, perm
+
+
+def _hex_quads(quads):
+    return np.array([[[float.fromhex(x) for x in p] for p in q]
+                     for q in quads])
+
+
+def test_orient3d_filter_leaves_wrong_float_signs_open():
+    quads = _hex_quads(WRONG_SIGN_QUADS)
+    a, b, c, d = quads.transpose(1, 0, 2)
+    det, perm = _filter_det(a, b, c, d)
     exact = np.array([_orient3d_fraction(*q) for q in quads])
     assert (np.sign(det) == -exact).all() and (exact != 0).all()
     # the first misses by over 2 eps times its permanent, so a filter
     # bound of 2 eps would prove its wrong sign
-    au, av, aw = np.abs(u[0]), np.abs(v[0]), np.abs(w[0])
-    perm = (au[0] * (av[1] * aw[2] + av[2] * aw[1])
-            + au[1] * (av[0] * aw[2] + av[2] * aw[0])
-            + au[2] * (av[0] * aw[1] + av[1] * aw[0]))
-    assert abs(det[0]) > 2.0 * 2.0 ** -53 * perm
-    assert (_orient3d_filter(a, b, c, d) == 0).all()
+    assert abs(det[0]) > 2.0 * 2.0 ** -53 * perm[0]
+    assert (_orient3d_filter(a, b, c, d, intersect._ORIENT_EPS) == 0).all()
+
+
+# ---------------------------------------------------------------------------
+# the long-double stage between the float filter and the integers
+
+needs_long = pytest.mark.skipif(
+    intersect._long_orient_eps() is None,
+    reason="np.longdouble is no wider than double here")
+# the pinned rows and roundings are those of a 64-bit mantissa
+needs_x87 = pytest.mark.skipif(
+    intersect._long_orient_eps() is None
+    or np.finfo(np.longdouble).nmant != 63,
+    reason="np.longdouble is not x87 extended precision here")
+
+
+@pytest.fixture
+def integer_rows(monkeypatch):
+    """The rows of every `_scaled_ints` call, one list per call."""
+    rows = []
+    scaled = intersect._scaled_ints
+    monkeypatch.setattr(intersect, "_scaled_ints",
+                        lambda pts: rows.append(pts) or scaled(pts))
+    return rows
+
+
+def _ratio_fraction(q):
+    """|det| / perm of a quadruple, in rational arithmetic."""
+    a, b, c, d = ([Fraction(x) for x in p] for p in q)
+    u, v, w = ([y - x for x, y in zip(a, p)] for p in (b, c, d))
+    terms = [u[i] * v[j] * w[k] * s for i, j, k, s in (
+        (0, 1, 2, 1), (0, 2, 1, -1), (1, 0, 2, -1), (1, 2, 0, 1),
+        (2, 0, 1, 1), (2, 1, 0, -1))]
+    return abs(sum(terms)) / sum(map(abs, terms))
+
+
+def test_long_orient_eps_is_shewchuk_bound():
+    eps = intersect._long_orient_eps()
+    if eps is None:
+        # no wider arithmetic here: the stage is skipped, never run loose
+        assert np.finfo(np.longdouble).nmant < 63 \
+            or np.finfo(np.longdouble).nexp < 15 \
+            or (np.ones(1, np.longdouble) + 2.0 ** -63 == 1).all()
+        return
+    unit = Fraction(1, 2 ** (np.finfo(np.longdouble).nmant + 1))
+    assert eps.dtype == np.longdouble and unit <= Fraction(1, 2 ** 64)
+    assert Fraction(*eps.as_integer_ratio()) == (7 + 56 * unit) * unit
+    assert intersect._ORIENT_EPS == (7 + 56 * 2.0 ** -53) * 2.0 ** -53
+
+
+@needs_long
+def test_long_double_decides_near_coplanar_without_integers(integer_rows):
+    # a fourth point rounded onto the plane of three: |det| / perm is
+    # about 2^-53 and below, where doubles prove no sign; at or above
+    # 2^-60 (past twice the long-double bound 7 * 2^-64) long double
+    # proves every one, and between 2^-61 and 2^-60 the integers take the
+    # few it leaves
+    rng = np.random.default_rng(31)
+    n = 4000
+    a, b, c = rng.uniform(-1.0, 1.0, (3, n, 3))
+    # per-coordinate exponents down to 2^-20: inexact differences too
+    a, b, c = (np.ldexp(x, rng.integers(-20, 1, (n, 3))) for x in (a, b, c))
+    s, t = rng.uniform(-1.0, 2.0, (2, n, 1))
+    quads = np.stack([a, b, c, a + s * (b - a) + t * (c - a)], axis=1)
+    ratio = np.array([float(_ratio_fraction(q)) for q in quads.tolist()])
+    low = np.log2(np.maximum(ratio, 2.0 ** -1000))
+    keep = (low >= -61) & (low <= -50)
+    quads, low = quads[keep], low[keep]
+    assert len(quads) > 0.9 * n and (low < -59).sum() >= 10
+    args = quads.transpose(1, 0, 2)
+    assert (_orient3d_filter(*args, intersect._ORIENT_EPS) == 0).mean() > 0.9
+    proved = low >= -60
+    signs = _orient3d_exact(*quads[proved].transpose(1, 0, 2))
+    assert integer_rows == []
+    assert signs.tolist() == [_orient3d_fraction(*q)
+                              for q in quads[proved].tolist()]
+    assert _orient3d_exact(*args).tolist() \
+        == [_orient3d_fraction(*q) for q in quads.tolist()]
+    assert sum(map(len, integer_rows)) <= (~proved).sum()
+
+
+# exactly and nearly coplanar quadruples whose x87 long-double
+# determinant, rounded in the filter's evaluation order, exceeds
+# 2^-63 perm (twice the unit roundoff): a, a + e_x, c and k c with a
+# nearly parallel to c in y and z.  The exact determinant is 0 in the
+# first two and a few hundredths of 2^-64 perm, of the other sign, in
+# the others.
+LONG_ROUNDOFF_QUADS = [
+    [("0x0.0p+0", "0x1.0113ef4696520p-17", "0x1.1331a95cf2660p-17"),
+     ("0x1.0000000000000p+0", "0x1.0113ef4696520p-17", "0x1.1331a95cf2660p-17"),
+     ("0x1.136768a593290p+0", "0x1.0113ef4696520p+0", "0x1.1331a95cf2660p+0"),
+     ("-0x1.136768a593290p+0", "-0x1.0113ef4696520p+0",
+      "-0x1.1331a95cf2660p+0")],
+    [("0x0.0p+0", "0x1.0df2ac0b65d50p-16", "0x1.1843d12d47ab0p-16"),
+     ("0x1.0000000000000p+0", "0x1.0df2ac0b65d50p-16", "0x1.1843d12d47ab0p-16"),
+     ("0x1.0374c5783f820p+0", "0x1.0df2ac0b65d50p+0", "0x1.1843d12d47ab0p+0"),
+     ("0x1.4451f6d64f628p+2", "0x1.516f570e3f4a4p+2", "0x1.5e54c5789995cp+2")],
+]
+LONG_WRONG_SIGN_QUADS = [
+    [("0x0.0p+0", "0x1.174b60740e7e4p-23", "0x1.03bdb77f0384cp-23"),
+     ("0x1.0000000000000p+0", "0x1.174b60740e7e4p-23", "0x1.03bdb77f0384cp-23"),
+     ("0x1.0153c463b3db0p+0", "0x1.174b60740e730p+0", "0x1.03bdb77f03800p+0"),
+     ("-0x1.0153c463b3db0p+0", "-0x1.174b60740e730p+0",
+      "-0x1.03bdb77f03800p+0")],
+    [("0x0.0p+0", "0x1.0c1a978ded201p-21", "0x1.1202e32e61df6p-21"),
+     ("0x1.0000000000000p+0", "0x1.0c1a978ded201p-21", "0x1.1202e32e61df6p-21"),
+     ("0x1.07ca20b11c6d0p+0", "0x1.0c1a978ded240p+0", "0x1.1202e32e61e20p+0"),
+     ("-0x1.07ca20b11c6d0p+0", "-0x1.0c1a978ded240p+0",
+      "-0x1.1202e32e61e20p+0")],
+    [("0x0.0p+0", "0x1.0ab23b568b3b4p-22", "0x1.06c677c2c0c02p-22"),
+     ("0x1.0000000000000p+0", "0x1.0ab23b568b3b4p-22", "0x1.06c677c2c0c02p-22"),
+     ("0x1.064af96f85420p+0", "0x1.0ab23b568b380p+0", "0x1.06c677c2c0bf0p+0"),
+     ("0x1.47ddb7cb66928p+2", "0x1.4d5eca2c2e060p+2", "0x1.487815b370eecp+2")],
+]
+
+
+@needs_x87
+def test_long_double_leaves_wrong_signs_to_integers(integer_rows):
+    zero = _hex_quads(LONG_ROUNDOFF_QUADS)
+    wrong = _hex_quads(LONG_WRONG_SIGN_QUADS)
+    quads = np.concatenate([zero, wrong])
+    exact = np.array([_orient3d_fraction(*q) for q in quads.tolist()])
+    assert (exact[:len(zero)] == 0).all() and (exact[len(zero):] != 0).all()
+    args = quads.transpose(1, 0, 2).astype(np.longdouble)
+    det, perm = _filter_det(*args)
+    assert (np.sign(det[len(zero):]) == -exact[len(zero):]).all()
+    # each misses by over 2^-63 times its permanent, so a long-double
+    # bound of twice the unit roundoff would prove a sign that is wrong
+    assert (np.abs(det) > 2 * np.longdouble(2.0) ** -64 * perm).all()
+    assert (_orient3d_filter(*args, intersect._long_orient_eps()) == 0).all()
+    assert _orient3d_exact(*quads.transpose(1, 0, 2)).tolist() \
+        == exact.tolist()
+    assert len(integer_rows) == 1 and len(integer_rows[0]) == len(quads)
+
+
+@needs_x87
+def test_rows_below_long_double_bound_reach_integers(clifford_rectangles,
+                                                     integer_rows):
+    # exact zeros (parallelograms on a 2^-20 grid) and nonzero rows with
+    # |det| / perm below 2^-64: a, a + e_x, c and 3 c with a one unit in
+    # the last place off parallel to c in y and z
+    grid = np.round(clifford_rectangles * 2.0 ** 20) / 2.0 ** 20
+    grid[:, 3] = grid[:, 1] + grid[:, 2] - grid[:, 0]
+    rng = np.random.default_rng(32)
+    c = np.round(rng.uniform(1.0, 1.1, (200, 3)) * 2.0 ** 48) / 2.0 ** 48
+    a = np.ldexp(c, -rng.integers(12, 24, (200, 1)))
+    a[:, 1:] += np.spacing(a[:, 1:]) * rng.choice([-1.0, 1.0], (200, 2))
+    a[:, 0] = 0.0
+    b = a.copy()
+    b[:, 0] = 1.0
+    near = np.stack([a, b, c, 3.0 * c], axis=1)
+    quads = np.concatenate([grid, near])
+    ratio = [_ratio_fraction(q) for q in quads.tolist()]
+    assert all(r == 0 for r in ratio[:len(grid)])
+    assert all(0 < r < Fraction(1, 2 ** 64) for r in ratio[len(grid):])
+    signs = _orient3d_exact(*quads.transpose(1, 0, 2))
+    assert signs.tolist() == [_orient3d_fraction(*q) for q in quads.tolist()]
+    assert len(integer_rows) == 1
+    assert np.array_equal(integer_rows[0], quads)
 
 
 def test_orient_extreme_exponents():
@@ -202,7 +372,7 @@ def test_orient_signed_zeros():
     _assert_orient3d_agrees(quads)
 
 
-def test_orient3d_one_batch_mixed_exponents(monkeypatch):
+def test_orient3d_one_batch_mixed_exponents(integer_rows):
     # the stacks of the extreme-exponent, underflow and signed-zero tests
     # in one call: one integer conversion, each row over its own power
     # of two
@@ -218,16 +388,13 @@ def test_orient3d_one_batch_mixed_exponents(monkeypatch):
          [(-0.0, -0.0, -0.0), (1.0, -0.0, 0.0), (0.0, 1.0, -0.0),
           (0.0, 0.0, 1.0)]],
     ])
-    rows = []
-    scaled = intersect._scaled_ints
-    monkeypatch.setattr(intersect, "_scaled_ints",
-                        lambda pts: rows.append(pts) or scaled(pts))
     signs = _orient3d_exact(*quads.transpose(1, 0, 2))
     assert signs.tolist() == [_orient3d_fraction(*q) for q in quads.tolist()]
-    assert len(rows) == 1
-    _, expo = np.frexp(rows[0])
+    assert len(integer_rows) == 1
+    _, expo = np.frexp(integer_rows[0])
     spread = expo.max(axis=(1, 2)) - expo.min(axis=(1, 2))
-    assert len(rows[0]) > 100 and spread.min() < 10 < 1000 < spread.max()
+    assert len(integer_rows[0]) > 100 \
+        and spread.min() < 10 < 1000 < spread.max()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -783,6 +950,7 @@ def test_witness_cap_does_not_decide_embeddedness(monkeypatch):
     embedded, witnesses = self_intersection_test(union, max_witnesses=1)
     assert not embedded and len(witnesses) == 1
     # the same with every sign left to integers and one pair a chunk
+    monkeypatch.setattr(intersect, "_long_orient_eps", lambda: None)
     monkeypatch.setattr(intersect, "_orient3d_filter",
                         lambda *pts: np.zeros(len(pts[0]), dtype=np.int8))
     monkeypatch.setattr(intersect, "_EXACT_CHUNK", 1)
@@ -803,37 +971,54 @@ def _crossed_clifford_32():
                           rotate_mesh(gen_clifford_torus(32, 32), 0, 2, 0.9))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.1),
-    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.4),
-    lambda: offset_mesh(gen_clifford_torus(16, 16), 0.7),
-    _crossed_clifford_32,
-    _crossed_flat_tori,
-], ids=["clifford-16-t0.1", "clifford-16-t0.4", "clifford-16-t0.7",
-        "crossed-clifford-32", "crossed-flat-tori"])
-def test_witnesses_match_fraction_loop(make):
-    # every candidate pair through the rational predicate: the witnesses
-    # are the `cap` smallest meeting pairs, whatever the cap
-    mesh = make()
+_FRACTION_LOOP_MESHES = {
+    "clifford-16-t0.1": lambda: offset_mesh(gen_clifford_torus(16, 16), 0.1),
+    "clifford-16-t0.4": lambda: offset_mesh(gen_clifford_torus(16, 16), 0.4),
+    "clifford-16-t0.7": lambda: offset_mesh(gen_clifford_torus(16, 16), 0.7),
+    "crossed-clifford-32": _crossed_clifford_32,
+    "crossed-flat-tori": _crossed_flat_tori,
+}
+
+
+@functools.cache
+def _fraction_loop_case(name):
+    """A mesh and its meeting candidate pairs by the rational predicate,
+    computed once for both settings of the long-double stage."""
+    mesh = _FRACTION_LOOP_MESHES[name]()
     points = _projected(mesh)
     tp = points[mesh.triangles]
     meets = [(i, j) for i, j in _broad_phase(points, mesh.triangles).tolist()
              if _triangles_intersect_fraction(tp[i], tp[j])]
+    return mesh, meets
+
+
+# with the long-double stage, and without it (suffix "-integers") as on a
+# platform whose long double is double
+@pytest.mark.parametrize("name,long_stage", [
+    pytest.param(name, long_stage,
+                 id=name + ("" if long_stage else "-integers"))
+    for long_stage in (True, False) for name in _FRACTION_LOOP_MESHES])
+def test_witnesses_match_fraction_loop(name, long_stage, monkeypatch):
+    # every candidate pair through the rational predicate: the witnesses
+    # are the `cap` smallest meeting pairs, whatever the cap
+    if not long_stage:
+        monkeypatch.setattr(intersect, "_long_orient_eps", lambda: None)
+    mesh, meets = _fraction_loop_case(name)
     assert meets == sorted(meets)
     for cap in (0, 1, 64, 230, 10**6):
         assert self_intersection_test(mesh, max_witnesses=cap) \
             == (not meets, meets[:cap])
 
 
-def test_exact_fallback_converts_once_per_batch(monkeypatch):
+def test_exact_fallback_converts_once_per_batch(integer_rows, monkeypatch):
     # one integer conversion for the side signs and one for the line
-    # signs, however many signs floats leave open
-    rows = []
-    scaled = intersect._scaled_ints
-    monkeypatch.setattr(intersect, "_scaled_ints",
-                        lambda pts: rows.append(len(pts)) or scaled(pts))
+    # signs, however many signs floats leave open (with the long-double
+    # stage off, as where long double is double: it leaves none open on
+    # this mesh)
+    monkeypatch.setattr(intersect, "_long_orient_eps", lambda: None)
     mesh = offset_mesh(gen_clifford_torus(16, 16), 0.4)
     assert self_intersection_test(mesh) == (True, [])
+    rows = list(map(len, integer_rows))
     assert 1 <= len(rows) <= 2 and sum(rows) > 100
 
 

@@ -165,9 +165,13 @@ def test_hemisphere_extension_invariants(n):
         BOUNDARY_DERIVATIVE[n], rel=1e-10)
     # regular branch: F ~ c * theta at the pole
     assert ext.f(1e-6) / 1e-6 == pytest.approx(ext.fp(1e-7), rel=1e-4)
-    # at the pole itself F and F' are exact, without a warning
-    f0, fp0, _ = ext.jet(0.0)
+    # at the pole itself F, F' and F'' are exact, without a warning: F is
+    # odd, so F''(0) = 0, and F'' -> 0 as theta -> 0
+    f0, fp0, fpp0 = ext.jet(0.0)
     assert f0 == 0.0 and fp0 == pytest.approx(ext.fp(1e-7), rel=1e-12)
+    assert fpp0 == 0.0 and ext.fpp(0.0) == 0.0 and abs(ext.fpp(1e-6)) < 1e-4
+    f, fp, fpp = ext.jet(np.array([0.0, -0.0, 0.3]))
+    assert fpp[:2].tolist() == [0.0, 0.0] and fpp[2] == ext.fpp(0.3)
 
 
 def test_hemisphere_extension_rejects_theta_past_series_range():
