@@ -9,8 +9,9 @@ Subcommands::
     report          merge verification reports into CSV/JSON
 
 Exit codes: 0 ok, 2 usage (a file that cannot be read or written
-included), 3 mesh error, 4 solver failure, 5 failed oracle check, 6
-report schema mismatch, 141 (128 + SIGPIPE) stdout closed by its reader.
+included), 3 mesh error, 4 solver failure (eigensolver or quadrature),
+5 failed oracle check, 6 report schema mismatch, 141 (128 + SIGPIPE)
+stdout closed by its reader.
 
 A config file (--config) holds `key = value` lines ('#' starts a
 comment).  Each line is read as the option `--key=value` of the chosen
@@ -32,6 +33,7 @@ from .generators import gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere
 from .geometry import HorizonError
 from .intersect import PoleSelectionError
 from .mesh import MeshError, offset_horizon, write_text_atomic
+from .quadrature import QuadratureError
 from .s3off import read_s3off
 from .spectral import ConvergenceError
 
@@ -410,7 +412,7 @@ def main(argv=None):
         # that could not be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
+    except (ConvergenceError, QuadratureError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -28,10 +28,20 @@ __all__ = [
 
 
 def sphere_volume(d):
-    """Volume (d-dimensional measure) of the unit sphere S^d."""
+    """Volume (d-dimensional measure) of the unit sphere S^d.
+
+    From d = 343 on, Gamma((d + 1)/2) overflows a double although the
+    volume does not (Vol(S^343) ~ 5e-224); there it is taken in log
+    space, to a relative error of about 1e-13 while the volume is a
+    normal double; it underflows to 0 from d = 455 on.
+    """
     if d < 0:
         raise ValueError("dimension must be >= 0")
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    except OverflowError:
+        return 2.0 * math.exp((d + 1) / 2.0 * math.log(math.pi)
+                              - math.lgamma((d + 1) / 2.0))
 
 
 def default_slack(n):

@@ -54,12 +54,13 @@ def _rule(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    k = half * float(fx @ _WK_FULL)
-    g = half * float(fx @ _WG_FULL)
+    # ndarray.dot: the BLAS dot of `@`, with less call overhead
+    k = half * float(fx.dot(_WK_FULL))
+    g = half * float(fx.dot(_WG_FULL))
     diff = abs(k - g)
     # QUADPACK-style sharpened estimate; never report below a roundoff floor.
     err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
-    floor = _ROUNDOFF * half * float(np.abs(fx) @ _WK_FULL)
+    floor = _ROUNDOFF * half * float(np.abs(fx).dot(_WK_FULL))
     return k, max(err, floor)
 
 
@@ -68,10 +69,12 @@ def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
     tol, or with relative=True to tol * (1 + |k|), k the Kronrod value of
     the first rule on [a, b].
 
-    Returns (value, error_estimate).  Greedy bisection of the interval
-    with the largest error estimate; raises QuadratureError if more than
-    `limit` intervals would be needed or the result is not finite, and
-    ValueError for a NaN or negative tol.
+    Returns (value, error_estimate).  When the first rule already meets
+    the target its (value, error) is returned at once, with no heap;
+    otherwise greedy bisection of the interval with the largest error
+    estimate.  Raises QuadratureError if more than `limit` intervals
+    would be needed or the result is not finite, and ValueError for a
+    NaN or negative tol.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
@@ -84,6 +87,9 @@ def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
     val, err = _rule(f, a, b)
     if relative:
         tol = tol * (1.0 + abs(val))
+    if not err > tol:
+        # + 0.0 maps -0.0 to 0.0, as the sum below does for one interval
+        return _finite(val + 0.0, err)
     # heap of (-err, seq, a, b, val, err); seq breaks ties deterministically
     seq = 0
     heap = [(-err, seq, a, b, val, err)]
@@ -126,8 +132,13 @@ def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
     # fixed summation order for determinism
     items = sorted(heap, key=lambda it: it[2])
     value = float(np.sum(np.array([it[4] for it in items])))
-    if not (math.isfinite(value) and math.isfinite(total_err)):
+    return _finite(value, total_err)
+
+
+def _finite(value, err):
+    """(value, err), or QuadratureError if either is not finite."""
+    if not (math.isfinite(value) and math.isfinite(err)):
         raise QuadratureError(
-            f"non-finite result {value} (error estimate {total_err})",
-            value=value, achieved=total_err)
-    return value, total_err
+            f"non-finite result {value} (error estimate {err})",
+            value=value, achieved=err)
+    return value, err

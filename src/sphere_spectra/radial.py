@@ -17,7 +17,11 @@ inequality independently (by quadrature, or pointwise from closed-form
 derivatives for the Bochner identity) and returns a report whose gap or
 slack `judge`, the one pass rule of them all, compares with a relative
 threshold.  `ORACLES` is the suite that `sphere-spectra verify-oracles`
-prints.
+prints.  It takes each distinct integral once: the two interior rows
+share their Hessian integral and the four collar rows of each t their
+two band integrals (through the same helpers as the one-report
+functions), and the chain's two integrals share the series evaluation
+of each node set.
 """
 
 import math
@@ -223,10 +227,16 @@ def verify_interior_gradient_radial(n, r0, r1, t):
     where the shrunk annulus retreats 2t from both boundary spheres.
     Requires 2t < (r1 - r0)/2.
     """
+    return _interior_reports(n, r0, r1, (t,))[0]
+
+
+def _interior_reports(n, r0, r1, ts):
+    """`verify_interior_gradient_radial` at each t of ts, with the Hessian
+    integral over (r0, r1), which does not depend on t, taken once."""
     n = _check_dim(n)
     if not (0.0 < r0 < r1 < math.pi):
         raise ValueError("need 0 < r0 < r1 < pi")
-    if not (0.0 < 2.0 * t < (r1 - r0) / 2.0):
+    if not all(0.0 < 2.0 * t < (r1 - r0) / 2.0 for t in ts):
         raise ValueError("need 0 < 2t < (r1 - r0)/2")
     omega = sphere_volume(n)
 
@@ -239,14 +249,17 @@ def verify_interior_gradient_radial(n, r0, r1, t):
         vpp = -n * (c / s) * vp
         return (vpp ** 2 + n * (vp * c / s) ** 2) * omega * s ** n
 
-    lhs, _ = integrate(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t, _QUAD_TOL,
-                       relative=True)
     hess, _ = integrate(hess_integrand, r0, r1, _QUAD_TOL, relative=True)
-    rhs = hess / ((n - 1) * t ** 2)
-    return judge(InequalityReport,
-                 f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
-                 lhs, rhs, 1e-10,
-                 {"ratio": lhs / rhs if rhs > 0 else math.inf})
+    reports = []
+    for t in ts:
+        lhs, _ = integrate(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t,
+                           _QUAD_TOL, relative=True)
+        rhs = hess / ((n - 1) * t ** 2)
+        reports.append(judge(
+            InequalityReport,
+            f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
+            lhs, rhs, 1e-10, {"ratio": lhs / rhs if rhs > 0 else math.inf}))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +298,18 @@ class HemisphereExtension:
 
     def jet(self, theta):
         """(F, F', F'') from one series evaluation: F = sin G, F'' = -sin G
-        + 2 cos G' + sin G'' with G'' from the G equation.  At the pole
-        sin = G' = 0, so F''(0) = 0 for any finite G''; cot is taken as 0
-        there, which keeps G'' finite."""
+        + 2 cos G' + sin G'' with G'' from the G equation.  Below |sin| =
+        1e-300, where cot overflows, the term cot G' of G'' is taken as
+        cos (G' / sin), finite since G' ~ sin G''(0), and as 0 at the pole,
+        where sin = G' = 0 and so F''(0) = 0."""
         theta = np.asarray(theta, dtype=float)
         g, gp = self._g_pair(theta)
         s, c = np.sin(theta), np.cos(theta)
-        cot = np.divide(c, s, out=np.zeros(np.shape(s)), where=s != 0.0)
-        gpp = (self.n + 1.0) * g - (self.n + 2.0) * cot * gp
+        wide = np.abs(s) >= 1e-300
+        cot = np.divide(c, s, out=np.zeros(np.shape(s)), where=wide)
+        slope = np.divide(gp, s, out=np.zeros(np.shape(s)), where=s != 0.0)
+        gpp = (self.n + 1.0) * g - np.where(
+            wide, (self.n + 2.0) * cot * gp, (self.n + 2.0) * c * slope)
         return tuple(out if out.ndim else float(out) for out in (
             self._scale * s * g, self._scale * (c * g + s * gp),
             self._scale * (-s * g + 2.0 * c * gp + s * gpp)))
@@ -387,15 +404,22 @@ def verify_choiwang_chain_hemisphere(n):
     n = _check_dim(n)
     ext = solve_hemisphere_extension(n)
     lam1 = float(n)
+    # both integrals start on [0, pi/2] and split the same halves: each
+    # node set gets one series evaluation, keyed by the nodes' bytes
+    jets = {}
+
+    def jet(th):
+        key = th.tobytes()
+        if key not in jets:
+            jets[key] = (np.sin(th), np.cos(th), *ext.jet(th))
+        return jets[key]
 
     def grad_integrand(th):
-        s = np.sin(th)
-        f, fp, _ = ext.jet(th)
+        s, _, f, fp, _ = jet(th)
         return (fp ** 2 + n * f ** 2 / s ** 2) * s ** n
 
     def hess_integrand(th):
-        s, c = np.sin(th), np.cos(th)
-        f, fp, fpp = ext.jet(th)
+        s, c, f, fp, fpp = jet(th)
         mixed = (2.0 * n / s ** 2) * (fp - (c / s) * f) ** 2
         fiber = n * ((f - c * s * fp) / s ** 2) ** 2
         return (fpp ** 2 + mixed + fiber) * s ** n
@@ -403,8 +427,9 @@ def verify_choiwang_chain_hemisphere(n):
     grad_energy, hess_energy = (
         integrate(f, 0.0, math.pi / 2.0, _QUAD_TOL, relative=True)[0]
         for f in (grad_integrand, hess_integrand))
-    flux = ext.boundary_derivative * 1.0   # F(pi/2) = 1, ||Y||_2 = 1
-    surface_gradient = ext.boundary_derivative ** 2 + n
+    boundary_derivative = ext.boundary_derivative   # one series evaluation
+    flux = boundary_derivative * 1.0   # F(pi/2) = 1, ||Y||_2 = 1
+    surface_gradient = boundary_derivative ** 2 + n
 
     return ChainReport(
         n=n, lambda1=lam1, grad_energy=grad_energy, boundary_flux=flux,
@@ -438,10 +463,16 @@ def verify_collar_trace_hemisphere(n, t, beta, profile):
     totally geodesic, so the generic curvature-chain bound degenerates
     and the exact value is used instead).
     """
+    return _collar_reports(n, t, (beta,), profile)[0]
+
+
+def _collar_reports(n, t, betas, profile):
+    """`verify_collar_trace_hemisphere` at each beta of betas, with the
+    two band integrals, which do not depend on beta, taken once."""
     n = _check_dim(n)
     if not (0.0 < t < math.pi / 2.0):
         raise ValueError("need 0 < t < pi/2")
-    if beta <= 0:
+    if not all(beta > 0 for beta in betas):
         raise ValueError("beta must be positive")
     omega = sphere_volume(n)
     half_pi = math.pi / 2.0
@@ -461,29 +492,31 @@ def verify_collar_trace_hemisphere(n, t, beta, profile):
         integrate(f, half_pi - t, half_pi, _QUAD_TOL, relative=True)[0]
         for f in (grad_integrand, hess_integrand))
     h_max = n * math.tan(t)
-    rhs = offset_term + (h_max + beta) * omega * collar_grad \
-        + omega * collar_hess / beta
-    return judge(InequalityReport,
-                 f"collar-trace[{profile.name},n={n},t={t:g},beta={beta:g}]",
-                 lhs, rhs, 1e-10,
-                 {"offset_term": offset_term, "h_max": h_max,
-                  "collar_grad": omega * collar_grad,
-                  "collar_hess": omega * collar_hess})
+    extras = {"offset_term": offset_term, "h_max": h_max,
+              "collar_grad": omega * collar_grad,
+              "collar_hess": omega * collar_hess}
+    return [judge(InequalityReport,
+                  f"collar-trace[{profile.name},n={n},t={t:g},beta={beta:g}]",
+                  lhs, offset_term + (h_max + beta) * omega * collar_grad
+                  + omega * collar_hess / beta, 1e-10, dict(extras))
+            for beta in betas]
 
 
 # ---------------------------------------------------------------------------
 # the suite: each kind maps n to its reports, in print order.  The CLI
 # prints 3 of the 6 Reilly profiles; the acceptance tests add the others.
+# The interior rows share their Hessian integral, and the four collar rows
+# of each t their two band integrals; the chain's two integrals share
+# their series evaluations.
 
 ORACLES = {
     "reilly": lambda n: [verify_reilly_radial(n, radius, PROFILES[name])
                          for name in ("cos", "r2", "gauss")
                          for radius in (0.5, 1.0, 1.4)],
     "bochner": lambda n: [verify_bochner_radial(n, 0.3, 1.2)],
-    "interior": lambda n: [verify_interior_gradient_radial(n, 0.3, 1.3, t)
-                           for t in (0.1, 0.2)],
+    "interior": lambda n: _interior_reports(n, 0.3, 1.3, (0.1, 0.2)),
     "chain": lambda n: verify_choiwang_chain_hemisphere(n).reports,
-    "collar": lambda n: [verify_collar_trace_hemisphere(n, t, beta,
-                                                        PROFILES["cos"])
-                         for t in (0.2, 0.3) for beta in (0.1, 0.5, 1.0, 2.0)],
+    "collar": lambda n: [report for t in (0.2, 0.3)
+                         for report in _collar_reports(
+                             n, t, (0.1, 0.5, 1.0, 2.0), PROFILES["cos"])],
 }

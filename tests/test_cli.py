@@ -198,6 +198,19 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_quadrature_failure_exit_code(capsys):
+    # at n = 300 the interior oracle's sin^-2n integrand overflows (with a
+    # numpy warning) and its integral is not finite: a solver failure, one
+    # line and no traceback
+    with pytest.warns(RuntimeWarning) as warned:
+        code = main(["verify-oracles", "--dims", "300", "--only", "interior"])
+    assert code == 4
+    assert any("overflow" in str(w.message) for w in warned)
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: non-finite result")
+    assert err.count("\n") == 1
+
+
 def test_offsets_table(capsys):
     assert main(["offsets", "--gen", "clifford", "--res", "16",
                  "--ts", "0.2,0.8"]) == 0

@@ -235,3 +235,30 @@ def test_sphere_volume_values():
     assert abs(C.sphere_volume(1) - 2.0 * math.pi) < 1e-12
     assert abs(C.sphere_volume(2) - 4.0 * math.pi) < 1e-12
     assert abs(C.sphere_volume(3) - 2.0 * math.pi ** 2) < 1e-12
+
+
+def log_sphere_volume(d):
+    """log Vol(S^d) from Vol(S^1) = 2 pi, Vol(S^2) = 4 pi and the
+    recurrence Vol(S^d) = Vol(S^(d-2)) 2 pi / (d - 1)."""
+    base = 1 if d % 2 else 2
+    return math.fsum([math.log(2.0 * base * math.pi)]
+                     + [math.log(2.0 * math.pi / (k - 1))
+                        for k in range(base + 2, d + 1, 2)])
+
+
+@pytest.mark.parametrize("d", [342, 343, 400, 2000])
+def test_sphere_volume_past_gamma_overflow(d):
+    # Gamma((d + 1)/2) overflows from d = 343 on; the volume does not
+    # until it underflows (to 0 at d = 2000, as its reference does)
+    assert C.sphere_volume(d) == pytest.approx(
+        math.exp(log_sphere_volume(d)), rel=1e-12, abs=0.0)
+    if d == 342:
+        assert C.sphere_volume(d) == 2.0 * math.pi ** 171.5 / math.gamma(171.5)
+
+
+def test_sphere_volume_decreases_past_six():
+    vols = [C.sphere_volume(d) for d in range(6, 2001)]
+    positive = [v for v in vols if v > 0.0]
+    assert all(a > b for a, b in zip(positive, positive[1:]))
+    assert all(v == 0.0 for v in vols[len(positive):])
+    assert 300 < len(positive) < 2000

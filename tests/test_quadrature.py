@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphere_spectra import quadrature
 from sphere_spectra.quadrature import QuadratureError, integrate
 
 
@@ -97,3 +98,30 @@ def test_relative_tolerance_scales_by_first_rule():
     val, err = integrate(f, 0.0, 3.0, tol=1e-14, relative=True)
     assert err <= 1e-14 * (1.0 + abs(k))
     assert (val, err) == integrate(f, 0.0, 3.0, tol=1e-14 * (1.0 + abs(k)))
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.exp, 0.0, 1.0),
+    (lambda x: x ** 6 - 3.0 * x, -2.0, 0.5),
+    (np.cos, 0.0, 1e-3),
+    (lambda x: np.full_like(x, -1e-320), 0.0, 1e-10),    # rule value -0.0
+])
+def test_first_rule_result_equals_general_path(f, a, b):
+    # a first rule that meets the target is returned at once; the general
+    # path would sum the one interval's value with np.sum
+    k, err = quadrature._rule(f, a, b)
+    assert err <= 1e-10
+    val, achieved = integrate(f, a, b, 1e-10)
+    assert (val.hex(), achieved.hex()) == (
+        float(np.sum(np.array([k]))).hex(), err.hex())
+    assert integrate(f, a, b, 1e-10, relative=True) == (val, achieved)
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_first_rule_nan_raises(relative):
+    # a NaN value with a zero error estimate meets any target at once
+    assert quadrature._rule(lambda x: np.full_like(x, np.nan), 0.0, 1.0)[1] \
+        == 0.0
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0,
+                  relative=relative)

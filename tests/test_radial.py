@@ -174,6 +174,30 @@ def test_hemisphere_extension_invariants(n):
     assert fpp[:2].tolist() == [0.0, 0.0] and fpp[2] == ext.fpp(0.3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_hemisphere_jet_finite_down_to_subnormal_theta(n):
+    # cot = cos / sin overflows below |theta| ~ 1e-308, while F'' tends to
+    # 0 like theta: jet stays finite, odd and warning-free there
+    # (RuntimeWarning is an error in this suite)
+    ext = radial.solve_hemisphere_extension(n)
+    rate = ext.fpp(1e-6) / 1e-6
+    for theta in (1e-300, 1e-308, 1e-310):
+        for sign in (1.0, -1.0):
+            f, fp, fpp = ext.jet(sign * theta)
+            assert f / (sign * theta) == pytest.approx(fp, rel=1e-9)
+            assert fpp / (sign * theta) == pytest.approx(rate, rel=1e-6)
+    f, fp, fpp = ext.jet(np.array([5e-324, -5e-324]))
+    assert np.isfinite([f, fp, fpp]).all() and (np.abs(fpp) <= 1e-323).all()
+    # from |theta| = 1e-300 on, F'' is the cot form of the G equation
+    th = np.array([1e-300, -1e-300, 1e-299, 1e-200, 1e-8, 0.3, math.pi / 2.0,
+                   radial._THETA_MAX])
+    g, gp = ext._g_pair(th)
+    s, c = np.sin(th), np.cos(th)
+    gpp = (n + 1.0) * g - (n + 2.0) * (c / s) * gp
+    cot_form = ext._scale * (-s * g + 2.0 * c * gp + s * gpp)
+    assert [x.hex() for x in ext.fpp(th)] == [x.hex() for x in cot_form]
+
+
 def test_hemisphere_extension_rejects_theta_past_series_range():
     ext = radial.solve_hemisphere_extension(2)
     with pytest.raises(ValueError, match="series"):
@@ -281,10 +305,24 @@ def test_relative_tolerance_equals_two_call_form(monkeypatch, n):
         assert [x.hex() for x in one] == [x.hex() for x in two]
 
 
+def _integral_key(f, a, b):
+    """What an integral computes: the integrand's code, the n, t and
+    profile it closes over, and the interval."""
+    cells = dict(zip(f.__code__.co_freevars,
+                     (cell.cell_contents for cell in f.__closure__ or ())))
+    return (f.__qualname__,
+            *(cells.get(name) for name in ("n", "t", "profile")), a, b)
+
+
 def test_verify_oracles_rules_each_interval_once(monkeypatch, capsys):
+    integrals = []  # _integral_key of each integrate call
     ruled = []      # (integrand, a, b, _g_pair calls while ruling it)
     series = [0]
     rule, g_pair = quadrature._rule, radial.HemisphereExtension._g_pair
+
+    def counted_integrate(f, a, b, *args, **kwargs):
+        integrals.append(_integral_key(f, a, b))
+        return integrate(f, a, b, *args, **kwargs)
 
     def counted_rule(f, a, b):
         before = series[0]
@@ -296,12 +334,40 @@ def test_verify_oracles_rules_each_interval_once(monkeypatch, capsys):
         series[0] += 1
         return g_pair(self, theta)
 
+    monkeypatch.setattr(radial, "integrate", counted_integrate)
     monkeypatch.setattr(quadrature, "_rule", counted_rule)
     monkeypatch.setattr(radial.HemisphereExtension, "_g_pair", counted_g_pair)
-    assert cli.main(["verify-oracles", "--dims", "2"]) == 0
-    assert "24/24 checks passed" in capsys.readouterr().out
+    assert cli.main(["verify-oracles", "--dims", "2,3,4"]) == 0
+    assert "72/72 checks passed" in capsys.readouterr().out
+    # no integral is taken twice, and none rules an interval twice
+    assert len(set(integrals)) == len(integrals)
     keys = [(f, a, b) for f, a, b, _ in ruled]
     assert len(set(keys)) == len(keys)
-    chain = [count for f, _, _, count in ruled if f.__qualname__.startswith(
-        "verify_choiwang_chain_hemisphere.")]
-    assert len(chain) > 2 and set(chain) == {1}
+    # the chain's grad and hess integrands share the series evaluation of
+    # each node set (n, a, b): one _g_pair call per distinct set
+    chain = {}
+    for f, a, b, count in ruled:
+        if f.__qualname__.startswith("verify_choiwang_chain_hemisphere."):
+            node_set = (_integral_key(f, a, b)[1], a, b)
+            chain[node_set] = chain.get(node_set, 0) + count
+    assert len(chain) > 6 and set(chain.values()) == {1}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shared_oracle_rows_equal_one_report_calls(n):
+    # the suite takes each band and Hessian integral once for all rows;
+    # every row is the one-report function's, bit for bit
+    def bits(report):
+        return (report.name, report.lhs.hex(), report.rhs.hex(),
+                {k: v.hex() for k, v in report.extras.items()})
+
+    collar = radial.ORACLES["collar"](n)
+    assert [bits(r) for r in collar] == [
+        bits(radial.verify_collar_trace_hemisphere(n, t, beta,
+                                                   PROFILES["cos"]))
+        for t in (0.2, 0.3) for beta in (0.1, 0.5, 1.0, 2.0)]
+    interior = radial.ORACLES["interior"](n)
+    assert [bits(r) for r in interior] == [
+        bits(radial.verify_interior_gradient_radial(n, 0.3, 1.3, t))
+        for t in (0.1, 0.2)]
+    assert collar[0].extras is not collar[1].extras
