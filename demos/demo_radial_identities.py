@@ -26,17 +26,18 @@ from sphere_spectra import (
 print("integral Bochner (Reilly) identity on geodesic balls, gap per profile:")
 for pname in ("cos", "r2", "gauss"):
     rep = verify_reilly_radial(2, 1.0, PROFILES[pname])
-    print(f"  profile {pname:7s}: lhs = {rep.lhs:12.6f}  gap = {rep.gap:.2e}")
+    print(f"  profile {pname:7s}: lhs = {rep.lhs:12.6f}  "
+          f"gap = {-rep.slack:.2e}")
 
 print("\npointwise Bochner identity for the radial harmonic on (0.3, 1.2):")
 for n in (2, 3, 4, 8):
     rep = verify_bochner_radial(n, 0.3, 1.2)
-    print(f"  n = {n}: largest gap {rep.gap:.2e} (tol {rep.tol:.1e}) at "
+    print(f"  n = {n}: largest gap {-rep.slack:.2e} (tol {rep.tol:.1e}) at "
           f"r = {rep.extras['r']:.4f}: {'pass' if rep.passed else 'FAIL'}")
 
 print("\ninterior gradient bound on a shrunk annulus (ratio lhs/rhs):")
-for t in (0.1, 0.2):
-    rep = verify_interior_gradient_radial(2, 0.3, 1.3, t)
+for t, rep in zip((0.1, 0.2),
+                  verify_interior_gradient_radial(2, 0.3, 1.3, (0.1, 0.2))):
     print(f"  t = {t}: ratio = {rep.extras['ratio']:.5f}  (must stay <= 1)")
 
 print("\nhemisphere harmonic extension of a first eigenfunction:")
@@ -48,14 +49,17 @@ for n in (2, 3, 4):
 
 print("\nthe full chain on the hemisphere (lambda1 = n exactly):")
 for n in (2, 3, 4):
-    rep = verify_choiwang_chain_hemisphere(n)
+    flux, _, gap, trace = verify_choiwang_chain_hemisphere(n)
+    hess_energy, grad_energy = gap.lhs, flux.rhs
     print(f"  n = {n}:")
-    print(f"    flux identity gap        {rep.flux_identity.gap:.2e}")
-    print(f"    Hessian vs n x Dirichlet {abs(rep.hess_energy - n * rep.grad_energy):.2e}"
-          f"   (tight: the dropped term is {rep.hess_energy:.6f} > 0)")
-    print(f"    trace inequality slack   {rep.trace_inequality.slack:.6f}")
+    print(f"    flux identity gap        {-flux.slack:.2e}")
+    print(f"    Hessian vs n x Dirichlet "
+          f"{abs(hess_energy - n * grad_energy):.2e}"
+          f"   (tight: the dropped term is {hess_energy:.6f} > 0)")
+    print(f"    trace inequality slack   {trace.slack:.6f}")
 
 print("\ncollar trace estimate with the exact offset mean curvature n tan t:")
-for beta in (0.1, 0.5, 1.0, 2.0):
-    rep = verify_collar_trace_hemisphere(2, 0.2, beta, PROFILES["cos"])
+betas = (0.1, 0.5, 1.0, 2.0)
+for beta, rep in zip(betas, verify_collar_trace_hemisphere(
+        2, 0.2, betas, PROFILES["cos"])):
     print(f"  beta = {beta:4.1f}: lhs = {rep.lhs:8.4f} <= rhs = {rep.rhs:8.4f}")

@@ -42,8 +42,7 @@ from .mesh import (
 )
 from .quadrature import QuadratureError, integrate
 from .radial import (
-    ChainReport, HemisphereExtension, IdentityReport, InequalityReport,
-    PROFILES, RadialProfile,
+    HemisphereExtension, OracleReport, PROFILES, RadialProfile,
     solve_hemisphere_extension, verify_bochner_radial,
     verify_choiwang_chain_hemisphere, verify_interior_gradient_radial,
     verify_collar_trace_hemisphere, verify_reilly_radial,

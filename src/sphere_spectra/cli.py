@@ -10,8 +10,13 @@ Subcommands::
 
 Exit codes: 0 ok, 2 usage (a file that cannot be read or written
 included), 3 mesh error, 4 solver failure (eigensolver or quadrature),
-5 failed oracle check, 6 report schema mismatch, 141 (128 + SIGPIPE)
-stdout closed by its reader.
+5 failed oracle check, 6 report schema mismatch (a stored verdict that
+its numbers do not give included), 141 (128 + SIGPIPE) stdout closed
+by its reader.
+
+`verify-oracles` prints one line per `radial.OracleReport` row: minus
+its slack (the gap |lhs - rhs| of an identity), its threshold and its
+verdict; `--tol` re-judges every row through `radial.judge`.
 
 A config file (--config) holds `key = value` lines ('#' starts a
 comment).  Each line is read as the option `--key=value` of the chosen
@@ -255,13 +260,11 @@ def _cmd_verify_oracles(args):
                 continue
             for r in suite(n):
                 if args.tol is not None:
-                    r = radial.judge(type(r), r.name, r.lhs, r.rhs, args.tol,
-                                     r.extras)
-                identity = isinstance(r, radial.IdentityReport)
+                    r = radial.judge(r.identity, r.name, r.lhs, r.rhs,
+                                     args.tol, r.extras)
                 label = kind if kind != "chain" else \
-                    "chain/flux" if identity else "chain/ineq"
-                rows.append((label, n, r.name,
-                             r.gap if identity else -r.slack, r.tol, r.passed))
+                    "chain/flux" if r.identity else "chain/ineq"
+                rows.append((label, n, r.name, -r.slack, r.tol, r.passed))
     failed = [row for row in rows if not row[5]]
     width = max(len(row[2]) for row in rows) if rows else 10
     print(f"{'kind':12s} {'n':>2s} {'check':{width}s} {'gap/-slack':>12s} "

@@ -246,7 +246,8 @@ class SphericalTriMesh:
                     "components": self.component_count})
 
     def estimated_normals(self):
-        """Discrete surface normals (unit, tangent to S^3).
+        """Discrete surface normals (unit, tangent to S^3), computed once
+        per mesh (read-only).
 
         Per-corner contributions weighted by 1/(|e1|^2 |e2|^2) (Max's
         weights), which reproduces exact normals whenever the one-ring
@@ -273,7 +274,7 @@ class SphericalTriMesh:
             norms = np.linalg.norm(acc, axis=1)
             if (norms < 1e-30).any():
                 raise MeshQualityError("vanishing discrete normal at a vertex")
-            self._cache["est_normals"] = acc / norms[:, None]
+            self._cache["est_normals"] = _read_only(acc / norms[:, None])
         return self._cache["est_normals"]
 
     def discrete_geometry(self):
@@ -352,7 +353,8 @@ def assemble_laplacian(mesh):
 
 @dataclass(frozen=True)
 class DiscreteGeometry:
-    """Per-vertex discrete geometry estimated from the triangulation."""
+    """Per-vertex discrete geometry estimated from the triangulation; its
+    arrays are read-only, as a mesh caches it (`discrete_geometry`)."""
     areas: np.ndarray        # lumped vertex areas; positive, sum = total area
     normals: np.ndarray      # estimated unit surface normals
     shape_operators: np.ndarray  # (V, 2, 2) symmetric Weingarten estimates
@@ -445,6 +447,8 @@ def discrete_shape_operator(mesh):
     kappas = np.sort(np.stack([big, small], axis=1), axis=1)
     norm_a = np.sqrt(s11 ** 2 + 2.0 * s12 ** 2 + s22 ** 2)
     mean_h = s11 + s22
+    for x in (s_ops, kappas, norm_a, mean_h):
+        _read_only(x)
     areas = vertex_areas(mesh)
     genus = None
     if mesh.component_count == 1:

@@ -12,15 +12,15 @@ The hemisphere case additionally separates a degree-1 equatorial
 eigenfunction, leaving the radial factor ODE
 F'' + n cot(t) F' - (n / sin^2 t) F = 0 with the regular branch F ~ t.
 
-Every `verify_*` function computes both sides of its identity or
-inequality independently (by quadrature, or pointwise from closed-form
-derivatives for the Bochner identity) and returns a report whose gap or
-slack `judge`, the one pass rule of them all, compares with a relative
+Every `verify_*` function computes both sides of its identities or
+inequalities independently (by quadrature, or pointwise from closed-form
+derivatives for the Bochner identity) and returns `OracleReport` rows,
+each judged by `judge`, the one pass rule of them all, at a relative
 threshold.  `ORACLES` is the suite that `sphere-spectra verify-oracles`
-prints.  It takes each distinct integral once: the two interior rows
-share their Hessian integral and the four collar rows of each t their
-two band integrals (through the same helpers as the one-report
-functions), and the chain's two integrals share the series evaluation
+prints.  It takes each distinct integral once: the interior function
+takes its sweep of t and the collar function its sweep of beta, so the
+rows of a sweep share the integrals that do not depend on the swept
+parameter, and the chain's two integrals share the series evaluation
 of each node set.
 """
 
@@ -34,8 +34,8 @@ from .geometry import _check_dim
 from .quadrature import integrate
 
 __all__ = [
-    "RadialProfile", "PROFILES", "IdentityReport", "InequalityReport",
-    "HemisphereExtension", "ChainReport", "ORACLES", "judge",
+    "RadialProfile", "PROFILES", "OracleReport", "HemisphereExtension",
+    "ORACLES", "judge",
     "radial_harmonic_derivative",
     "verify_bochner_radial", "verify_reilly_radial",
     "verify_interior_gradient_radial", "solve_hemisphere_extension",
@@ -45,47 +45,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """C^2 radial function with closed-form derivatives."""
+    """C^2 radial function, given by its closed-form first and second
+    derivatives."""
     name: str
-    f: callable
     fp: callable
     fpp: callable
 
 
 PROFILES = {
-    "cos": RadialProfile("cos", np.cos, lambda r: -np.sin(r),
-                         lambda r: -np.cos(r)),
-    "r2": RadialProfile("r2", lambda r: r ** 2, lambda r: 2.0 * r,
+    "cos": RadialProfile("cos", lambda r: -np.sin(r), lambda r: -np.cos(r)),
+    "r2": RadialProfile("r2", lambda r: 2.0 * r,
                         lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float))),
-    "r4": RadialProfile("r4", lambda r: r ** 4, lambda r: 4.0 * r ** 3,
-                        lambda r: 12.0 * r ** 2),
-    "gauss": RadialProfile("gauss", lambda r: np.exp(-r ** 2),
-                           lambda r: -2.0 * r * np.exp(-r ** 2),
+    "r4": RadialProfile("r4", lambda r: 4.0 * r ** 3, lambda r: 12.0 * r ** 2),
+    "gauss": RadialProfile("gauss", lambda r: -2.0 * r * np.exp(-r ** 2),
                            lambda r: (4.0 * r ** 2 - 2.0) * np.exp(-r ** 2)),
-    "lorentz": RadialProfile("lorentz", lambda r: 1.0 / (1.0 + r ** 2),
-                             lambda r: -2.0 * r / (1.0 + r ** 2) ** 2,
-                             lambda r: (6.0 * r ** 2 - 2.0) / (1.0 + r ** 2) ** 3),
-    "sin2": RadialProfile("sin2", lambda r: np.sin(r) ** 2,
-                          lambda r: np.sin(2.0 * r),
+    "lorentz": RadialProfile(
+        "lorentz", lambda r: -2.0 * r / (1.0 + r ** 2) ** 2,
+        lambda r: (6.0 * r ** 2 - 2.0) / (1.0 + r ** 2) ** 3),
+    "sin2": RadialProfile("sin2", lambda r: np.sin(2.0 * r),
                           lambda r: 2.0 * np.cos(2.0 * r)),
 }
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    lhs: float
-    rhs: float
-    gap: float          # |lhs - rhs|
-    tol: float
-    passed: bool
-    extras: dict = field(default_factory=dict)
+class OracleReport:
+    """One oracle row: the identity lhs = rhs, or the inequality lhs <= rhs.
 
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Record of `lhs <= rhs`; slack = rhs - lhs (>= -tol to pass)."""
+    slack is rhs - lhs for an inequality and -|lhs - rhs| for an identity,
+    so that every row passes on the same test, slack >= -tol.
+    """
     name: str
+    identity: bool
     lhs: float
     rhs: float
     slack: float
@@ -94,24 +84,24 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
 
-def judge(report_type, name, lhs, rhs, rtol, extras=None):
+def judge(identity, name, lhs, rhs, rtol, extras=None):
     """The one pass rule of every oracle, at relative tolerance rtol: an
-    IdentityReport passes when |lhs - rhs| <= rtol (1 + |lhs|), an
-    InequalityReport lhs <= rhs when rhs - lhs >= -rtol (1 + |rhs|) and
-    the term its proof drops, extras["dropped_term"] if any, is > 0."""
+    identity passes when |lhs - rhs| <= rtol (1 + |lhs|), an inequality
+    lhs <= rhs when rhs - lhs >= -rtol (1 + |rhs|) and the term its proof
+    drops, extras["dropped_term"] if any, is > 0."""
     extras = extras or {}
-    if report_type is IdentityReport:
-        gap = abs(lhs - rhs)
+    if identity:
+        slack = -abs(lhs - rhs)
         tol = rtol * (1.0 + abs(lhs))
-        return IdentityReport(name, lhs, rhs, gap, tol, gap <= tol, extras)
-    slack = rhs - lhs
-    tol = rtol * (1.0 + abs(rhs))
+    else:
+        slack = rhs - lhs
+        tol = rtol * (1.0 + abs(rhs))
     passed = slack >= -tol and extras.get("dropped_term", 1.0) > 0.0
-    return InequalityReport(name, lhs, rhs, slack, tol, passed, extras)
+    return OracleReport(name, identity, lhs, rhs, slack, tol, passed, extras)
 
 
 # relative quadrature tolerance (`integrate(..., relative=True)`) of every
-# oracle but `verify_reilly_radial`, whose tolerance the caller may vary
+# oracle integral
 _QUAD_TOL = 1e-10
 # pass threshold of the hemisphere chain (the rtol of `judge`)
 _CHAIN_TOL = 1e-8
@@ -158,7 +148,7 @@ def verify_bochner_radial(n, r0, r1):
     agreement cross-checks the radial reduction formulas, the Ricci term
     2n |grad v|^2 included.
 
-    Returns the IdentityReport, at rtol 1e-10, of the grid point with the
+    Returns the identity row, at rtol 1e-10, of the grid point with the
     largest |lhs - rhs| / (1 + |lhs|): it passes exactly when every point
     of the grid does, at any rtol.
     """
@@ -174,11 +164,11 @@ def verify_bochner_radial(n, r0, r1):
     hess2 = vpp ** 2 + n * cot ** 2                        # |Hess v|^2 / g
     rhs = 2.0 * hess2 + 2.0 * n                            # v'^2 / g = 1
     i = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
-    return judge(IdentityReport, f"annulus({r0},{r1})", float(lhs[i]),
+    return judge(True, f"annulus({r0},{r1})", float(lhs[i]),
                  float(rhs[i]), 1e-10, {"r": float(r[i])})
 
 
-def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
+def verify_reilly_radial(n, radius, profile):
     """Both sides of the integral Bochner (Reilly) identity on a geodesic
     ball of the given radius, for a radial profile with f'(0) = 0.
 
@@ -189,7 +179,7 @@ def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
     H = -Delta(distance), under which the ball boundary has H = +n cot R
     toward the center; the sign is fixed by the identity itself.)
 
-    Returns an IdentityReport; pass tolerance 1e-8 * (1 + |LHS|).
+    Returns an identity row; pass tolerance 1e-8 * (1 + |LHS|).
     """
     n = _check_dim(n)
     if not (0.0 < radius < math.pi / 2.0):
@@ -208,31 +198,28 @@ def verify_reilly_radial(n, radius, profile, tol=_QUAD_TOL):
     def ricci_integrand(r):
         return n * profile.fp(r) ** 2 * omega * np.sin(r) ** n
 
-    lhs, _ = integrate(lhs_integrand, 0.0, radius, tol, relative=True)
-    ricci, _ = integrate(ricci_integrand, 0.0, radius, tol, relative=True)
+    lhs, _ = integrate(lhs_integrand, 0.0, radius, _QUAD_TOL, relative=True)
+    ricci, _ = integrate(ricci_integrand, 0.0, radius, _QUAD_TOL,
+                         relative=True)
     area = omega * math.sin(radius) ** n
     boundary = n * (math.cos(radius) / math.sin(radius)) \
         * float(profile.fp(radius)) ** 2 * area
-    return judge(IdentityReport, f"reilly[{profile.name},n={n},R={radius:g}]",
+    return judge(True, f"reilly[{profile.name},n={n},R={radius:g}]",
                  lhs, ricci + boundary, 1e-8,
                  {"ricci": ricci, "boundary": boundary})
 
 
-def verify_interior_gradient_radial(n, r0, r1, t):
-    """Interior gradient bound for the radial harmonic on an annulus:
+def verify_interior_gradient_radial(n, r0, r1, ts):
+    """Interior gradient bound for the radial harmonic on an annulus, one
+    inequality row per t of ts:
 
         int_{shrunk annulus} |grad v|^2
             <= t^-2/(n-1) * int_{annulus} |Hess v|^2
 
     where the shrunk annulus retreats 2t from both boundary spheres.
-    Requires 2t < (r1 - r0)/2.
+    Requires 2t < (r1 - r0)/2.  The Hessian integral over (r0, r1) does
+    not depend on t and is taken once for all rows.
     """
-    return _interior_reports(n, r0, r1, (t,))[0]
-
-
-def _interior_reports(n, r0, r1, ts):
-    """`verify_interior_gradient_radial` at each t of ts, with the Hessian
-    integral over (r0, r1), which does not depend on t, taken once."""
     n = _check_dim(n)
     if not (0.0 < r0 < r1 < math.pi):
         raise ValueError("need 0 < r0 < r1 < pi")
@@ -250,16 +237,15 @@ def _interior_reports(n, r0, r1, ts):
         return (vpp ** 2 + n * (vp * c / s) ** 2) * omega * s ** n
 
     hess, _ = integrate(hess_integrand, r0, r1, _QUAD_TOL, relative=True)
-    reports = []
+    rows = []
     for t in ts:
         lhs, _ = integrate(grad_integrand, r0 + 2.0 * t, r1 - 2.0 * t,
                            _QUAD_TOL, relative=True)
         rhs = hess / ((n - 1) * t ** 2)
-        reports.append(judge(
-            InequalityReport,
-            f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
+        rows.append(judge(
+            False, f"interior-gradient[n={n},({r0:g},{r1:g}),t={t:g}]",
             lhs, rhs, 1e-10, {"ratio": lhs / rhs if rhs > 0 else math.inf}))
-    return reports
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -362,44 +348,28 @@ def solve_hemisphere_extension(n):
     return ext
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """All hemisphere-instance quantities of the boundary-flux chain.
+def verify_choiwang_chain_hemisphere(n):
+    """Evaluate the whole boundary-flux chain on the hemisphere instance.
 
     With the equator as the separating surface, the first eigenvalue is
     exactly n and the extension is u = F(theta) Y for a unit-norm
     degree-1 eigenfunction Y, so every volumetric integral reduces to 1D.
-    """
-    n: int
-    lambda1: float
-    grad_energy: float        # int_{hemisphere} |grad u|^2
-    boundary_flux: float      # int_{equator} u_nu u
-    hess_energy: float        # int_{hemisphere} |Hess u|^2
-    surface_gradient: float   # int_{equator} |grad u|^2 (ambient gradient)
-    flux_identity: IdentityReport       # flux == grad_energy
-    reilly_inequality: InequalityReport  # -hess >= n grad - 2 lam1 flux
-    gap_inequality: InequalityReport     # 2(lam1 - n/2) grad >= hess
-    trace_inequality: InequalityReport   # surface grad >= sqrt(2n) grad
-    sharp_trace_gap: float    # surface_gradient - (lambda1 + grad_energy^2)
+    Returns four rows, and every quantity of the chain is one of their
+    sides:
 
-    @property
-    def reports(self):   # the flux identity, then the three inequalities
-        return [self.flux_identity, self.reilly_inequality,
-                self.gap_inequality, self.trace_inequality]
+    * flux identity, int_{equator} u_nu u (lhs) = int |grad u|^2 (rhs);
+    * Reilly boundary inequality, n grad - 2 lambda1 flux <= -int |Hess u|^2;
+    * eigen-gap inequality, int |Hess u|^2 (lhs) <= 2 (lambda1 - n/2) grad,
+      whose dropped term is the Hessian energy;
+    * boundary trace inequality, sqrt(2n) grad <= int_{equator} |grad u|^2
+      (rhs, the ambient surface gradient), with the sharp right side
+      lambda1 + grad^2 in extras["sharp_rhs"].
 
-    @property
-    def all_passed(self):
-        return all(r.passed for r in self.reports)
-
-
-def verify_choiwang_chain_hemisphere(n):
-    """Evaluate the whole boundary-flux chain on the hemisphere instance.
-
-    The flux identity must hold to ~quadrature accuracy; the three
+    The identity must hold to ~quadrature accuracy; the three
     inequalities must hold with slack >= -1e-8 (1 + |rhs|).  On this instance
     the Hessian energy equals n times the gradient energy exactly, so
-    the first two inequalities are tight (slack ~ 0) and the Hessian
-    energy itself is the strictly positive dropped term.
+    the first two inequalities are tight (slack ~ 0) and the sharp trace
+    bound is an identity.
     """
     n = _check_dim(n)
     ext = solve_hemisphere_extension(n)
@@ -431,27 +401,21 @@ def verify_choiwang_chain_hemisphere(n):
     flux = boundary_derivative * 1.0   # F(pi/2) = 1, ||Y||_2 = 1
     surface_gradient = boundary_derivative ** 2 + n
 
-    return ChainReport(
-        n=n, lambda1=lam1, grad_energy=grad_energy, boundary_flux=flux,
-        hess_energy=hess_energy, surface_gradient=surface_gradient,
-        flux_identity=judge(IdentityReport, f"flux-identity[n={n}]",
-                            flux, grad_energy, _CHAIN_TOL),
-        reilly_inequality=judge(
-            InequalityReport, f"reilly-boundary[n={n}]",
-            n * grad_energy - 2.0 * lam1 * flux, -hess_energy, _CHAIN_TOL),
-        gap_inequality=judge(
-            InequalityReport, f"eigen-gap[n={n}]", hess_energy,
-            2.0 * (lam1 - n / 2.0) * grad_energy, _CHAIN_TOL,
-            {"dropped_term": hess_energy}),
-        trace_inequality=judge(
-            InequalityReport, f"boundary-trace[n={n}]",
-            math.sqrt(2.0 * n) * grad_energy, surface_gradient, _CHAIN_TOL,
-            {"sharp_rhs": lam1 + grad_energy ** 2}),
-        sharp_trace_gap=surface_gradient - (lam1 + grad_energy ** 2))
+    return [
+        judge(True, f"flux-identity[n={n}]", flux, grad_energy, _CHAIN_TOL),
+        judge(False, f"reilly-boundary[n={n}]",
+              n * grad_energy - 2.0 * lam1 * flux, -hess_energy, _CHAIN_TOL),
+        judge(False, f"eigen-gap[n={n}]", hess_energy,
+              2.0 * (lam1 - n / 2.0) * grad_energy, _CHAIN_TOL,
+              {"dropped_term": hess_energy}),
+        judge(False, f"boundary-trace[n={n}]",
+              math.sqrt(2.0 * n) * grad_energy, surface_gradient, _CHAIN_TOL,
+              {"sharp_rhs": lam1 + grad_energy ** 2})]
 
 
-def verify_collar_trace_hemisphere(n, t, beta, profile):
-    """Boundary-gradient collar inequality on the hemisphere:
+def verify_collar_trace_hemisphere(n, t, betas, profile):
+    """Boundary-gradient collar inequality on the hemisphere, one row per
+    beta of betas:
 
         int_{equator} |grad v|^2  <=  int_{offset sphere} |grad v|^2
             + (H_max + beta) int_collar |grad v|^2
@@ -461,14 +425,9 @@ def verify_collar_trace_hemisphere(n, t, beta, profile):
     inside the equator, and H_max = n tan(t) is the exact maximal mean
     curvature of the offset spheres over the collar (the equator is
     totally geodesic, so the generic curvature-chain bound degenerates
-    and the exact value is used instead).
+    and the exact value is used instead).  The two band integrals do not
+    depend on beta and are taken once for all rows.
     """
-    return _collar_reports(n, t, (beta,), profile)[0]
-
-
-def _collar_reports(n, t, betas, profile):
-    """`verify_collar_trace_hemisphere` at each beta of betas, with the
-    two band integrals, which do not depend on beta, taken once."""
     n = _check_dim(n)
     if not (0.0 < t < math.pi / 2.0):
         raise ValueError("need 0 < t < pi/2")
@@ -495,7 +454,7 @@ def _collar_reports(n, t, betas, profile):
     extras = {"offset_term": offset_term, "h_max": h_max,
               "collar_grad": omega * collar_grad,
               "collar_hess": omega * collar_hess}
-    return [judge(InequalityReport,
+    return [judge(False,
                   f"collar-trace[{profile.name},n={n},t={t:g},beta={beta:g}]",
                   lhs, offset_term + (h_max + beta) * omega * collar_grad
                   + omega * collar_hess / beta, 1e-10, dict(extras))
@@ -503,20 +462,18 @@ def _collar_reports(n, t, betas, profile):
 
 
 # ---------------------------------------------------------------------------
-# the suite: each kind maps n to its reports, in print order.  The CLI
-# prints 3 of the 6 Reilly profiles; the acceptance tests add the others.
-# The interior rows share their Hessian integral, and the four collar rows
-# of each t their two band integrals; the chain's two integrals share
-# their series evaluations.
+# the suite: each kind maps n to its rows, in print order.  The CLI prints
+# 3 of the 6 Reilly profiles; the acceptance tests add the others.
 
 ORACLES = {
     "reilly": lambda n: [verify_reilly_radial(n, radius, PROFILES[name])
                          for name in ("cos", "r2", "gauss")
                          for radius in (0.5, 1.0, 1.4)],
     "bochner": lambda n: [verify_bochner_radial(n, 0.3, 1.2)],
-    "interior": lambda n: _interior_reports(n, 0.3, 1.3, (0.1, 0.2)),
-    "chain": lambda n: verify_choiwang_chain_hemisphere(n).reports,
-    "collar": lambda n: [report for t in (0.2, 0.3)
-                         for report in _collar_reports(
+    "interior": lambda n: verify_interior_gradient_radial(n, 0.3, 1.3,
+                                                          (0.1, 0.2)),
+    "chain": lambda n: verify_choiwang_chain_hemisphere(n),
+    "collar": lambda n: [row for t in (0.2, 0.3)
+                         for row in verify_collar_trace_hemisphere(
                              n, t, (0.1, 0.5, 1.0, 2.0), PROFILES["cos"])],
 }

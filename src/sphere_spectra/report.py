@@ -5,7 +5,8 @@ eigensolve, shape-operator estimation, volume/curvature verdicts, optional
 offset embeddedness table) and returns a plain-dict report that
 serializes losslessly to JSON.  Every verdict is a pure function of
 numbers stored in the report, so `compute_verdicts(report)` can re-derive
-them for auditing.  Schema version 1.
+them for auditing, and `load_report` does so for every file it reads.
+Schema version 1.
 """
 
 import csv
@@ -39,7 +40,9 @@ MINIMAL_H_TOL = 0.05      # |H| threshold for calling a surface minimal
 
 
 class SchemaMismatchError(ValueError):
-    """Report files with differing schema versions cannot be merged."""
+    """Report files with differing schema versions cannot be merged, nor
+    can a current-schema file that lacks a section or whose stored
+    verdicts its numbers do not give."""
 
 
 @functools.cache
@@ -325,9 +328,12 @@ def write_json_atomic(data, path):
 
 
 def load_report(path):
-    """Read one JSON report.  A file without the schema field, or a
-    current-schema file without a section `report_to_csv_row` reads,
-    raises SchemaMismatchError."""
+    """Read one JSON report.  A file without the schema field, a
+    current-schema file without a section `report_to_csv_row` reads, and
+    a current-schema file whose stored verdicts (names and passed flags)
+    differ from `compute_verdicts` of its numbers raise
+    SchemaMismatchError; the message names the verdicts that differ,
+    in the order `compute_verdicts` makes them."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -335,10 +341,25 @@ def load_report(path):
             raise ValueError(f"{path}: not a JSON report ({exc})") from exc
     if not isinstance(data, dict) or "schema" not in data:
         raise SchemaMismatchError(f"{path}: missing schema field")
+    if data["schema"] != SCHEMA_VERSION:
+        return data
     missing = [key for key in _CSV_SECTIONS if key not in data]
-    if data["schema"] == SCHEMA_VERSION and missing:
+    if missing:
         raise SchemaMismatchError(
             f"{path}: schema {SCHEMA_VERSION} report without {missing[0]!r}")
+    try:
+        fresh = {name: v["passed"]
+                 for name, v in compute_verdicts(data).items()}
+        stored = {name: v["passed"] for name, v in data["verdicts"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaMismatchError(
+            f"{path}: verdicts cannot be recomputed ({exc!r})") from exc
+    differ = [name for name in dict.fromkeys([*fresh, *stored])
+              if fresh.get(name) != stored.get(name)]
+    if differ:
+        raise SchemaMismatchError(
+            f"{path}: stored verdicts differ from their recomputation: "
+            f"{', '.join(differ)}")
     return data
 
 

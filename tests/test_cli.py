@@ -289,7 +289,7 @@ def test_verify_oracles_tol_scales_lhs_or_rhs(capsys):
                  "--tol", "1e-3"]) == 0
     tols = [line.split()[-2]
             for line in capsys.readouterr().out.splitlines()[1:-1]]
-    flux, *ineqs = radial.verify_choiwang_chain_hemisphere(2).reports
+    flux, *ineqs = radial.verify_choiwang_chain_hemisphere(2)
     scales = [flux.lhs] + [r.rhs for r in ineqs]
     assert tols == [f"{1e-3 * (1.0 + abs(s)):.1e}" for s in scales]
 
@@ -309,6 +309,24 @@ def test_report_merge_and_schema_mismatch(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     assert main(["report", str(out), str(bad)]) == 6
     assert "schema" in capsys.readouterr().err
+
+
+def test_report_with_tampered_verdict_is_schema_mismatch(tmp_path, capsys):
+    # the stored verdicts pass, but lambda1 = 0.5 fails two of them
+    out = tmp_path / "rep.json"
+    assert main(["verify-surface", "--res", "16", "--out", str(out)]) == 0
+    assert main(["report", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    data["spectrum"]["lambda1"] = 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["report", str(out), str(bad), "--csv",
+                 str(tmp_path / "r.csv")]) == 6
+    assert capsys.readouterr().err == (
+        f"schema mismatch: {bad}: stored verdicts differ from their "
+        f"recomputation: choi_wang, improved_bound\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_report_missing_section_is_schema_mismatch(tmp_path, capsys):

@@ -226,6 +226,14 @@ def test_geometry_computed_once_per_mesh():
     assert mesh.triangle_areas() is mesh.triangle_areas()
     assert not pair.mass.flags.writeable
     assert not mesh.triangle_areas().flags.writeable
+    # every cached per-vertex array is read-only, so that no caller can
+    # change what the next verify_surface of this mesh reads
+    assert geom.normals is mesh.estimated_normals()
+    for array in (geom.normals, geom.shape_operators, geom.kappas,
+                  geom.norm_A, geom.mean_H):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        mesh.discrete_geometry().mean_H[:] = 1.0
     # the bincount sums add in the order of an np.add.at loop over corners
     areas = np.zeros(mesh.vertex_count)
     normals = np.zeros((mesh.vertex_count, 4))

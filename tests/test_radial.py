@@ -23,13 +23,15 @@ def hyp_extension(n, theta):
 # ---------------------------------------------------------------------------
 
 def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
-    ident = radial.judge(radial.IdentityReport, "i", -3.0, -3.5, 1e-3)
-    assert (ident.gap, ident.tol, ident.passed) == (0.5, 1e-3 * 4.0, False)
-    ineq = radial.judge(radial.InequalityReport, "q", 2.0, -5.0, 0.5)
+    # an identity's slack is -|lhs - rhs|, an inequality's rhs - lhs
+    ident = radial.judge(True, "i", -3.0, -3.5, 1e-3)
+    assert (ident.slack, ident.tol, ident.passed) == (-0.5, 1e-3 * 4.0, False)
+    assert radial.judge(True, "i", -3.5, -3.0, 1e-3).slack == -0.5
+    ineq = radial.judge(False, "q", 2.0, -5.0, 0.5)
     assert (ineq.slack, ineq.tol, ineq.passed) == (-7.0, 0.5 * 6.0, False)
-    assert radial.judge(radial.InequalityReport, "q", 2.0, -5.0, 2.0).passed
+    assert radial.judge(False, "q", 2.0, -5.0, 2.0).passed
     # a dropped term that is not positive fails the inequality
-    assert not radial.judge(radial.InequalityReport, "g", 1.0, 1.0, 1e-8,
+    assert not radial.judge(False, "g", 1.0, 1.0, 1e-8,
                             {"dropped_term": 0.0}).passed
 
 
@@ -38,8 +40,8 @@ def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
                                      (8, 0.3, 1.2), (12, 0.3, 1.2)])
 def test_bochner_residual(n, r0, r1):
     rep = radial.verify_bochner_radial(n, r0, r1)
-    assert rep.passed and rep.name == f"annulus({r0},{r1})"
-    assert rep.gap / (1.0 + abs(rep.lhs)) <= 1e-13
+    assert rep.passed and rep.identity and rep.name == f"annulus({r0},{r1})"
+    assert -rep.slack / (1.0 + abs(rep.lhs)) <= 1e-13
     assert r0 <= rep.extras["r"] <= r1
 
 
@@ -87,13 +89,12 @@ def test_reilly_cos_closed_form():
     exact = 4.0 * math.pi * 6.0 * (0.125 - math.sin(4.0) / 32.0)
     assert rep.lhs == pytest.approx(exact, rel=1e-10)
     assert rep.passed
-    assert rep.gap <= 1e-8 * (1.0 + abs(rep.lhs))
+    assert -rep.slack <= 1e-8 * (1.0 + abs(rep.lhs))
 
 
 def test_reilly_constant_profile_trivial():
     const = radial.RadialProfile(
-        "const", lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        "const", lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     rep = radial.verify_reilly_radial(2, 0.8, const)
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
@@ -105,20 +106,22 @@ def test_reilly_constant_profile_trivial():
 @pytest.mark.parametrize("n", [2, 3])
 def test_reilly_profile_grid(profile, radius, n):
     rep = radial.verify_reilly_radial(n, radius, PROFILES[profile])
-    assert rep.passed, f"{rep.name}: gap {rep.gap} > tol {rep.tol}"
+    assert rep.passed, f"{rep.name}: gap {-rep.slack} > tol {rep.tol}"
 
 
-def test_reilly_gap_tracks_quadrature_tolerance():
-    gaps = [radial.verify_reilly_radial(2, 1.3, PROFILES["gauss"],
-                                        tol=tol).gap
-            for tol in (1e-4, 1e-6, 1e-8)]
+def test_reilly_gap_tracks_quadrature_tolerance(monkeypatch):
+    gaps = []
+    for tol in (1e-4, 1e-6, 1e-8):
+        monkeypatch.setattr(radial, "_QUAD_TOL", tol)
+        gaps.append(-radial.verify_reilly_radial(2, 1.3,
+                                                 PROFILES["gauss"]).slack)
     floor = 1e-12 * (1 + gaps[-1])
     assert gaps[1] <= gaps[0] + floor
     assert gaps[2] <= gaps[1] + floor
 
 
 def test_reilly_rejects_bad_profile():
-    bad = radial.RadialProfile("sin", np.sin, np.cos,
+    bad = radial.RadialProfile("sin", np.cos,
                                lambda r: -np.sin(r))   # f'(0) = 1 != 0
     with pytest.raises(ValueError, match="f'"):
         radial.verify_reilly_radial(2, 1.0, bad)
@@ -127,20 +130,20 @@ def test_reilly_rejects_bad_profile():
 # ---------------------------------------------------------------------------
 
 def test_interior_gradient_holds():
-    rep = radial.verify_interior_gradient_radial(2, 0.3, 1.3, 0.1)
-    assert rep.passed
+    [rep] = radial.verify_interior_gradient_radial(2, 0.3, 1.3, (0.1,))
+    assert rep.passed and not rep.identity
     assert rep.extras["ratio"] < 1.0
 
 
 def test_interior_gradient_extreme_t():
     t = (1.3 - 0.3) / 4.0 * 0.999
-    rep = radial.verify_interior_gradient_radial(2, 0.3, 1.3, t)
+    [rep] = radial.verify_interior_gradient_radial(2, 0.3, 1.3, (t,))
     assert rep.passed
 
 
 def test_interior_gradient_guards():
     with pytest.raises(ValueError):
-        radial.verify_interior_gradient_radial(2, 0.3, 1.3, 0.3)
+        radial.verify_interior_gradient_radial(2, 0.3, 1.3, (0.1, 0.3))
 
 
 # ---------------------------------------------------------------------------
@@ -208,39 +211,46 @@ def test_hemisphere_extension_rejects_theta_past_series_range():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_chain_report(n):
-    rep = radial.verify_choiwang_chain_hemisphere(n)
-    assert rep.all_passed
-    assert rep.lambda1 == n
+    rows = radial.verify_choiwang_chain_hemisphere(n)
+    assert all(row.passed for row in rows)
+    flux, reilly, gap, trace = rows
+    assert [row.identity for row in rows] == [True, False, False, False]
+    # the chain's quantities are sides of its rows
+    boundary_flux, grad_energy = flux.lhs, flux.rhs
+    hess_energy, surface_gradient = gap.lhs, trace.rhs
+    assert reilly.rhs == -hess_energy
+    assert gap.rhs == (2.0 * (n - n / 2.0)) * grad_energy   # lambda1 = n
     # flux identity is the divergence theorem: gap at quadrature scale
-    assert rep.flux_identity.gap <= 1e-8 * (1.0 + rep.boundary_flux)
-    assert rep.boundary_flux == pytest.approx(BOUNDARY_DERIVATIVE[n],
-                                              rel=1e-10)
+    assert -flux.slack <= 1e-8 * (1.0 + boundary_flux)
+    assert boundary_flux == pytest.approx(BOUNDARY_DERIVATIVE[n], rel=1e-10)
     # on the hemisphere the Hessian energy equals n * gradient energy,
     # making both inequalities tight
-    assert rep.hess_energy == pytest.approx(n * rep.grad_energy, rel=1e-9)
-    assert abs(rep.reilly_inequality.slack) <= 1e-8 * (1 + rep.hess_energy)
-    assert abs(rep.gap_inequality.slack) <= 1e-8 * (1 + rep.hess_energy)
+    assert hess_energy == pytest.approx(n * grad_energy, rel=1e-9)
+    assert abs(reilly.slack) <= 1e-8 * (1 + hess_energy)
+    assert abs(gap.slack) <= 1e-8 * (1 + hess_energy)
     # the dropped term is strictly positive
-    assert rep.hess_energy > 0.5
+    assert gap.extras["dropped_term"] == hess_energy > 0.5
     # trace inequality has real slack; its sharp form is an identity here
-    assert rep.trace_inequality.slack > 0.1
-    assert abs(rep.sharp_trace_gap) <= 1e-8 * (1 + rep.surface_gradient)
+    assert trace.slack > 0.1
+    assert abs(surface_gradient - trace.extras["sharp_rhs"]) \
+        <= 1e-8 * (1 + surface_gradient)
 
 
 def test_chain_trace_slack_closed_form():
     # surface gradient = F'(pi/2)^2 + n and grad energy = F'(pi/2):
     # slack of the sqrt(2n) inequality is (F' - sqrt(n/2))^2 + n - n/2...
-    rep = radial.verify_choiwang_chain_hemisphere(2)
-    fp = rep.boundary_flux
+    flux, *_, trace = radial.verify_choiwang_chain_hemisphere(2)
+    fp = flux.lhs
     expected = fp * fp + 2.0 - 2.0 * fp
-    assert rep.trace_inequality.slack == pytest.approx(expected, rel=1e-9)
+    assert trace.slack == pytest.approx(expected, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
 
 def test_collar_inequality_cos_profile():
-    rep = radial.verify_collar_trace_hemisphere(2, 0.3, 0.5, PROFILES["cos"])
-    assert rep.passed
+    [rep] = radial.verify_collar_trace_hemisphere(2, 0.3, (0.5,),
+                                                  PROFILES["cos"])
+    assert rep.passed and not rep.identity
     assert rep.extras["h_max"] == pytest.approx(2.0 * math.tan(0.3), rel=1e-14)
     # closed-form left side: omega_2 * sin(pi/2)^2 * v'(pi/2)^2 = 4 pi
     assert rep.lhs == pytest.approx(4.0 * math.pi, rel=1e-12)
@@ -248,10 +258,9 @@ def test_collar_inequality_cos_profile():
 
 def test_collar_inequality_constant_trivial():
     const = radial.RadialProfile(
-        "const", lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        "const", lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         lambda r: np.zeros_like(np.asarray(r, dtype=float)))
-    rep = radial.verify_collar_trace_hemisphere(2, 0.2, 1.0, const)
+    [rep] = radial.verify_collar_trace_hemisphere(2, 0.2, (1.0,), const)
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
     assert rep.passed
@@ -260,15 +269,17 @@ def test_collar_inequality_constant_trivial():
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_collar_inequality_beta_sweep(beta, n):
-    rep = radial.verify_collar_trace_hemisphere(n, 0.2, beta, PROFILES["cos"])
+    [rep] = radial.verify_collar_trace_hemisphere(n, 0.2, (beta,),
+                                                  PROFILES["cos"])
     assert rep.passed
 
 
 def test_collar_inequality_guards():
     with pytest.raises(ValueError):
-        radial.verify_collar_trace_hemisphere(2, 2.0, 0.5, PROFILES["cos"])
+        radial.verify_collar_trace_hemisphere(2, 2.0, (0.5,), PROFILES["cos"])
     with pytest.raises(ValueError):
-        radial.verify_collar_trace_hemisphere(2, 0.3, -1.0, PROFILES["cos"])
+        radial.verify_collar_trace_hemisphere(2, 0.3, (0.5, -1.0),
+                                              PROFILES["cos"])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +306,7 @@ def test_relative_tolerance_equals_two_call_form(monkeypatch, n):
     # magnitude estimate (one rule, tol = inf) gives an absolute call
     calls = _radial_integrals(monkeypatch, lambda: (
         radial.verify_reilly_radial(n, 1.4, PROFILES["gauss"]),
-        radial.verify_collar_trace_hemisphere(n, 0.3, 0.5, PROFILES["cos"]),
+        radial.verify_collar_trace_hemisphere(n, 0.3, (0.5,), PROFILES["cos"]),
         radial.verify_choiwang_chain_hemisphere(n)))
     assert len(calls) == 6
     for f, a, b, tol in calls:
@@ -355,19 +366,19 @@ def test_verify_oracles_rules_each_interval_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_shared_oracle_rows_equal_one_report_calls(n):
-    # the suite takes each band and Hessian integral once for all rows;
-    # every row is the one-report function's, bit for bit
+    # a sweep takes each band and Hessian integral once for all its rows;
+    # every row equals the row of a one-element sweep, bit for bit
     def bits(report):
         return (report.name, report.lhs.hex(), report.rhs.hex(),
                 {k: v.hex() for k, v in report.extras.items()})
 
     collar = radial.ORACLES["collar"](n)
     assert [bits(r) for r in collar] == [
-        bits(radial.verify_collar_trace_hemisphere(n, t, beta,
-                                                   PROFILES["cos"]))
-        for t in (0.2, 0.3) for beta in (0.1, 0.5, 1.0, 2.0)]
+        bits(row) for t in (0.2, 0.3) for beta in (0.1, 0.5, 1.0, 2.0)
+        for row in radial.verify_collar_trace_hemisphere(n, t, (beta,),
+                                                         PROFILES["cos"])]
     interior = radial.ORACLES["interior"](n)
     assert [bits(r) for r in interior] == [
-        bits(radial.verify_interior_gradient_radial(n, 0.3, 1.3, t))
-        for t in (0.1, 0.2)]
+        bits(row) for t in (0.1, 0.2)
+        for row in radial.verify_interior_gradient_radial(n, 0.3, 1.3, (t,))]
     assert collar[0].extras is not collar[1].extras

@@ -74,6 +74,48 @@ def test_report_round_trips_losslessly(tmp_path, clifford_report):
     assert loaded == clifford_report
 
 
+@pytest.mark.parametrize("gen,offsets", [
+    ("clifford", [0.1, 2.0]), ("flat-torus", []), ("equator", []),
+    ("sphere", [0.1])])
+def test_report_from_each_generator_round_trips(tmp_path, gen, offsets):
+    # load_report recomputes the verdicts of every report verify_surface
+    # writes, offsets rows (embedded and beyond the horizon) included
+    mesh = {"clifford": lambda: gen_clifford_torus(16, 16),
+            "flat-torus": lambda: gen_flat_torus(0.5, 16, 16),
+            "equator": lambda: gen_geodesic_sphere(math.pi / 2.0, 3),
+            "sphere": lambda: gen_geodesic_sphere(math.pi / 4.0, 3)}[gen]()
+    rep = verify_surface(mesh, offsets=offsets)
+    path = tmp_path / "report.json"
+    write_json_atomic(rep, path)
+    assert load_report(path) == rep
+
+
+def test_load_report_rechecks_stored_verdicts(tmp_path):
+    # a clifford report edited to lambda1 = 0.5 still stores passing
+    # verdicts; recomputed, choi_wang and improved_bound (the bound is
+    # 1.0000163) fail, and the error names both, first as computed
+    rep = verify_surface(gen_clifford_torus(16, 16))
+    path = tmp_path / "tampered.json"
+    tampered = json.loads(json.dumps(rep))
+    tampered["spectrum"]["lambda1"] = 0.5
+    write_json_atomic(tampered, path)
+    with pytest.raises(SchemaMismatchError,
+                       match="recomputation: choi_wang, improved_bound$"):
+        load_report(path)
+    # a stored verdict that is missing, or one too many, differs as well
+    missing = {k: v for k, v in rep["verdicts"].items() if k != "simons"}
+    extra = dict(rep["verdicts"], extra={"passed": True, "detail": ""})
+    for verdicts, name in ((missing, "simons"), (extra, "extra")):
+        write_json_atomic(dict(rep, verdicts=verdicts), path)
+        with pytest.raises(SchemaMismatchError, match=f": {name}$"):
+            load_report(path)
+    # a report without a number a verdict needs is no schema-1 report
+    write_json_atomic({k: v for k, v in rep.items() if k != "volume"}, path)
+    with pytest.raises(SchemaMismatchError,
+                       match="verdicts cannot be recomputed .*'volume'"):
+        load_report(path)
+
+
 def test_flat_torus_report_skips_minimal_checks():
     rep = verify_surface(gen_flat_torus(0.5, 24, 24))
     verdicts = rep["verdicts"]
