@@ -10,14 +10,22 @@ only for the candidates that can still win.
 
 The projected mesh goes through a uniform spatial hash with cells twice
 the median triangle box (broad phase) and the exact triangle-triangle
-test between non-adjacent triangles.  The broad phase sorts its (cell,
-triangle) entries by one int64 key, pairs each entry with the later
-entries of its cell by index arithmetic, in chunks of whole entries of
-about _PAIR_CHUNK pairs, and drops a pair found in several cells by a
-sort and a neighbour compare.  Its pairs, sorted, go to
-`triangles_intersect` in ascending order, in chunks that start at
-_EXACT_CHUNK pairs and double, until enough witnesses are found; so the
-witnesses are always the smallest meeting pairs.
+test between non-adjacent triangles.  The hash is built once: its
+(cell, triangle) entries sorted by one int64 key, cell times the
+triangle count plus the triangle, so that triangles ascend within a
+cell.  The candidate pairs then stream out one owner range at a time: a
+range of triangles holds every pair (i, j), i < j, whose first triangle
+i lies in it, formed by pairing i's entries with the later entries of
+their cells by index arithmetic, re-checked box against box, and
+deduplicated and sorted by a sort and a neighbour compare.  The first
+range holds about _RANGE_PAIRS such bucket pairs and later ones twice
+as many up to _RANGE_MAX_PAIRS, so the concatenated ranges are every
+candidate pair in ascending order.  `self_intersection_test` decides
+the pairs of whole ranges in batches of at least _EXACT_BATCH pairs,
+each before the next range is hashed, and stops after the batch that
+brings enough witnesses; so the witnesses are always the smallest
+meeting pairs, and an intersecting mesh forms and decides only a few
+ranges' pairs.
 
 `triangles_intersect` evaluates every sign in floating point with a
 conservative error bound first, in one batched call per kind of sign:
@@ -46,6 +54,7 @@ runs through a much slower hash table.
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +78,13 @@ _POLE_FEW = 32
 # far above the ~1e-16 rounding of a 4-term dot product of unit vectors,
 # so that two roundings of one sum can never drop the best candidate
 _POLE_MARGIN = 1e-12
-_PAIR_CHUNK = 1 << 16  # bucket pairs per chunk in _broad_phase
-_EXACT_CHUNK = 2048    # pairs in self_intersection_test's first chunk
+# bucket pairs in the first owner range of _broad_phase, and in the
+# largest, whose pair temporaries still stay in cache
+_RANGE_PAIRS = 1 << 14
+_RANGE_MAX_PAIRS = 1 << 16
+# candidate pairs that fill an exact batch: larger batches cost more a
+# pair once their temporaries leave the cache
+_EXACT_BATCH = 512
 
 
 class PoleSelectionError(RuntimeError):
@@ -390,10 +404,25 @@ def triangles_intersect(tri1, tri2):
     return hit if t1.ndim == 3 else bool(hit[0])
 
 
-def _broad_phase(points, triangles):
-    """Uniform spatial hash of triangle AABBs -> candidate non-adjacent pairs.
+class _Buckets(NamedTuple):
+    """The (cell, triangle) entries of a spatial hash, in bucket order."""
+    owners: np.ndarray     # each entry's triangle, ascending in a bucket
+    end: np.ndarray        # one past the last entry of each entry's bucket
+    where: np.ndarray      # bucket-order position of the entries, owner-major
+    first: np.ndarray      # owner-major index of each triangle's first entry
+    x_lo: np.ndarray       # each entry's box on the first axis
+    x_hi: np.ndarray
+    lo: np.ndarray         # (3, n_tri) box corners, one row an axis
+    hi: np.ndarray
+    corners: np.ndarray    # (3, n_tri) vertex indices, one row a corner
 
-    Returns the pairs (i < j) as a sorted (P, 2) int64 array.
+
+def _hash_entries(points, triangles):
+    """Uniform spatial hash of triangle AABBs.
+
+    Returns the `_Buckets` and the bounds of the owner ranges: ascending
+    triangle indices from 0 to n_tri, range r holding the triangles from
+    bounds[r] up to bounds[r + 1].
     """
     tp = np.take(points, triangles, axis=0)
     lo = np.minimum(np.minimum(tp[:, 0], tp[:, 1]), tp[:, 2])
@@ -402,7 +431,7 @@ def _broad_phase(points, triangles):
     ext = hi - lo
     ext = np.maximum(np.maximum(ext[:, 0], ext[:, 1]), ext[:, 2])
     # any cell size gives the same pairs (two overlapping closed boxes
-    # share a cell; the re-check below decides), so it is chosen for
+    # share a cell; _broad_phase re-checks), so it is chosen for
     # speed.  At the median extent a typical box touches 8 cells and
     # most bucket pairs are formed only to be dropped.  Cells 1.5x to
     # 3x that took 15-50% less time on crossed clifford tori, sphere
@@ -416,8 +445,7 @@ def _broad_phase(points, triangles):
     # (x * ny + y) * nz + z: the entries are expanded one axis at a time,
     # each repeated once per cell of the triangle's span on that axis and
     # moved by its offset in the span, so they stay owner-major with z
-    # fastest.  A key that wraps past 2^63 only merges buckets, whose
-    # extra pairs the box re-check below drops.
+    # fastest.
     ny, nz = ((lo_idx + span).max(axis=0) - lo_idx.min(axis=0))[1:]
     owners = np.arange(n_tri)
     cells = (lo_idx[:, 0] * ny + lo_idx[:, 1]) * nz + lo_idx[:, 2]
@@ -426,49 +454,98 @@ def _broad_phase(points, triangles):
         owners, cells = np.repeat(owners, size), np.repeat(cells, size)
         cells += (np.arange(len(cells))
                   - np.repeat(np.cumsum(size) - size, size)) * stride
-    # stable: within a bucket the owners stay ascending, so i < j below
-    order = np.argsort(cells, kind="stable")
+    # one key per entry, cell * width + owner, sorted: the owners ascend
+    # in a bucket, so the pairs formed have i < j.  A cell key that wraps
+    # (modulo 2^62 // width here, past 2^63 above) only merges buckets,
+    # whose extra pairs the box re-check drops.  Distinct entries have
+    # distinct keys, so numpy's default sort fixes their order; it took
+    # 2-3x less time than a stable sort of the cell keys alone.
+    width = max(n_tri, 1)
+    order = np.argsort(np.mod(cells, (1 << 62) // width) * width + owners)
     cells, owners = np.take(cells, order), np.take(owners, order)
     new_bucket = np.ones(len(cells), dtype=bool)
     new_bucket[1:] = cells[1:] != cells[:-1]
     starts = np.nonzero(new_bucket)[0]
     sizes = np.diff(np.append(starts, len(cells)))
-    # entry e pairs with the rest[e] entries after it in its bucket
-    rest = np.repeat(starts + sizes, sizes) - np.arange(len(cells)) - 1
-    entries = np.flatnonzero(rest)
-    rest = np.take(rest, entries)
-    # whole entries in chunks of about _PAIR_CHUNK pairs, each entry in
-    # the chunk its first pair falls in: the chunks bound the pair
-    # temporaries, and one pass over all pairs was slower
-    chunk = (np.cumsum(rest) - rest) // _PAIR_CHUNK
-    cuts = np.flatnonzero(np.diff(chunk)) + 1
-    lo_t, hi_t, tri_t = lo.T.copy(), hi.T.copy(), triangles.T.copy()
-    keys = []
-    for e, r in zip(np.split(entries, cuts), np.split(rest, cuts)):
-        ti = np.repeat(e, r)
-        # the k-th pair of entry e is (e, e + 1 + k)
-        tj = ti + 1 + np.arange(len(ti)) - np.repeat(np.cumsum(r) - r, r)
-        ti, tj = np.take(owners, ti), np.take(owners, tj)
-        # AABB overlap re-check (hash cells over-approximate), one axis
-        # at a time on the pairs left, then no shared vertex
-        for lo_k, hi_k in zip(lo_t, hi_t):
-            keep = np.take(lo_k, ti) <= np.take(hi_k, tj)
-            keep &= np.take(lo_k, tj) <= np.take(hi_k, ti)
-            ti, tj = np.compress(keep, ti), np.compress(keep, tj)
-        vi, vj = np.take(tri_t, ti, axis=1), np.take(tri_t, tj, axis=1)
-        keep = np.ones(len(ti), dtype=bool)
-        for x in vi:
-            for y in vj:
-                keep &= x != y
-        keys.append(np.compress(keep, ti) * n_tri + np.compress(keep, tj))
+    end = np.repeat(starts + sizes, sizes)
+    where = np.empty_like(order)
+    where[order] = np.arange(len(order))
+    first = np.concatenate([[0], np.cumsum(span.prod(axis=1))])
+    # entry e pairs with the end[e] - e - 1 entries after it in its
+    # bucket.  The ranges hold _RANGE_PAIRS of those pairs, then twice as
+    # many a range up to _RANGE_MAX_PAIRS, and a triangle goes to the
+    # range its first pair falls in; a range that would get less than
+    # half its share is left to the one before it.
+    before = np.concatenate([[0], np.cumsum(np.take(end - 1, where)
+                                            - where)])
+    total = int(before[-1])
+    ramp = max(_RANGE_MAX_PAIRS // _RANGE_PAIRS, 1).bit_length()
+    size = np.concatenate([_RANGE_PAIRS << np.arange(ramp),
+                           np.full(total // _RANGE_MAX_PAIRS + 1,
+                                   _RANGE_MAX_PAIRS)])
+    cuts = np.cumsum(size)[:-1]
+    cuts = np.compress(cuts + size[1:] // 2 <= total, cuts)
+    rng = np.searchsorted(cuts, np.take(before, first[:-1]), side="right")
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(rng)) + 1,
+                             [n_tri]])
+    lo, hi = lo.T.copy(), hi.T.copy()
+    buckets = _Buckets(owners, end, where, first, np.take(lo[0], owners),
+                       np.take(hi[0], owners), lo, hi, triangles.T.copy())
+    return buckets, bounds
+
+
+def _broad_phase(buckets, first, stop):
+    """Candidate non-adjacent pairs (i, j), i < j, with i in [first, stop)
+    and overlapping boxes, as a sorted (P, 2) int64 array."""
+    # the range's entries in bucket order, so that the gathers stay local
+    e = np.sort(buckets.where[buckets.first[first]:buckets.first[stop]])
+    rest = np.take(buckets.end, e) - e - 1
+    # the k-th pair of entry e is (e, e + 1 + k)
+    pi = np.repeat(e, rest)
+    pj = np.arange(len(pi)) + np.repeat(e + 1 - np.cumsum(rest) + rest, rest)
+    # AABB overlap re-check (hash cells over-approximate), one axis at a
+    # time on the pairs left, then no shared vertex.  The first axis,
+    # on every pair formed, reads the entries' own copies of the box;
+    # one np.flatnonzero and two np.take filter two arrays in 2/3 the
+    # time of two np.compress
+    keep = np.take(buckets.x_lo, pi) <= np.take(buckets.x_hi, pj)
+    keep &= np.take(buckets.x_lo, pj) <= np.take(buckets.x_hi, pi)
+    keep = np.flatnonzero(keep)
+    ti = np.take(buckets.owners, np.take(pi, keep))
+    tj = np.take(buckets.owners, np.take(pj, keep))
+    for lo_k, hi_k in zip(buckets.lo[1:], buckets.hi[1:]):
+        keep = np.take(lo_k, ti) <= np.take(hi_k, tj)
+        keep &= np.take(lo_k, tj) <= np.take(hi_k, ti)
+        keep = np.flatnonzero(keep)
+        ti, tj = np.take(ti, keep), np.take(tj, keep)
+    vi = np.take(buckets.corners, ti, axis=1)
+    vj = np.take(buckets.corners, tj, axis=1)
+    keep = np.ones(len(ti), dtype=bool)
+    for x in vi:
+        for y in vj:
+            keep &= x != y
     # a pair found in several cells is dropped after the first: by a sort
     # and a neighbour compare (numpy >= 2.3 sends a bare np.unique of
     # int64 through a hash table, many times slower than a sort), as rows
     # go through np.take / np.compress, not a[idx] / a[mask], which cost
     # 3-10x more on numpy 2.4
-    keys = np.sort(np.concatenate(keys))
+    width = len(buckets.first) - 1
+    keys = np.sort(np.compress(keep, ti) * width + np.compress(keep, tj))
     keys = np.compress(np.diff(keys, prepend=-1) != 0, keys)
-    return np.stack([keys // n_tri, keys % n_tri], axis=1)
+    return np.stack([keys // width, keys % width], axis=1)
+
+
+def _candidate_pairs(points, triangles):
+    """The candidate pairs of a mesh in R^3, one owner range at a time.
+
+    Hashes the triangles once, then yields `_broad_phase` of each range
+    of triangles in ascending order; a pair (i, j) is formed only from
+    i's entries, so its copies from other cells fall in one range, and
+    the ranges concatenated are every candidate pair, sorted.
+    """
+    buckets, bounds = _hash_entries(points, triangles)
+    for first, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        yield _broad_phase(buckets, first, stop)
 
 
 def self_intersection_test(mesh, max_witnesses=64):
@@ -477,8 +554,10 @@ def self_intersection_test(mesh, max_witnesses=64):
     Returns (embedded, witnesses): `embedded` is True when no pair of
     non-adjacent triangles meets; `witnesses` lists the max_witnesses
     smallest meeting triangle index pairs, in ascending order, as (i, j)
-    tuples of ints with i < j.  The candidate pairs are decided exactly
-    in ascending chunks, and the test stops after the chunk that brings
+    tuples of ints with i < j.  The candidate pairs stream in ascending
+    owner ranges and are decided exactly in batches of whole ranges, of
+    _EXACT_BATCH pairs or more (or the last ones), each before the next
+    range is hashed; the test stops after the batch that brings
     max(max_witnesses, 1) witnesses, so a cap of 0 still decides
     `embedded`.  Disjoint nested components are embedded.  Raises
     PoleSelectionError when no projection pole clears the surface.
@@ -497,16 +576,22 @@ def self_intersection_test(mesh, max_witnesses=64):
             f"best pole clearance {clearance:.4f} rad does not exceed the "
             f"triangle-size margin {margin:.4f} rad; mesh too dense in S^3")
     points = stereographic_project(mesh.vertices, pole)
-    pairs = _broad_phase(points, mesh.triangles)
     proj = np.take(points, mesh.triangles, axis=0)
+    ranges = _candidate_pairs(points, mesh.triangles)
     # one witness decides the verdict even when none are to be listed
     want = max(max_witnesses, 1)
     witnesses = []
-    lo, size = 0, _EXACT_CHUNK
-    while lo < len(pairs) and len(witnesses) < want:
-        chunk = pairs[lo:lo + size]
+    while len(witnesses) < want:
+        pending, count = [], 0
+        for pairs in ranges:
+            pending.append(pairs)
+            count += len(pairs)
+            if count >= _EXACT_BATCH:
+                break
+        if not count:
+            break
+        chunk = np.concatenate(pending)
         meets = triangles_intersect(np.take(proj, chunk[:, 0], axis=0),
                                     np.take(proj, chunk[:, 1], axis=0))
         witnesses += map(tuple, np.compress(meets, chunk, axis=0).tolist())
-        lo, size = lo + size, 2 * size
     return not witnesses, witnesses[:max_witnesses]

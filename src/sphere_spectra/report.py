@@ -327,6 +327,40 @@ def write_json_atomic(data, path):
     write_text_atomic(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
 
 
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:       # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a JSON report ({exc})") from exc
+
+
+def _checked_report(data, where):
+    """`data` as `load_report` returns it; `where` names it in errors."""
+    if not isinstance(data, dict) or "schema" not in data:
+        raise SchemaMismatchError(f"{where}: missing schema field")
+    if data["schema"] != SCHEMA_VERSION:
+        return data
+    missing = [key for key in _CSV_SECTIONS if key not in data]
+    if missing:
+        raise SchemaMismatchError(
+            f"{where}: schema {SCHEMA_VERSION} report without {missing[0]!r}")
+    try:
+        fresh = {name: v["passed"]
+                 for name, v in compute_verdicts(data).items()}
+        stored = {name: v["passed"] for name, v in data["verdicts"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaMismatchError(
+            f"{where}: verdicts cannot be recomputed ({exc!r})") from exc
+    differ = [name for name in dict.fromkeys([*fresh, *stored])
+              if fresh.get(name) != stored.get(name)]
+    if differ:
+        raise SchemaMismatchError(
+            f"{where}: stored verdicts differ from their recomputation: "
+            f"{', '.join(differ)}")
+    return data
+
+
 def load_report(path):
     """Read one JSON report.  A file without the schema field, a
     current-schema file without a section `report_to_csv_row` reads, and
@@ -334,38 +368,29 @@ def load_report(path):
     differ from `compute_verdicts` of its numbers raise
     SchemaMismatchError; the message names the verdicts that differ,
     in the order `compute_verdicts` makes them."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:       # not UTF-8, or not JSON
-            raise ValueError(f"{path}: not a JSON report ({exc})") from exc
-    if not isinstance(data, dict) or "schema" not in data:
-        raise SchemaMismatchError(f"{path}: missing schema field")
-    if data["schema"] != SCHEMA_VERSION:
-        return data
-    missing = [key for key in _CSV_SECTIONS if key not in data]
-    if missing:
-        raise SchemaMismatchError(
-            f"{path}: schema {SCHEMA_VERSION} report without {missing[0]!r}")
-    try:
-        fresh = {name: v["passed"]
-                 for name, v in compute_verdicts(data).items()}
-        stored = {name: v["passed"] for name, v in data["verdicts"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SchemaMismatchError(
-            f"{path}: verdicts cannot be recomputed ({exc!r})") from exc
-    differ = [name for name in dict.fromkeys([*fresh, *stored])
-              if fresh.get(name) != stored.get(name)]
-    if differ:
-        raise SchemaMismatchError(
-            f"{path}: stored verdicts differ from their recomputation: "
-            f"{', '.join(differ)}")
-    return data
+    return _checked_report(_read_json(path), path)
 
 
 def merge_reports(paths):
-    """Load several reports; all must share one schema version."""
-    reports = [load_report(p) for p in paths]
+    """Load several reports; all must share one schema version.
+
+    A path may also hold a merged file, {"schema": 1, "reports": [...]}
+    as `report --out` writes it: its reports are read in order, each
+    checked as `load_report` checks a file (errors name it as
+    `path: reports[k]`).
+    """
+    reports = []
+    for path in paths:
+        data = _read_json(path)
+        if (isinstance(data, dict) and data.get("schema") == SCHEMA_VERSION
+                and "reports" in data):
+            if not isinstance(data["reports"], list):
+                raise SchemaMismatchError(
+                    f"{path}: merged file whose 'reports' is not a list")
+            reports += [_checked_report(r, f"{path}: reports[{k}]")
+                        for k, r in enumerate(data["reports"])]
+        else:
+            reports.append(_checked_report(data, path))
     versions = {r["schema"] for r in reports}
     if len(versions) > 1:
         raise SchemaMismatchError(

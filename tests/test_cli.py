@@ -198,17 +198,25 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_quadrature_failure_exit_code(capsys):
-    # at n = 300 the interior oracle's sin^-2n integrand overflows (with a
-    # numpy warning) and its integral is not finite: a solver failure, one
-    # line and no traceback
-    with pytest.warns(RuntimeWarning) as warned:
-        code = main(["verify-oracles", "--dims", "300", "--only", "interior"])
+def test_quadrature_failure_exit_code(monkeypatch, capsys):
+    # an oracle integrand that is not finite (here the interior oracle's,
+    # through an infinite sphere volume) gives an integral that is not
+    # finite (with a numpy warning): a solver failure, one line and no
+    # traceback
+    monkeypatch.setattr(radial, "sphere_volume", lambda n: math.inf)
+    with pytest.warns(RuntimeWarning):
+        code = main(["verify-oracles", "--dims", "3", "--only", "interior"])
     assert code == 4
-    assert any("overflow" in str(w.message) for w in warned)
     err = capsys.readouterr().err
     assert err.startswith("solver failure: non-finite result")
     assert err.count("\n") == 1
+
+
+def test_verify_oracles_interior_at_large_dims(capsys):
+    # the dimensions whose |grad v|^2 = sin^-2n r overflows a double
+    assert main(["verify-oracles", "--dims", "289,300,500",
+                 "--only", "interior"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "6/6 checks passed"
 
 
 def test_offsets_table(capsys):
@@ -327,6 +335,31 @@ def test_report_with_tampered_verdict_is_schema_mismatch(tmp_path, capsys):
         f"schema mismatch: {bad}: stored verdicts differ from their "
         f"recomputation: choi_wang, improved_bound\n")
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_reads_its_own_merged_output(tmp_path, capsys):
+    # report --out writes {"schema": 1, "reports": [...]}; report reads it
+    # back as the same rows, and checks each report in it as a file
+    out = tmp_path / "rep.json"
+    assert main(["verify-surface", "--res", "16", "--out", str(out)]) == 0
+    merged, again = tmp_path / "merged.json", tmp_path / "again.json"
+    assert main(["report", str(out), str(out), "--csv",
+                 str(tmp_path / "a.csv"), "--out", str(merged)]) == 0
+    assert main(["report", str(merged), "--csv", str(tmp_path / "b.csv"),
+                 "--out", str(again)]) == 0
+    assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
+    assert json.loads(again.read_text()) == json.loads(merged.read_text())
+    capsys.readouterr()
+    assert main(["report", str(merged), str(out)]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+    data = json.loads(merged.read_text())
+    data["reports"][1]["spectrum"]["lambda1"] = 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["report", str(bad)]) == 6
+    assert capsys.readouterr().err == (
+        f"schema mismatch: {bad}: reports[1]: stored verdicts differ from "
+        f"their recomputation: choi_wang, improved_bound\n")
 
 
 def test_report_missing_section_is_schema_mismatch(tmp_path, capsys):

@@ -11,7 +11,7 @@ from sphere_spectra.generators import (
     rotate_mesh,
 )
 from sphere_spectra.intersect import (
-    PoleSelectionError, _broad_phase, _orient3d_exact, _orient3d_filter,
+    PoleSelectionError, _candidate_pairs, _orient3d_exact, _orient3d_filter,
     select_pole, self_intersection_test, stereographic_project,
     triangles_intersect,
 )
@@ -848,6 +848,11 @@ def _projected(mesh):
     return stereographic_project(mesh.vertices, pole)
 
 
+def _all_candidates(points, triangles):
+    """Every candidate pair of the stream, its ranges concatenated."""
+    return np.concatenate(list(_candidate_pairs(points, triangles)))
+
+
 def test_broad_phase_empty_when_every_pair_shares_a_vertex():
     # any two faces of a tetrahedron share an edge: their boxes overlap,
     # and no candidate pair is left
@@ -856,7 +861,7 @@ def test_broad_phase_empty_when_every_pair_shares_a_vertex():
     tris = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
     tetra = SphericalTriMesh(vertices=verts, triangles=tris, genus=0)
     points = stereographic_project(verts, np.full(4, -0.5))
-    pairs = _broad_phase(points, tetra.triangles)
+    pairs = _all_candidates(points, tetra.triangles)
     assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
     assert len(_sweep_pairs(points, tetra.triangles)) == 0
     assert self_intersection_test(tetra) == (True, [])
@@ -890,12 +895,14 @@ def _sweep_pairs(points, triangles):
 def test_broad_phase_matches_sweep(make):
     mesh = make()
     points = _projected(mesh)
-    pairs = _broad_phase(points, mesh.triangles)
+    pairs = _all_candidates(points, mesh.triangles)
     assert pairs.dtype == np.int64
     assert np.array_equal(pairs, _sweep_pairs(points, mesh.triangles))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, intersect._PAIR_CHUNK])
+# the largest range budget: 1 and 7 bucket pairs for every range, and
+# the default ramp from _RANGE_PAIRS up to _RANGE_MAX_PAIRS
+@pytest.mark.parametrize("chunk", [1, 7, intersect._RANGE_MAX_PAIRS])
 @pytest.mark.parametrize("make", [
     lambda: _crossed_flat_tori(),
     lambda: offset_mesh(gen_clifford_torus(16, 16), 0.4),
@@ -903,14 +910,21 @@ def test_broad_phase_matches_sweep(make):
 ], ids=["crossed-flat-tori", "clifford-16-t0.4", "sphere-3-t0.2"])
 def test_broad_phase_chunks_match_brute_force(make, chunk, monkeypatch):
     # every non-adjacent pair with overlapping closed boxes, whatever
-    # number of bucket pairs each chunk holds
-    monkeypatch.setattr(intersect, "_PAIR_CHUNK", chunk)
+    # number of bucket pairs each owner range holds; each range holds
+    # whole first triangles, ascending from range to range
+    monkeypatch.setattr(intersect, "_RANGE_PAIRS",
+                        min(chunk, intersect._RANGE_PAIRS))
+    monkeypatch.setattr(intersect, "_RANGE_MAX_PAIRS", chunk)
     mesh = make()
     points = _projected(mesh)
     ref = _sweep_pairs(points, mesh.triangles)
-    pairs = _broad_phase(points, mesh.triangles)
-    assert pairs.dtype == np.int64 and len(ref) > 100
-    assert np.array_equal(pairs, ref)
+    ranges = list(_candidate_pairs(points, mesh.triangles))
+    assert all(r.dtype == np.int64 and r.shape[1:] == (2,) for r in ranges)
+    assert len(ref) > 100 and np.array_equal(np.concatenate(ranges), ref)
+    firsts = [np.unique(r[:, 0]) for r in ranges if len(r)]
+    assert all(a[-1] < b[0] for a, b in zip(firsts, firsts[1:]))
+    if chunk < intersect._RANGE_PAIRS:
+        assert len(firsts) > 10
 
 
 def test_select_pole_candidates_drawn_once():
@@ -953,7 +967,7 @@ def test_witness_cap_does_not_decide_embeddedness(monkeypatch):
     monkeypatch.setattr(intersect, "_long_orient_eps", lambda: None)
     monkeypatch.setattr(intersect, "_orient3d_filter",
                         lambda *pts: np.zeros(len(pts[0]), dtype=np.int8))
-    monkeypatch.setattr(intersect, "_EXACT_CHUNK", 1)
+    monkeypatch.setattr(intersect, "_EXACT_BATCH", 1)
     assert self_intersection_test(union, max_witnesses=0) == (False, [])
 
 
@@ -987,7 +1001,7 @@ def _fraction_loop_case(name):
     mesh = _FRACTION_LOOP_MESHES[name]()
     points = _projected(mesh)
     tp = points[mesh.triangles]
-    meets = [(i, j) for i, j in _broad_phase(points, mesh.triangles).tolist()
+    meets = [(i, j) for i, j in _all_candidates(points, mesh.triangles).tolist()
              if _triangles_intersect_fraction(tp[i], tp[j])]
     return mesh, meets
 
@@ -1023,19 +1037,21 @@ def test_exact_fallback_converts_once_per_batch(integer_rows, monkeypatch):
 
 
 def test_default_cap_stops_before_every_pair(monkeypatch):
-    # the crossed tori meet in their first chunk: at the default cap the
-    # later candidate pairs are never decided
-    rows = []
-    decide = intersect.triangles_intersect
+    # the crossed tori meet in their first owner ranges: at the default
+    # cap the later candidate pairs are neither formed nor decided
+    formed, decided = [], []
+    broad, decide = intersect._broad_phase, intersect.triangles_intersect
+    monkeypatch.setattr(intersect, "_broad_phase", lambda *a: (
+        lambda pairs: formed.append(len(pairs)) or pairs)(broad(*a)))
     monkeypatch.setattr(intersect, "triangles_intersect",
-                        lambda t1, t2: rows.append(len(t1)) or decide(t1, t2))
+                        lambda t1, t2: decided.append(len(t1))
+                        or decide(t1, t2))
     mesh = _crossed_clifford_32()
     embedded, witnesses = self_intersection_test(mesh)
     assert not embedded and len(witnesses) == 64
-    pairs = _broad_phase(_projected(mesh), mesh.triangles)
-    assert rows and sum(rows) < len(pairs)
-    assert rows == [intersect._EXACT_CHUNK << k for k in range(len(rows))]
-
+    monkeypatch.undo()
+    pairs = _all_candidates(_projected(mesh), mesh.triangles)
+    assert decided and sum(decided) <= sum(formed) < len(pairs)
 
 
 def _relaid(mesh, layout):
@@ -1074,7 +1090,7 @@ def test_outputs_independent_of_memory_layout(make, layout):
     assert self_intersection_test(other, max_witnesses=10**6) \
         == self_intersection_test(mesh, max_witnesses=10**6)
     tp = _projected(mesh)[mesh.triangles]
-    pairs = _broad_phase(_projected(mesh), mesh.triangles)
+    pairs = _all_candidates(_projected(mesh), mesh.triangles)
     first, second = tp[pairs[:, 0]], tp[pairs[:, 1]]
     expected = triangles_intersect(first, second)
     strided = np.repeat(second, 2, axis=0)[::2]

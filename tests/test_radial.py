@@ -141,6 +141,18 @@ def test_interior_gradient_extreme_t():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n", [289, 300, 400])
+def test_interior_gradient_finite_where_grad_squared_overflows(n):
+    # sin^-2n r overflows a double on (0.3, 1.3) from n = 289 on; omega
+    # sin^-n r does not, and its integrals are positive, with the Hessian
+    # side n (n + 1) cot^2 r times it (a RuntimeWarning fails the test)
+    rows = radial.verify_interior_gradient_radial(n, 0.3, 1.3, (0.1, 0.2))
+    for row in rows:
+        assert row.passed and 0.0 < row.lhs < row.rhs < math.inf
+    # the rhs scales as t^-2 around one Hessian integral
+    assert rows[0].rhs == pytest.approx(4.0 * rows[1].rhs, rel=1e-14)
+
+
 def test_interior_gradient_guards():
     with pytest.raises(ValueError):
         radial.verify_interior_gradient_radial(2, 0.3, 1.3, (0.1, 0.3))
