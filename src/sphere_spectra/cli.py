@@ -10,9 +10,9 @@ Subcommands::
 
 Exit codes: 0 ok, 2 usage (a file that cannot be read or written
 included), 3 mesh error, 4 solver failure (eigensolver or quadrature),
-5 failed oracle check, 6 report schema mismatch (a stored verdict that
-its numbers do not give included), 141 (128 + SIGPIPE) stdout closed
-by its reader.
+5 failed oracle check, 6 report schema mismatch (another schema, or a
+stored verdict that its numbers do not give, included), 141 (128 +
+SIGPIPE) stdout closed by its reader.
 
 `verify-oracles` prints one line per `radial.OracleReport` row: minus
 its slack (the gap |lhs - rhs| of an identity), its threshold and its

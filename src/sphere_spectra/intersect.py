@@ -417,16 +417,16 @@ class _Buckets(NamedTuple):
     corners: np.ndarray    # (3, n_tri) vertex indices, one row a corner
 
 
-def _hash_entries(points, triangles):
+def _hash_entries(proj, triangles):
     """Uniform spatial hash of triangle AABBs.
 
-    Returns the `_Buckets` and the bounds of the owner ranges: ascending
-    triangle indices from 0 to n_tri, range r holding the triangles from
-    bounds[r] up to bounds[r + 1].
+    `proj` holds the (n_tri, 3, 3) triangle corners in R^3 that the
+    exact test reads too.  Returns the `_Buckets` and the bounds of the
+    owner ranges: ascending triangle indices from 0 to n_tri, range r
+    holding the triangles from bounds[r] up to bounds[r + 1].
     """
-    tp = np.take(points, triangles, axis=0)
-    lo = np.minimum(np.minimum(tp[:, 0], tp[:, 1]), tp[:, 2])
-    hi = np.maximum(np.maximum(tp[:, 0], tp[:, 1]), tp[:, 2])
+    lo = np.minimum(np.minimum(proj[:, 0], proj[:, 1]), proj[:, 2])
+    hi = np.maximum(np.maximum(proj[:, 0], proj[:, 1]), proj[:, 2])
     n_tri = len(triangles)
     ext = hi - lo
     ext = np.maximum(np.maximum(ext[:, 0], ext[:, 1]), ext[:, 2])
@@ -535,15 +535,15 @@ def _broad_phase(buckets, first, stop):
     return np.stack([keys // width, keys % width], axis=1)
 
 
-def _candidate_pairs(points, triangles):
-    """The candidate pairs of a mesh in R^3, one owner range at a time.
+def _candidate_pairs(proj, triangles):
+    """The candidate pairs of the triangles `proj`, one owner range at a time.
 
     Hashes the triangles once, then yields `_broad_phase` of each range
     of triangles in ascending order; a pair (i, j) is formed only from
     i's entries, so its copies from other cells fall in one range, and
     the ranges concatenated are every candidate pair, sorted.
     """
-    buckets, bounds = _hash_entries(points, triangles)
+    buckets, bounds = _hash_entries(proj, triangles)
     for first, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         yield _broad_phase(buckets, first, stop)
 
@@ -575,9 +575,9 @@ def self_intersection_test(mesh, max_witnesses=64):
         raise PoleSelectionError(
             f"best pole clearance {clearance:.4f} rad does not exceed the "
             f"triangle-size margin {margin:.4f} rad; mesh too dense in S^3")
-    points = stereographic_project(mesh.vertices, pole)
-    proj = np.take(points, mesh.triangles, axis=0)
-    ranges = _candidate_pairs(points, mesh.triangles)
+    proj = np.take(stereographic_project(mesh.vertices, pole),
+                   mesh.triangles, axis=0)
+    ranges = _candidate_pairs(proj, mesh.triangles)
     # one witness decides the verdict even when none are to be listed
     want = max(max_witnesses, 1)
     witnesses = []

@@ -277,11 +277,6 @@ class SphericalTriMesh:
             self._cache["est_normals"] = _read_only(acc / norms[:, None])
         return self._cache["est_normals"]
 
-    def discrete_geometry(self):
-        if "geometry" not in self._cache:
-            self._cache["geometry"] = discrete_shape_operator(self)
-        return self._cache["geometry"]
-
 
 @dataclass(frozen=True)
 class LaplacePair:
@@ -354,7 +349,7 @@ def assemble_laplacian(mesh):
 @dataclass(frozen=True)
 class DiscreteGeometry:
     """Per-vertex discrete geometry estimated from the triangulation; its
-    arrays are read-only, as a mesh caches it (`discrete_geometry`)."""
+    arrays are read-only, as a mesh caches it (`discrete_shape_operator`)."""
     areas: np.ndarray        # lumped vertex areas; positive, sum = total area
     normals: np.ndarray      # estimated unit surface normals
     shape_operators: np.ndarray  # (V, 2, 2) symmetric Weingarten estimates
@@ -390,9 +385,13 @@ def discrete_shape_operator(mesh):
     once.  Curvature sign convention is the package one: geodesic
     spheres have positive curvature toward their center.
 
+    Computed once per mesh: the `DiscreteGeometry` is cached on the mesh
+    (read-only arrays, as `vertex_areas`) and later calls return it.
     Raises MeshQualityError where a vertex's one-ring fit is rank
     deficient.
     """
+    if "geometry" in mesh._cache:
+        return mesh._cache["geometry"]
     normals = mesh.estimated_normals()
     v = mesh.vertices
     t1, t2 = _tangent_frames(v, normals)
@@ -453,11 +452,12 @@ def discrete_shape_operator(mesh):
     genus = None
     if mesh.component_count == 1:
         genus = (2 - mesh.euler_characteristic) // 2
-    return DiscreteGeometry(
+    mesh._cache["geometry"] = DiscreteGeometry(
         areas=areas, normals=normals, shape_operators=s_ops,
         kappas=kappas, norm_A=norm_a, mean_H=mean_h,
         total_area=float(areas.sum()), lam_max=float(norm_a.max()),
         genus=genus)
+    return mesh._cache["geometry"]
 
 
 def offset_horizon(mesh):
@@ -465,7 +465,8 @@ def offset_horizon(mesh):
     analytic |kappa| if the mesh has them, else the discrete `lam_max`."""
     if mesh.kappas is not None:
         return geometry.embeddedness_horizon(mesh.kappas.ravel())
-    return geometry.embeddedness_horizon([mesh.discrete_geometry().lam_max])
+    return geometry.embeddedness_horizon(
+        [discrete_shape_operator(mesh).lam_max])
 
 
 def offset_mesh(mesh, t):

@@ -253,7 +253,7 @@ def verify_interior_gradient_radial(n, r0, r1, ts):
 # ---------------------------------------------------------------------------
 # hemisphere: harmonic extension of a degree-1 equatorial eigenfunction
 
-@dataclass
+@dataclass(frozen=True)
 class HemisphereExtension:
     """Radial factor of the harmonic extension, normalized to F(pi/2) = 1.
 
@@ -264,12 +264,17 @@ class HemisphereExtension:
     Gauss series G = 2F1(n+1, 1; (n+3)/2; z) in z = sin^2(t/2), whose terms
     are all positive.  Working with G keeps evaluation errors near the
     pole from being amplified by the 1/sin^2 coefficient of the F
-    equation.  F is odd; callables accept arrays with |t| <= _THETA_MAX
-    and raise ValueError beyond it.
+    equation.  F is odd.  F, F' and F'' are read through `jet`, one
+    series evaluation for all three; it accepts arrays with |t| <=
+    _THETA_MAX and raises ValueError beyond it.
     """
     n: int
     _coeffs: np.ndarray  # series G = sum c_m z^m, z = sin^2(theta/2)
-    _scale: float
+    _scale: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_scale",
+                           1.0 / float(self._g_pair(math.pi / 2.0)[0]))
 
     def _g_pair(self, theta):
         """(G, dG/dtheta) from the regular series in z = sin^2(theta/2)."""
@@ -302,19 +307,10 @@ class HemisphereExtension:
             self._scale * s * g, self._scale * (c * g + s * gp),
             self._scale * (-s * g + 2.0 * c * gp + s * gpp)))
 
-    def f(self, theta):
-        return self.jet(theta)[0]
-
-    def fp(self, theta):
-        return self.jet(theta)[1]
-
-    def fpp(self, theta):
-        return self.jet(theta)[2]
-
     @property
     def boundary_derivative(self):
         """Outward normal derivative F'(pi/2) at the equator (positive)."""
-        return float(self.fp(math.pi / 2.0))
+        return self.jet(math.pi / 2.0)[1]
 
     def residual(self, theta_grid):
         """Plug-back ODE residual with F'' from finite differences of F.
@@ -324,7 +320,8 @@ class HemisphereExtension:
         [0.01, pi/2].
         """
         th = np.asarray(theta_grid, dtype=float)
-        _, d2 = _fd_derivatives(self.f, th, _RESIDUAL_FD_STEP)
+        _, d2 = _fd_derivatives(lambda x: self.jet(x)[0], th,
+                                _RESIDUAL_FD_STEP)
         s, c = np.sin(th), np.cos(th)
         f, fp, _ = self.jet(th)
         return np.abs(d2 + self.n * (c / s) * fp - (self.n / s ** 2) * f)
@@ -345,9 +342,7 @@ def solve_hemisphere_extension(n):
     while coeffs[-1] * z_max ** (len(coeffs) - 1) >= 2.0 ** -60:
         m = len(coeffs) - 1
         coeffs.append(coeffs[m] * (m + n + 1.0) / (m + (n + 3.0) / 2.0))
-    ext = HemisphereExtension(n=n, _coeffs=np.array(coeffs), _scale=1.0)
-    ext._scale = 1.0 / float(ext._g_pair(math.pi / 2.0)[0])
-    return ext
+    return HemisphereExtension(n=n, _coeffs=np.array(coeffs))
 
 
 def verify_choiwang_chain_hemisphere(n):

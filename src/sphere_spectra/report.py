@@ -20,6 +20,7 @@ from importlib import metadata as _im
 import numpy as np
 
 from . import constants, intersect, spectral
+from .geometry import HorizonError
 from .mesh import (MeshError, assemble_laplacian, discrete_shape_operator,
                    offset_horizon, offset_mesh, write_text_atomic)
 
@@ -57,17 +58,18 @@ def tool_version():
 def offset_row(mesh, t):
     """One offsets-table row: the parallel mesh at distance t.
 
-    A distance at or beyond `offset_horizon(mesh)` gives a
-    "beyond-horizon" row.  Otherwise the row holds the embeddedness
-    status and the ranges of the discrete and (if the mesh has analytic
-    curvatures) the transported analytic mean curvature.
+    A distance `offset_mesh` refuses gives a "beyond-horizon" row, whose
+    horizon is |critical_t| of the HorizonError.  Otherwise the row holds
+    the embeddedness status and the ranges of the discrete and (if the
+    mesh has analytic curvatures) the transported analytic mean curvature.
     """
     t = float(t)
-    horizon = offset_horizon(mesh)
-    if abs(t) >= horizon:
-        return {"t": t, "status": "beyond-horizon", "horizon": horizon}
     t0 = time.perf_counter()
-    off = offset_mesh(mesh, t)
+    try:
+        off = offset_mesh(mesh, t)
+    except HorizonError as exc:
+        return {"t": t, "status": "beyond-horizon",
+                "horizon": float(abs(exc.critical_t))}
     off_geom = discrete_shape_operator(off)
     embedded, witnesses = intersect.self_intersection_test(off)
     row = {
@@ -101,7 +103,7 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
     t_all = time.perf_counter()
 
     t0 = time.perf_counter()
-    geom = mesh.discrete_geometry()
+    geom = discrete_shape_operator(mesh)
     timing["shape_operator"] = time.perf_counter() - t0
 
     lam_analytic = None
@@ -271,11 +273,16 @@ def compute_verdicts(report):
 
     rows = report.get("offsets", [])
     if rows:
-        bad = [r["t"] for r in rows if r.get("status") == "intersecting"]
-        verdicts["offsets_embedded"] = _verdict(
-            not bad,
-            "all offsets embedded" if not bad
-            else f"self-intersection at t in {bad}")
+        ts = {s: [r["t"] for r in rows if r.get("status") == s]
+              for s in ("embedded", "intersecting", "beyond-horizon")}
+        bad, beyond = ts["intersecting"], ts["beyond-horizon"]
+        detail = "all offsets embedded"
+        if bad:
+            detail = f"self-intersection at t in {bad}"
+        elif beyond:    # never tested: a passing table names them
+            detail = (f"embedded at t in {ts['embedded']}; "
+                      f"beyond the horizon at t in {beyond}")
+        verdicts["offsets_embedded"] = _verdict(not bad, detail)
     return verdicts
 
 
@@ -340,7 +347,8 @@ def _checked_report(data, where):
     if not isinstance(data, dict) or "schema" not in data:
         raise SchemaMismatchError(f"{where}: missing schema field")
     if data["schema"] != SCHEMA_VERSION:
-        return data
+        raise SchemaMismatchError(
+            f"{where}: unsupported schema version {data['schema']!r}")
     missing = [key for key in _CSV_SECTIONS if key not in data]
     if missing:
         raise SchemaMismatchError(
@@ -362,22 +370,22 @@ def _checked_report(data, where):
 
 
 def load_report(path):
-    """Read one JSON report.  A file without the schema field, a
-    current-schema file without a section `report_to_csv_row` reads, and
-    a current-schema file whose stored verdicts (names and passed flags)
-    differ from `compute_verdicts` of its numbers raise
-    SchemaMismatchError; the message names the verdicts that differ,
-    in the order `compute_verdicts` makes them."""
+    """Read one JSON report.  A file without the schema field, a file of
+    any schema other than SCHEMA_VERSION, a file without a section
+    `report_to_csv_row` reads, and a file whose stored verdicts (names
+    and passed flags) differ from `compute_verdicts` of its numbers
+    raise SchemaMismatchError naming the file; the message names the
+    verdicts that differ, in the order `compute_verdicts` makes them."""
     return _checked_report(_read_json(path), path)
 
 
 def merge_reports(paths):
-    """Load several reports; all must share one schema version.
+    """Load several reports, each checked as `load_report` checks a
+    file, so every one is of schema SCHEMA_VERSION.
 
     A path may also hold a merged file, {"schema": 1, "reports": [...]}
     as `report --out` writes it: its reports are read in order, each
-    checked as `load_report` checks a file (errors name it as
-    `path: reports[k]`).
+    checked the same way (errors name it as `path: reports[k]`).
     """
     reports = []
     for path in paths:
@@ -391,13 +399,6 @@ def merge_reports(paths):
                         for k, r in enumerate(data["reports"])]
         else:
             reports.append(_checked_report(data, path))
-    versions = {r["schema"] for r in reports}
-    if len(versions) > 1:
-        raise SchemaMismatchError(
-            f"mixed schema versions {sorted(versions)} in {list(paths)}")
-    if versions and versions != {SCHEMA_VERSION}:
-        raise SchemaMismatchError(
-            f"unsupported schema version {sorted(versions)}")
     return reports
 
 

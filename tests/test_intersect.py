@@ -850,7 +850,8 @@ def _projected(mesh):
 
 def _all_candidates(points, triangles):
     """Every candidate pair of the stream, its ranges concatenated."""
-    return np.concatenate(list(_candidate_pairs(points, triangles)))
+    proj = np.take(points, triangles, axis=0)
+    return np.concatenate(list(_candidate_pairs(proj, triangles)))
 
 
 def test_broad_phase_empty_when_every_pair_shares_a_vertex():
@@ -918,7 +919,8 @@ def test_broad_phase_chunks_match_brute_force(make, chunk, monkeypatch):
     mesh = make()
     points = _projected(mesh)
     ref = _sweep_pairs(points, mesh.triangles)
-    ranges = list(_candidate_pairs(points, mesh.triangles))
+    ranges = list(_candidate_pairs(np.take(points, mesh.triangles, axis=0),
+                                   mesh.triangles))
     assert all(r.dtype == np.int64 and r.shape[1:] == (2,) for r in ranges)
     assert len(ref) > 100 and np.array_equal(np.concatenate(ranges), ref)
     firsts = [np.unique(r[:, 0]) for r in ranges if len(r)]

@@ -28,7 +28,8 @@ from sphere_spectra.generators import (
 )
 from sphere_spectra.intersect import self_intersection_test
 from sphere_spectra.mesh import (
-    SphericalTriMesh, assemble_laplacian, offset_mesh,
+    SphericalTriMesh, assemble_laplacian, discrete_shape_operator,
+    offset_mesh,
 )
 from sphere_spectra.report import verify_surface
 from sphere_spectra.spectral import smallest_nonzero_eig
@@ -181,7 +182,7 @@ def _signed_permutation(perm, signs):
 def spectrum_reference(request):
     """A mesh with its report and per-vertex discrete mean curvature."""
     mesh = SPECTRUM_MESHES[request.param]()
-    return mesh, verify_surface(mesh), mesh.discrete_geometry().mean_H
+    return mesh, verify_surface(mesh), discrete_shape_operator(mesh).mean_H
 
 
 def _assert_same_spectrum(reference, other, vertex_map, sign=1.0):
@@ -196,7 +197,7 @@ def _assert_same_spectrum(reference, other, vertex_map, sign=1.0):
     assert got["verdicts"] == rep["verdicts"]
     assert got["curvature"]["lam_discrete"] == pytest.approx(
         rep["curvature"]["lam_discrete"], rel=1e-12)
-    other_h = other.discrete_geometry().mean_H[vertex_map]
+    other_h = discrete_shape_operator(other).mean_H[vertex_map]
     assert np.abs(other_h - sign * mean_h).max() <= 1e-12
 
 

@@ -233,7 +233,7 @@ def test_geometry_computed_once_per_mesh():
                   geom.norm_A, geom.mean_H):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        mesh.discrete_geometry().mean_H[:] = 1.0
+        discrete_shape_operator(mesh).mean_H[:] = 1.0
     # the bincount sums add in the order of an np.add.at loop over corners
     areas = np.zeros(mesh.vertex_count)
     normals = np.zeros((mesh.vertex_count, 4))
@@ -436,13 +436,25 @@ def test_offset_beyond_horizon_raises():
         offset_mesh(mesh, math.pi / 4.0)
 
 
+def test_shape_operator_cached_on_mesh():
+    # a second call returns the mesh's geometry; an offset mesh starts
+    # without it and computes its own
+    mesh = gen_geodesic_sphere(math.pi / 4.0, 3)
+    geom = discrete_shape_operator(mesh)
+    assert discrete_shape_operator(mesh) is geom
+    off = offset_mesh(mesh, 0.1)
+    assert "geometry" not in off._cache
+    assert discrete_shape_operator(off) is not geom
+    assert discrete_shape_operator(off) is discrete_shape_operator(off)
+
+
 def test_offset_horizon_analytic_or_discrete(tmp_path):
     mesh = gen_clifford_torus(16, 16)
     assert offset_horizon(mesh) == pytest.approx(math.pi / 4.0, rel=1e-12)
     path = tmp_path / "c.s3off"
     write_s3off(mesh, path)
     loaded = read_s3off(path)
-    lam = loaded.discrete_geometry().lam_max
+    lam = discrete_shape_operator(loaded).lam_max
     assert offset_horizon(loaded) == math.atan(1.0 / lam)
     with pytest.raises(geometry.HorizonError):
         offset_mesh(loaded, math.atan(1.0 / lam))

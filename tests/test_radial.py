@@ -164,7 +164,7 @@ def test_interior_gradient_guards():
 def test_hemisphere_extension_against_hypergeometric(n):
     ext = radial.solve_hemisphere_extension(n)
     theta = np.linspace(1e-3, math.pi / 2.0, 700)
-    assert np.abs(ext.f(theta) - hyp_extension(n, theta)).max() <= 1e-10
+    assert np.abs(ext.jet(theta)[0] - hyp_extension(n, theta)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -172,21 +172,23 @@ def test_hemisphere_extension_invariants(n):
     ext = radial.solve_hemisphere_extension(n)
     grid = np.linspace(0.01, math.pi / 2.0, 500)
     assert ext.residual(grid).max() <= 1e-8
-    assert (ext.f(grid) > 0).all()
-    assert (ext.fp(grid) > 0).all()
-    assert ext.f(math.pi / 2.0) == pytest.approx(1.0, rel=1e-12)
+    f, fp, _ = ext.jet(grid)
+    assert (f > 0).all()
+    assert (fp > 0).all()
+    assert ext.jet(math.pi / 2.0)[0] == pytest.approx(1.0, rel=1e-12)
     assert ext.boundary_derivative > 0           # strict flux at the equator
     assert ext.boundary_derivative == pytest.approx(
         BOUNDARY_DERIVATIVE[n], rel=1e-10)
     # regular branch: F ~ c * theta at the pole
-    assert ext.f(1e-6) / 1e-6 == pytest.approx(ext.fp(1e-7), rel=1e-4)
+    fp_pole = ext.jet(1e-7)[1]
+    assert ext.jet(1e-6)[0] / 1e-6 == pytest.approx(fp_pole, rel=1e-4)
     # at the pole itself F, F' and F'' are exact, without a warning: F is
     # odd, so F''(0) = 0, and F'' -> 0 as theta -> 0
     f0, fp0, fpp0 = ext.jet(0.0)
-    assert f0 == 0.0 and fp0 == pytest.approx(ext.fp(1e-7), rel=1e-12)
-    assert fpp0 == 0.0 and ext.fpp(0.0) == 0.0 and abs(ext.fpp(1e-6)) < 1e-4
+    assert f0 == 0.0 and fp0 == pytest.approx(fp_pole, rel=1e-12)
+    assert fpp0 == 0.0 and abs(ext.jet(1e-6)[2]) < 1e-4
     f, fp, fpp = ext.jet(np.array([0.0, -0.0, 0.3]))
-    assert fpp[:2].tolist() == [0.0, 0.0] and fpp[2] == ext.fpp(0.3)
+    assert fpp[:2].tolist() == [0.0, 0.0] and fpp[2] == ext.jet(0.3)[2]
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
@@ -195,7 +197,7 @@ def test_hemisphere_jet_finite_down_to_subnormal_theta(n):
     # 0 like theta: jet stays finite, odd and warning-free there
     # (RuntimeWarning is an error in this suite)
     ext = radial.solve_hemisphere_extension(n)
-    rate = ext.fpp(1e-6) / 1e-6
+    rate = ext.jet(1e-6)[2] / 1e-6
     for theta in (1e-300, 1e-308, 1e-310):
         for sign in (1.0, -1.0):
             f, fp, fpp = ext.jet(sign * theta)
@@ -210,15 +212,15 @@ def test_hemisphere_jet_finite_down_to_subnormal_theta(n):
     s, c = np.sin(th), np.cos(th)
     gpp = (n + 1.0) * g - (n + 2.0) * (c / s) * gp
     cot_form = ext._scale * (-s * g + 2.0 * c * gp + s * gpp)
-    assert [x.hex() for x in ext.fpp(th)] == [x.hex() for x in cot_form]
+    assert [x.hex() for x in ext.jet(th)[2]] == [x.hex() for x in cot_form]
 
 
 def test_hemisphere_extension_rejects_theta_past_series_range():
     ext = radial.solve_hemisphere_extension(2)
     with pytest.raises(ValueError, match="series"):
-        ext.f(2.5)
+        ext.jet(2.5)
     with pytest.raises(ValueError, match="series"):
-        ext.fp(np.array([1.0, -2.5]))
+        ext.jet(np.array([1.0, -2.5]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

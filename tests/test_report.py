@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere,
     rotate_mesh,
 )
-from sphere_spectra.mesh import MeshError, offset_mesh
+from sphere_spectra.mesh import MeshError, offset_horizon, offset_mesh
 from sphere_spectra.s3off import read_s3off, write_s3off
 from sphere_spectra.report import (
     CSV_FIELDS, SchemaMismatchError, compute_verdicts, load_report,
@@ -246,22 +247,66 @@ def test_disconnected_mesh_rejected_before_assembly(monkeypatch):
 
 def test_one_shape_operator_per_mesh(tmp_path, monkeypatch):
     # base mesh once (cached for the horizon and the offsets), each
-    # offset mesh once
+    # offset mesh once: the calls that find no geometry cached compute it
     path = tmp_path / "c.s3off"
     write_s3off(gen_clifford_torus(32, 32), path)
     mesh = read_s3off(path)
-    calls = []
+    computed = []
     original = M.discrete_shape_operator
 
     def counting(m):
-        calls.append(m.name)
+        if "geometry" not in m._cache:
+            computed.append(m.name)
         return original(m)
 
     monkeypatch.setattr(M, "discrete_shape_operator", counting)
     monkeypatch.setattr(R, "discrete_shape_operator", counting)
     rep = verify_surface(mesh, offsets=(0.1, 0.2))
     assert [row["status"] for row in rep["offsets"]] == ["embedded"] * 2
-    assert len(calls) == 3
+    assert len(computed) == 3
+
+
+@pytest.mark.parametrize("source", ["analytic", "s3off"])
+def test_offset_row_beyond_horizon_from_offset_mesh(tmp_path, source):
+    # offset_mesh refuses |t| >= offset_horizon(mesh); the row carries
+    # that horizon, bit for bit, and no timing
+    mesh = gen_clifford_torus(16, 16)
+    if source == "s3off":
+        write_s3off(mesh, tmp_path / "c.s3off")
+        mesh = read_s3off(tmp_path / "c.s3off")
+    horizon = offset_horizon(mesh)
+    for t in (horizon, -horizon, 1.5 * horizon, -2.0):
+        row = offset_row(mesh, t)
+        assert row == {"t": t, "status": "beyond-horizon",
+                       "horizon": horizon}
+        assert type(row["horizon"]) is float
+        assert row["horizon"].hex() == horizon.hex()
+    assert offset_row(mesh, 0.9 * horizon)["status"] == "embedded"
+
+
+def test_offsets_verdict_names_rows_beyond_horizon():
+    # a row beyond the horizon is never tested: it does not fail the
+    # verdict, and a passing table no longer reads "all offsets embedded"
+    mesh = gen_clifford_torus(16, 16)
+    rep = verify_surface(mesh, offsets=[0.1, 0.9, -1.2])
+    assert rep["verdicts"]["offsets_embedded"] == {
+        "passed": True,
+        "detail": "embedded at t in [0.1]; "
+                  "beyond the horizon at t in [0.9, -1.2]"}
+    assert compute_verdicts(rep) == rep["verdicts"]
+    rows = [offset_row(mesh, t) for t in (0.1, 0.2)]
+    assert compute_verdicts(dict(rep, offsets=rows))["offsets_embedded"] \
+        == {"passed": True, "detail": "all offsets embedded"}
+
+
+def test_load_report_rejects_other_schema_naming_file(tmp_path,
+                                                      clifford_report):
+    path = tmp_path / "future.json"
+    write_json_atomic(dict(clifford_report, schema=2), path)
+    with pytest.raises(SchemaMismatchError,
+                       match=f"^{re.escape(str(path))}: unsupported schema "
+                             f"version 2$"):
+        load_report(path)
 
 
 def test_tool_version_looked_up_once(monkeypatch):
