@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import constants as consts
-from . import radial, report as rep
+from . import radial, report as rep, spectral
 from .generators import gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere
 from .geometry import HorizonError
 from .intersect import PoleSelectionError
@@ -123,20 +123,19 @@ def _parse_list(text, kind):
     return items
 
 
+# the --gen choices, each building its mesh from the parsed options
+_GENERATORS = {
+    "clifford": lambda a: gen_clifford_torus(a.res, a.res),
+    "flat-torus": lambda a: gen_flat_torus(
+        0.5 if a.r is None else a.r, a.res, a.res),
+    "equator": lambda a: gen_geodesic_sphere(math.pi / 2.0, a.subdiv),
+    "sphere": lambda a: gen_geodesic_sphere(
+        math.pi / 4.0 if a.r is None else a.r, a.subdiv),
+}
+
+
 def _build_mesh(args):
-    if args.mesh:
-        return read_s3off(args.mesh)
-    if args.gen == "clifford":
-        return gen_clifford_torus(args.res, args.res)
-    if args.gen == "flat-torus":
-        r = args.r if args.r is not None else 0.5
-        return gen_flat_torus(r, args.res, args.res)
-    if args.gen == "equator":
-        return gen_geodesic_sphere(math.pi / 2.0, args.subdiv)
-    if args.gen == "sphere":
-        r = args.r if args.r is not None else math.pi / 4.0
-        return gen_geodesic_sphere(r, args.subdiv)
-    raise MeshError(f"unknown generator {args.gen!r}")
+    return read_s3off(args.mesh) if args.mesh else _GENERATORS[args.gen](args)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +280,7 @@ def _cmd_verify_oracles(args):
 
 
 def _cmd_report(args):
-    try:
-        reports = rep.merge_reports(args.paths)
-    except rep.SchemaMismatchError as exc:
-        print(f"schema mismatch: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    reports = rep.merge_reports(args.paths)
     text = rep.merged_csv_text(reports)
     if args.csv:
         write_text_atomic(text, args.csv)
@@ -302,8 +297,7 @@ def _cmd_report(args):
 # ---------------------------------------------------------------------------
 
 def _add_mesh_arguments(sub):
-    sub.add_argument("--gen", choices=["clifford", "flat-torus", "equator",
-                                       "sphere"], default="clifford",
+    sub.add_argument("--gen", choices=list(_GENERATORS), default="clifford",
                      help="generator family (default %(default)s)")
     sub.add_argument("--mesh", default=None, help="path to an S3OFF file")
     sub.add_argument("--res", type=int, default=64,
@@ -327,26 +321,23 @@ def build_parser():
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", default=None, help="write JSON output here")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_constants)
 
     p = subs.add_parser("verify-surface", help="full verification pipeline")
     _add_mesh_arguments(p)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=spectral.DEFAULT_TOL,
                    help="eigensolver residual tolerance (default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offsets", default=None,
                    help="comma list of offset distances for the embeddedness table")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="write a one-row CSV here")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_verify_surface)
 
     p = subs.add_parser("offsets", help="parallel-surface table")
     _add_mesh_arguments(p)
     p.add_argument("--ts", default="0.1,0.2,0.3",
                    help="comma list of offsets (default %(default)s)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_offsets)
 
     p = subs.add_parser("verify-oracles", help="radial identity suite")
@@ -358,15 +349,15 @@ def build_parser():
     p.add_argument("--tol", type=float, default=None,
                    help="pass threshold X*(1+|lhs|) for every identity and "
                         "X*(1+|rhs|) for every inequality")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_verify_oracles)
 
     p = subs.add_parser("report", help="merge JSON reports")
     p.add_argument("paths", nargs="*", help="report files to merge")
     p.add_argument("--csv", default=None, help="write merged CSV here")
     p.add_argument("--out", default=None, help="write merged JSON here")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=_cmd_report)
+    for p in subs.choices.values():
+        p.add_argument("--config", default=None)
     return parser
 
 
@@ -406,13 +397,16 @@ def main(argv=None):
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return EXIT_MESH
+    except rep.SchemaMismatchError as exc:
+        print(f"schema mismatch: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except (HorizonError, PoleSelectionError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_MESH
     except (ValueError, OSError) as exc:
-        # after the handlers above: MeshError and HorizonError subclass
-        # ValueError, BrokenPipeError OSError; an OSError names the file
-        # that could not be opened
+        # after the handlers above: MeshError, SchemaMismatchError and
+        # HorizonError subclass ValueError, BrokenPipeError OSError; an
+        # OSError names the file that could not be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, QuadratureError) as exc:

@@ -147,8 +147,9 @@ def gen_geodesic_sphere(r, subdiv):
         normal_doc="toward the pole (1, 0, 0, 0)", meta=meta)
 
 
-def combine_meshes(first, second, name=None):
-    """Disjoint union of two meshes (no genus is declared for the union)."""
+def combine_meshes(first, second):
+    """Disjoint union "first+second" of two meshes (no genus declared), with
+    normals and kappas where both meshes have them."""
     verts = np.concatenate([first.vertices, second.vertices])
     tris = np.concatenate(
         [first.triangles, second.triangles + first.vertex_count])
@@ -160,7 +161,7 @@ def combine_meshes(first, second, name=None):
         kappas = np.concatenate([first.kappas, second.kappas])
     return SphericalTriMesh(
         vertices=verts, triangles=tris, normals=normals, kappas=kappas,
-        genus=None, name=name or f"{first.name}+{second.name}",
+        genus=None, name=f"{first.name}+{second.name}",
         normal_doc=first.normal_doc)
 
 

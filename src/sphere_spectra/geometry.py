@@ -22,7 +22,7 @@ import numpy as np
 from .quadrature import integrate
 
 __all__ = [
-    "HorizonError",
+    "HorizonError", "check_below_horizon",
     "kappa_max", "curvature_transport", "embeddedness_horizon",
     "offset_mean_curvature", "offset_mean_curvature_bound", "tube_volume",
 ]
@@ -89,6 +89,14 @@ def embeddedness_horizon(kappas):
     return math.atan(1.0 / km)
 
 
+def check_below_horizon(t, horizon):
+    """Raise HorizonError unless |t| < horizon, critical_t signed as t."""
+    if abs(t) >= horizon:
+        raise HorizonError(
+            f"|t|={abs(t)} is not below the embeddedness horizon {horizon}",
+            critical_t=math.copysign(horizon, t))
+
+
 def offset_mean_curvature(kappas, t):
     """Mean curvature of the offset at distance t: sum of transported kappas.
 
@@ -96,11 +104,7 @@ def offset_mean_curvature(kappas, t):
     For a minimal set this equals sum (1 + kappa^2) tan t / (1 - kappa tan t).
     """
     kappas = np.asarray(kappas, dtype=float)
-    hz = embeddedness_horizon(kappas)
-    if abs(t) >= hz:
-        raise HorizonError(
-            f"|t|={abs(t)} is not below the embeddedness horizon {hz}",
-            critical_t=math.copysign(hz, t))
+    check_below_horizon(t, embeddedness_horizon(kappas))
     return float(sum(curvature_transport(float(k), t) for k in kappas))
 
 

@@ -461,12 +461,12 @@ def discrete_shape_operator(mesh):
 
 
 def offset_horizon(mesh):
-    """Horizon arctan(1/lam) of the parallel meshes: lam is the largest
-    analytic |kappa| if the mesh has them, else the discrete `lam_max`."""
-    if mesh.kappas is not None:
-        return geometry.embeddedness_horizon(mesh.kappas.ravel())
-    return geometry.embeddedness_horizon(
-        [discrete_shape_operator(mesh).lam_max])
+    """Focal distance arctan(1/kappa_max) of the largest principal |kappa|:
+    the analytic kappas if the mesh has them, else the discrete ones."""
+    kappas = mesh.kappas
+    if kappas is None:
+        kappas = discrete_shape_operator(mesh).kappas
+    return geometry.embeddedness_horizon(kappas.ravel())
 
 
 def offset_mesh(mesh, t):
@@ -479,17 +479,9 @@ def offset_mesh(mesh, t):
     mesh keeps the triangles, and shares the mesh's adjacency and
     component count from the start.
     """
-    if mesh.normals is not None:
-        normals = mesh.normals
-        analytic = True
-    else:
-        normals = mesh.estimated_normals()
-        analytic = False
-    horizon = offset_horizon(mesh)
-    if abs(t) >= horizon:
-        raise geometry.HorizonError(
-            f"|t|={abs(t)} is not below the embeddedness horizon {horizon}",
-            critical_t=np.copysign(horizon, t))
+    analytic = mesh.normals is not None
+    normals = mesh.normals if analytic else mesh.estimated_normals()
+    geometry.check_below_horizon(t, offset_horizon(mesh))
     ct, st = np.cos(t), np.sin(t)
     new_vertices = ct * mesh.vertices + st * normals
     new_normals = None

@@ -50,17 +50,22 @@ class QuadratureError(RuntimeError):
 
 
 def _rule(f, a, b):
-    """One G7/K15 application on [a, b]: returns (kronrod, error estimate)."""
+    """One G7/K15 application on [a, b]: (kronrod, error estimate), the
+    estimate QUADPACK dqk15's, which scales with f: resasc min(1, (200 d /
+    resasc)^1.5), d = |K15 - G7|, resasc = K15 of |f - mean f|."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
     # ndarray.dot: the BLAS dot of `@`, with less call overhead
-    k = half * float(fx.dot(_WK_FULL))
-    g = half * float(fx.dot(_WG_FULL))
-    diff = abs(k - g)
-    # QUADPACK-style sharpened estimate; never report below a roundoff floor.
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
-    floor = _ROUNDOFF * half * float(np.abs(fx).dot(_WK_FULL))
+    unit = float(fx.dot(_WK_FULL))
+    k = half * unit
+    err = abs(k - half * float(fx.dot(_WG_FULL)))
+    resasc = half * float(np.abs(fx - 0.5 * unit).dot(_WK_FULL))
+    if not err > 0:     # 0, or NaN: then `integrate` raises on the value
+        err = 0.0
+    elif resasc:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = _ROUNDOFF * half * float(np.abs(fx).dot(_WK_FULL))   # roundoff
     return k, max(err, floor)
 
 
@@ -69,8 +74,8 @@ def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
     tol, or with relative=True to tol * (1 + |k|), k the Kronrod value of
     the first rule on [a, b].
 
-    Returns (value, error_estimate).  When the first rule already meets
-    the target its (value, error) is returned at once, with no heap;
+    Returns (value, error_estimate), the estimate summed from `_rule`'s.
+    A first rule that meets the target is returned at once, with no heap;
     otherwise greedy bisection of the interval with the largest error
     estimate.  Raises QuadratureError if more than `limit` intervals
     would be needed or the result is not finite, and ValueError for a

@@ -87,12 +87,14 @@ def offset_row(mesh, t):
     return row
 
 
-def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
+def verify_surface(mesh, tol=spectral.DEFAULT_TOL, seed=0, offsets=()):
     """Full verification pipeline for one mesh; returns the report dict.
 
     `offsets` is a sequence of signed distances for the embeddedness
-    table, one `offset_row` each.  A mesh with more than one connected
-    component raises MeshError: its first nonzero eigenvalue is 0.
+    table, one `offset_row` each.  Minimal is max|H| <= h_tol, mean convex
+    min H >= -h_tol, for the analytic H and h_tol = 1e-12 if the mesh has
+    kappas, else the discrete H and MINIMAL_H_TOL * max(1, lam_max).  A
+    mesh with more than one connected component raises MeshError.
     """
     n = 2   # triangulated surfaces in S^3
     if mesh.component_count > 1:
@@ -106,18 +108,15 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
     geom = discrete_shape_operator(mesh)
     timing["shape_operator"] = time.perf_counter() - t0
 
-    lam_analytic = None
-    h_analytic = None
     if mesh.kappas is not None:
         lam_analytic = float(np.linalg.norm(mesh.kappas, axis=1).max())
-        h_analytic = float(mesh.kappas.sum(axis=1).max())
-        h_min_analytic = float(mesh.kappas.sum(axis=1).min())
-        minimal = abs(h_analytic) <= 1e-12 and abs(h_min_analytic) <= 1e-12
-        mean_convex = h_min_analytic >= -1e-12
+        mean_h, h_tol = mesh.kappas.sum(axis=1), 1e-12
+        h_analytic = float(mean_h.max())
     else:
-        scale = max(1.0, geom.lam_max)
-        minimal = bool(np.abs(geom.mean_H).max() <= MINIMAL_H_TOL * scale)
-        mean_convex = bool(geom.mean_H.min() >= -MINIMAL_H_TOL * scale)
+        lam_analytic = h_analytic = None
+        mean_h, h_tol = geom.mean_H, MINIMAL_H_TOL * max(1.0, geom.lam_max)
+    minimal = bool(np.abs(mean_h).max() <= h_tol)
+    mean_convex = bool(mean_h.min() >= -h_tol)
     horizon = offset_horizon(mesh)
 
     t0 = time.perf_counter()
@@ -128,8 +127,8 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
     # on a geodesic sphere), so the smallest Ritz value of their span lies
     # near lambda1; where it lies too high, the inertia check rejects the
     # shift
-    eig = spectral.smallest_nonzero_eig(pair, tol=tol, max_iter=max_iter,
-                                        seed=seed, trial=mesh.vertices)
+    eig = spectral.smallest_nonzero_eig(pair, tol=tol, seed=seed,
+                                        trial=mesh.vertices)
     timing["eigensolve"] = time.perf_counter() - t0
     spectrum = {
         "lambda1": eig.lambda1,
@@ -180,7 +179,7 @@ def verify_surface(mesh, tol=1e-8, seed=0, offsets=(), max_iter=10000):
         "parameters": {
             "seed": seed,
             "tol": tol,
-            "max_iter": max_iter,
+            "max_iter": spectral.DEFAULT_MAX_ITER,
             "offsets": [float(t) for t in offsets],
         },
         "area": {

@@ -45,9 +45,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-__all__ = ["EigenResult", "ConvergenceError",
-           "smallest_nonzero_eig", "rayleigh_quotient"]
+__all__ = ["DEFAULT_TOL", "DEFAULT_MAX_ITER", "EigenResult",
+           "ConvergenceError", "smallest_nonzero_eig", "rayleigh_quotient"]
 
+# Residual tolerance and outer-iteration cap, for every caller.
+DEFAULT_TOL = 1e-8
+DEFAULT_MAX_ITER = 10000
 # Shift of the factorized  stiffness - sigma mass.  The stiffness is positive
 # semidefinite and the lumped mass a positive diagonal, so a negative shift
 # makes the matrix positive definite; the constant mode (eigenvalue 0) then
@@ -134,7 +137,8 @@ class EigenResult:
         return len(self.cluster)
 
 
-def smallest_nonzero_eig(pair, tol=1e-8, max_iter=10000, seed=0, trial=None):
+def smallest_nonzero_eig(pair, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                         seed=0, trial=None):
     """Smallest nonzero eigenvalue of  stiffness x = lam mass x.
 
     pair: LaplacePair (or anything with .stiffness CSR and .mass vector).

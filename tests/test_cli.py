@@ -230,14 +230,17 @@ def test_offsets_table(capsys):
 
 
 def test_offsets_table_from_s3off_uses_discrete_horizon(tmp_path, capsys):
-    # a mesh file carries no curvatures: t=0.7 is past the discrete horizon
+    # a mesh file carries no curvatures: the horizon is the focal distance
+    # of the largest discrete |kappa|, pi/4 as from the generator's kappas
     mesh_path = tmp_path / "clifford.s3off"
     write_s3off(gen_clifford_torus(32, 32), mesh_path)
     assert main(["offsets", "--mesh", str(mesh_path),
-                 "--ts", "0.1,0.7"]) == 0
+                 "--ts", "0.1,0.7,0.8"]) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert "embedded" in rows[2]
-    assert rows[3].split()[:2] == ["0.700", "beyond"]
+    assert rows[0].endswith("horizon T = 0.785398")
+    assert rows[2].split()[:2] == ["0.100", "embedded"]
+    assert rows[3].split()[:2] == ["0.700", "embedded"]
+    assert rows[4].split() == ["0.800", "beyond", "T=0.7854"]
 
 
 def test_verify_oracles_pass(capsys):

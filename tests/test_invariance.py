@@ -34,6 +34,8 @@ from sphere_spectra.mesh import (
 from sphere_spectra.report import verify_surface
 from sphere_spectra.spectral import smallest_nonzero_eig
 
+from irregular_tori import haar_rotation, irregular_torus
+
 ALL = 10 ** 6
 
 
@@ -136,25 +138,12 @@ def test_witnesses_invariant_under_relabelling(reference, variant):
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _pinched_torus(res, pinch):
-    """The Clifford torus pinched along one circle, vertices and triangles
-    only: a = pi/4 + pinch cos(theta) in
-    (cos a cos theta, cos a sin theta, sin a cos phi, sin a sin phi)."""
-    base = gen_clifford_torus(res, res)
-    th = np.arctan2(base.vertices[:, 1], base.vertices[:, 0])
-    ph = np.arctan2(base.vertices[:, 3], base.vertices[:, 2])
-    a = math.pi / 4.0 + pinch * np.cos(th)
-    verts = np.stack([np.cos(a) * np.cos(th), np.cos(a) * np.sin(th),
-                      np.sin(a) * np.cos(ph), np.sin(a) * np.sin(ph)], 1)
-    return SphericalTriMesh(vertices=verts, triangles=base.triangles, genus=1)
-
-
 SPECTRUM_MESHES = {
     "clifford-32": lambda: gen_clifford_torus(32, 32),
     "sphere-pi_4-3": lambda: gen_geodesic_sphere(math.pi / 4.0, 3),
     # irregular: no coordinate is an eigenvector, so the near shift
     # rests on the Ritz values of their span
-    "pinched-48-0.5": lambda: _pinched_torus(48, 0.5),
+    "pinched-48-0.5": lambda: irregular_torus(48, pinch=0.5),
 }
 
 # det +1: a 4-cycle with one sign flip, a double swap, and a swap of
@@ -218,22 +207,12 @@ def test_spectrum_invariant_under_signed_permutations(spectrum_reference,
                           np.arange(mesh.vertex_count))
 
 
-def _haar_rotation(seed):
-    """Haar-distributed: QR of a Gaussian matrix, signs fixed by R's
-    diagonal, det made +1 by flipping one column."""
-    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 @settings(max_examples=3, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_spectrum_invariant_under_rotations(spectrum_reference, seed):
     mesh = spectrum_reference[0]
     _assert_same_spectrum(spectrum_reference,
-                          _rotated(mesh, _haar_rotation(seed)),
+                          _rotated(mesh, haar_rotation(seed)),
                           np.arange(mesh.vertex_count))
 
 
@@ -241,11 +220,11 @@ def test_spectrum_invariant_under_rotations(spectrum_reference, seed):
 def test_near_shift_same_in_every_frame(pinch):
     # the smallest Ritz value depends on the coordinates' span alone, so
     # the identity frame and 15 Haar rotations take the same near shift
-    mesh = _pinched_torus(48, pinch)
+    mesh = irregular_torus(48, pinch=pinch)
     ref = smallest_nonzero_eig(assemble_laplacian(mesh), trial=mesh.vertices)
     assert ref.below_shift == 1
     for seed in range(1, 16):
-        turned = _rotated(mesh, _haar_rotation(seed))
+        turned = _rotated(mesh, haar_rotation(seed))
         res = smallest_nonzero_eig(assemble_laplacian(turned),
                                    trial=turned.vertices)
         assert (res.below_shift, res.iterations) \

@@ -449,15 +449,37 @@ def test_shape_operator_cached_on_mesh():
 
 
 def test_offset_horizon_analytic_or_discrete(tmp_path):
+    # the focal distance of the largest principal |kappa|: the analytic
+    # kappas if the mesh has them, else the discrete ones (not lam_max =
+    # max ||A||, which is sqrt(2) times larger on the Clifford torus)
     mesh = gen_clifford_torus(16, 16)
     assert offset_horizon(mesh) == pytest.approx(math.pi / 4.0, rel=1e-12)
     path = tmp_path / "c.s3off"
     write_s3off(mesh, path)
     loaded = read_s3off(path)
-    lam = discrete_shape_operator(loaded).lam_max
-    assert offset_horizon(loaded) == math.atan(1.0 / lam)
+    kappa = np.abs(discrete_shape_operator(loaded).kappas).max()
+    assert offset_horizon(loaded) == math.atan(1.0 / kappa)
+    assert offset_horizon(loaded) == pytest.approx(math.pi / 4.0, rel=1e-12)
     with pytest.raises(geometry.HorizonError):
-        offset_mesh(loaded, math.atan(1.0 / lam))
+        offset_mesh(loaded, math.atan(1.0 / kappa))
+
+
+@pytest.mark.parametrize("t", [0.8, -0.8, "horizon"])
+def test_offset_mesh_and_mean_curvature_refuse_alike(t):
+    # one horizon test for both: the same message and critical_t, a plain
+    # float, from the mesh and from its curvature set
+    mesh = gen_clifford_torus(16, 16)
+    horizon = offset_horizon(mesh)
+    if t == "horizon":
+        t = horizon
+    with pytest.raises(geometry.HorizonError) as from_mesh:
+        offset_mesh(mesh, t)
+    with pytest.raises(geometry.HorizonError) as from_kappas:
+        geometry.offset_mean_curvature(mesh.kappas[0], t)
+    assert str(from_mesh.value) == str(from_kappas.value)
+    for exc in (from_mesh.value, from_kappas.value):
+        assert type(exc.critical_t) is float
+        assert exc.critical_t == math.copysign(horizon, t)
 
 
 def test_offset_curvature_consistency():

@@ -117,6 +117,16 @@ def test_first_rule_result_equals_general_path(f, a, b):
     assert integrate(f, a, b, 1e-10, relative=True) == (val, achieved)
 
 
+def test_first_rule_relative_estimate_does_not_depend_on_scale():
+    # QUADPACK's sharpening acts in units of the integrand's spread, so
+    # scaling f scales the estimate with it, down to 1e-80
+    rel = []
+    for c in (1e-6, 1e-30, 1e-80):
+        k, err = quadrature._rule(lambda x: c * np.exp(-x * x), 0.0, 3.0)
+        rel.append(err / k)
+    assert rel == pytest.approx([rel[0]] * 3, rel=1e-8)
+
+
 @pytest.mark.parametrize("relative", [False, True])
 def test_first_rule_nan_raises(relative):
     # a NaN value with a zero error estimate meets any target at once

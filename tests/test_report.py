@@ -284,6 +284,24 @@ def test_offset_row_beyond_horizon_from_offset_mesh(tmp_path, source):
     assert offset_row(mesh, 0.9 * horizon)["status"] == "embedded"
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_clifford_torus(32, 32),
+    lambda: gen_geodesic_sphere(math.pi / 4.0, 3),
+], ids=["clifford-32", "sphere-pi_4-3"])
+def test_s3off_copy_gets_the_generators_horizon_and_statuses(tmp_path, make):
+    # the copy has only discrete kappas; its horizon is their focal
+    # distance, which is the generator's to 1e-12, and so are its rows
+    mesh = make()
+    write_s3off(mesh, tmp_path / "m.s3off")
+    copy = read_s3off(tmp_path / "m.s3off")
+    assert offset_horizon(copy) == pytest.approx(offset_horizon(mesh),
+                                                 rel=1e-12)
+    ts = (0.1, 0.5, 0.7, 0.8, 0.9)
+    statuses = [offset_row(mesh, t)["status"] for t in ts]
+    assert statuses == ["embedded"] * 3 + ["beyond-horizon"] * 2
+    assert [offset_row(copy, t)["status"] for t in ts] == statuses
+
+
 def test_offsets_verdict_names_rows_beyond_horizon():
     # a row beyond the horizon is never tested: it does not fail the
     # verdict, and a passing table no longer reads "all offsets embedded"

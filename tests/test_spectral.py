@@ -15,12 +15,12 @@ from sphere_spectra import spectral
 from sphere_spectra.generators import (
     gen_clifford_torus, gen_flat_torus, gen_geodesic_sphere, rotate_mesh,
 )
-from sphere_spectra.mesh import (
-    LaplacePair, SphericalTriMesh, assemble_laplacian, offset_mesh,
-)
+from sphere_spectra.mesh import LaplacePair, assemble_laplacian, offset_mesh
 from sphere_spectra.spectral import (
     ConvergenceError, rayleigh_quotient, smallest_nonzero_eig,
 )
+
+from irregular_tori import irregular_torus
 
 
 @pytest.fixture(scope="module")
@@ -251,29 +251,11 @@ def test_rejected_trial_falls_back(clifford_pair, monkeypatch, kind):
     assert np.array_equal(res.eigenvector, fixed.eigenvector)
 
 
-def _irregular_torus(res, pinch=0.0, jitter=0.0, seed=0):
-    """The Clifford torus, vertices and triangles only, with each grid
-    parameter moved by jitter * h * U(-1, 1) (h the grid step) and
-    pinched along one circle: a = pi/4 + pinch cos(theta) in
-    (cos a cos theta, cos a sin theta, sin a cos phi, sin a sin phi)."""
-    base = gen_clifford_torus(res, res)
-    rng = np.random.default_rng(seed)
-    h = 2.0 * math.pi / res
-    th = np.arctan2(base.vertices[:, 1], base.vertices[:, 0])
-    ph = np.arctan2(base.vertices[:, 3], base.vertices[:, 2])
-    th = th + jitter * h * rng.uniform(-1.0, 1.0, len(th))
-    ph = ph + jitter * h * rng.uniform(-1.0, 1.0, len(ph))
-    a = math.pi / 4.0 + pinch * np.cos(th)
-    verts = np.stack([np.cos(a) * np.cos(th), np.cos(a) * np.sin(th),
-                      np.sin(a) * np.cos(ph), np.sin(a) * np.sin(ph)], 1)
-    return SphericalTriMesh(vertices=verts, triangles=base.triangles, genus=1)
-
-
 def test_count_rejects_pinched_torus(monkeypatch):
     # pinched by 0.6, lambda1 ~ 1.64 lies below 0.95 times the smallest
     # Ritz value ~ 1.73 of the coordinates' span: the count at the near
     # shift is 2, and the solver falls back to the fixed shift
-    mesh = _irregular_torus(48, pinch=0.6)
+    mesh = irregular_torus(48, pinch=0.6)
     verts = mesh.vertices
     pair = assemble_laplacian(mesh)
     fixed = smallest_nonzero_eig(pair)
@@ -293,7 +275,7 @@ def test_irregular_torus_takes_near_shift(res, pinch, jitter):
     # the coordinates are not eigenvectors here (relative residual 0.055
     # and 0.17), yet the smallest Ritz value of their span lies within
     # the margin of lambda1, so the count certifies the near shift
-    mesh = _irregular_torus(res, pinch=pinch, jitter=jitter, seed=1)
+    mesh = irregular_torus(res, pinch=pinch, jitter=jitter, seed=1)
     pair = assemble_laplacian(mesh)
     fixed = smallest_nonzero_eig(pair)
     near = smallest_nonzero_eig(pair, trial=mesh.vertices)
