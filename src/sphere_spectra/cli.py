@@ -10,9 +10,9 @@ Subcommands::
 
 Exit codes: 0 ok, 2 usage (a file that cannot be read or written
 included), 3 mesh error, 4 solver failure (eigensolver or quadrature),
-5 failed oracle check, 6 report schema mismatch (another schema, or a
-stored verdict that its numbers do not give, included), 141 (128 +
-SIGPIPE) stdout closed by its reader.
+5 failed oracle check, 6 report schema mismatch (another schema, a
+missing number, or a stored verdict that its numbers do not give,
+included), 141 (128 + SIGPIPE) stdout closed by its reader.
 
 `verify-oracles` prints one line per `radial.OracleReport` row: minus
 its slack (the gap |lhs - rhs| of an identity), its threshold and its
@@ -288,8 +288,7 @@ def _cmd_report(args):
     else:
         sys.stdout.write(text)
     if args.out:
-        rep.write_json_atomic({"schema": rep.SCHEMA_VERSION,
-                               "reports": reports}, args.out)
+        rep.write_merged_json(reports, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -321,7 +320,6 @@ def build_parser():
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--out", default=None, help="write JSON output here")
-    p.set_defaults(func=_cmd_constants)
 
     p = subs.add_parser("verify-surface", help="full verification pipeline")
     _add_mesh_arguments(p)
@@ -332,30 +330,24 @@ def build_parser():
                    help="comma list of offset distances for the embeddedness table")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="write a one-row CSV here")
-    p.set_defaults(func=_cmd_verify_surface)
 
     p = subs.add_parser("offsets", help="parallel-surface table")
     _add_mesh_arguments(p)
     p.add_argument("--ts", default="0.1,0.2,0.3",
                    help="comma list of offsets (default %(default)s)")
-    p.set_defaults(func=_cmd_offsets)
 
     p = subs.add_parser("verify-oracles", help="radial identity suite")
     p.add_argument("--dims", default="2,3,4",
                    help="comma list of dimensions (default %(default)s)")
     p.add_argument("--only", default=None, choices=list(radial.ORACLES),
-                   help="one kind of the 24 checks per dimension: reilly 9, "
-                        "bochner 1, interior 2, chain 4, collar 8")
+                   help="print only the rows of this kind")
     p.add_argument("--tol", type=float, default=None,
-                   help="pass threshold X*(1+|lhs|) for every identity and "
-                        "X*(1+|rhs|) for every inequality")
-    p.set_defaults(func=_cmd_verify_oracles)
+                   help="re-judge every row at this relative tolerance")
 
     p = subs.add_parser("report", help="merge JSON reports")
     p.add_argument("paths", nargs="*", help="report files to merge")
     p.add_argument("--csv", default=None, help="write merged CSV here")
     p.add_argument("--out", default=None, help="write merged JSON here")
-    p.set_defaults(func=_cmd_report)
     for p in subs.choices.values():
         p.add_argument("--config", default=None)
     return parser
@@ -385,8 +377,10 @@ def main(argv=None):
         except (OSError, ValueError, _ParseError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+    # looked up per call, so that a handler wrapped on the module runs
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        status = args.func(args)
+        status = handler(args)
         sys.stdout.flush()      # a closed stdout raises here, not at exit
         return status
     except BrokenPipeError:

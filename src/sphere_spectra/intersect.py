@@ -573,8 +573,8 @@ def self_intersection_test(mesh, max_witnesses=64):
     margin = 2.0 * math.asin(min(1.0, 0.5 * diam))
     if clearance <= margin + 1e-6:
         raise PoleSelectionError(
-            f"best pole clearance {clearance:.4f} rad does not exceed the "
-            f"triangle-size margin {margin:.4f} rad; mesh too dense in S^3")
+            f"best pole clearance {clearance:.4f} rad does not exceed "
+            f"{margin:.4f} rad, the angular size of the largest triangle")
     proj = np.take(stereographic_project(mesh.vertices, pole),
                    mesh.triangles, axis=0)
     ranges = _candidate_pairs(proj, mesh.triangles)

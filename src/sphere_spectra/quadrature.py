@@ -71,8 +71,10 @@ def _rule(f, a, b):
 
 def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
     """Integrate f over the finite interval [a, b] to absolute tolerance
-    tol, or with relative=True to tol * (1 + |k|), k the Kronrod value of
-    the first rule on [a, b].
+    tol, or with relative=True to tol * |k|, k the Kronrod value of the
+    first rule on [a, b], with no absolute floor: an integrand that is 0
+    on its nodes gives (0.0, 0.0), and an integral that cancels to about
+    0 raises QuadratureError.
 
     Returns (value, error_estimate), the estimate summed from `_rule`'s.
     A first rule that meets the target is returned at once, with no heap;
@@ -91,7 +93,7 @@ def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
         raise ValueError(f"inverted interval [{a}, {b}]")
     val, err = _rule(f, a, b)
     if relative:
-        tol = tol * (1.0 + abs(val))
+        tol = tol * abs(val)
     if not err > tol:
         # + 0.0 maps -0.0 to 0.0, as the sum below does for one interval
         return _finite(val + 0.0, err)

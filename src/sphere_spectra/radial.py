@@ -85,17 +85,17 @@ class OracleReport:
 
 
 def judge(identity, name, lhs, rhs, rtol, extras=None):
-    """The one pass rule of every oracle, at relative tolerance rtol: an
-    identity passes when |lhs - rhs| <= rtol (1 + |lhs|), an inequality
-    lhs <= rhs when rhs - lhs >= -rtol (1 + |rhs|) and the term its proof
-    drops, extras["dropped_term"] if any, is > 0."""
+    """The one pass rule of every oracle, at relative tolerance rtol, with
+    no absolute floor: an identity passes when |lhs - rhs| <= rtol |lhs|,
+    an inequality lhs <= rhs when rhs - lhs >= -rtol |rhs| and the term
+    its proof drops, extras["dropped_term"] if any, is > 0."""
     extras = extras or {}
     if identity:
         slack = -abs(lhs - rhs)
-        tol = rtol * (1.0 + abs(lhs))
+        tol = rtol * abs(lhs)
     else:
         slack = rhs - lhs
-        tol = rtol * (1.0 + abs(rhs))
+        tol = rtol * abs(rhs)
     passed = slack >= -tol and extras.get("dropped_term", 1.0) > 0.0
     return OracleReport(name, identity, lhs, rhs, slack, tol, passed, extras)
 
@@ -149,8 +149,8 @@ def verify_bochner_radial(n, r0, r1):
     2n |grad v|^2 included.
 
     Returns the identity row, at rtol 1e-10, of the grid point with the
-    largest |lhs - rhs| / (1 + |lhs|): it passes exactly when every point
-    of the grid does, at any rtol.
+    largest |lhs - rhs| / |lhs|: it passes exactly when every point of
+    the grid does, at any rtol.
     """
     n = _check_dim(n)
     if not (0.0 < r0 < r1 < math.pi):
@@ -163,7 +163,7 @@ def verify_bochner_radial(n, r0, r1):
     vpp = -n * cot                                         # v'' / v'
     hess2 = vpp ** 2 + n * cot ** 2                        # |Hess v|^2 / g
     rhs = 2.0 * hess2 + 2.0 * n                            # v'^2 / g = 1
-    i = int(np.argmax(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
+    i = int(np.argmax(np.abs(lhs - rhs) / np.abs(lhs)))
     return judge(True, f"annulus({r0},{r1})", float(lhs[i]),
                  float(rhs[i]), 1e-10, {"r": float(r[i])})
 
@@ -179,7 +179,7 @@ def verify_reilly_radial(n, radius, profile):
     H = -Delta(distance), under which the ball boundary has H = +n cot R
     toward the center; the sign is fixed by the identity itself.)
 
-    Returns an identity row; pass tolerance 1e-8 * (1 + |LHS|).
+    Returns an identity row; pass tolerance 1e-8 |LHS|.
     """
     n = _check_dim(n)
     if not (0.0 < radius < math.pi / 2.0):
@@ -362,11 +362,11 @@ def verify_choiwang_chain_hemisphere(n):
       (rhs, the ambient surface gradient), with the sharp right side
       lambda1 + grad^2 in extras["sharp_rhs"].
 
-    The identity must hold to ~quadrature accuracy; the three
-    inequalities must hold with slack >= -1e-8 (1 + |rhs|).  On this instance
-    the Hessian energy equals n times the gradient energy exactly, so
-    the first two inequalities are tight (slack ~ 0) and the sharp trace
-    bound is an identity.
+    The identity must hold to 1e-8 |lhs|; the three inequalities must
+    hold with slack >= -1e-8 |rhs|.  On this instance the Hessian energy
+    equals n times the gradient energy exactly, so the first two
+    inequalities are tight (slack ~ 0) and the sharp trace bound is an
+    identity.
     """
     n = _check_dim(n)
     ext = solve_hemisphere_extension(n)

@@ -29,6 +29,7 @@ __all__ = [
     "verify_surface", "offset_row", "compute_verdicts", "report_to_csv_row",
     "CSV_FIELDS",
     "write_json_atomic", "load_report", "merge_reports", "merged_csv_text",
+    "write_merged_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -42,8 +43,8 @@ MINIMAL_H_TOL = 0.05      # |H| threshold for calling a surface minimal
 
 class SchemaMismatchError(ValueError):
     """Report files with differing schema versions cannot be merged, nor
-    can a current-schema file that lacks a section or whose stored
-    verdicts its numbers do not give."""
+    can a current-schema file that lacks a number its readers need or
+    whose stored verdicts its numbers do not give."""
 
 
 @functools.cache
@@ -225,36 +226,34 @@ def compute_verdicts(report):
     """
     n = report["surface"]["dim"]
     cur = report["curvature"]
-    spec = report["spectrum"]
+    lam1 = report["spectrum"]["lambda1"]
     verdicts = {}
 
     verdicts["minimality"] = _verdict(
         cur["minimal"], "minimal" if cur["minimal"] else "not minimal")
 
-    if spec is not None:
-        lam1 = spec["lambda1"]
-        if cur["minimal"]:
-            verdicts["choi_wang"] = _verdict(
-                lam1 >= n / 2.0 * (1.0 - EIG_TOL),
-                f"lambda1={lam1:.6g} >= n/2={n / 2.0:.6g}")
-            bound = report["bound"]["value_analytic_lam"]
-            verdicts["improved_bound"] = _verdict(
-                lam1 >= bound * (1.0 - EIG_TOL),
-                f"lambda1={lam1:.6g} >= bound={bound:.8g} "
-                f"({report['bound']['branch']})")
-            verdicts["yau_upper"] = _verdict(
-                lam1 <= n * (1.0 + EIG_TOL),
-                f"lambda1={lam1:.6g} <= n={n}")
-        else:
-            verdicts["improved_bound"] = _verdict(
-                True, "skipped: surface not minimal")
-        genus = report["surface"]["genus"]
-        if genus is not None:
-            cap = 8.0 * math.pi * ((genus + 3) // 2)
-            product = lam1 * report["area"]["discrete"]
-            verdicts["yang_yau"] = _verdict(
-                product <= cap * (1.0 + EIG_TOL),
-                f"lambda1*area={product:.6g} <= 8*pi*floor((g+3)/2)={cap:.6g}")
+    if cur["minimal"]:
+        verdicts["choi_wang"] = _verdict(
+            lam1 >= n / 2.0 * (1.0 - EIG_TOL),
+            f"lambda1={lam1:.6g} >= n/2={n / 2.0:.6g}")
+        bound = report["bound"]["value_analytic_lam"]
+        verdicts["improved_bound"] = _verdict(
+            lam1 >= bound * (1.0 - EIG_TOL),
+            f"lambda1={lam1:.6g} >= bound={bound:.8g} "
+            f"({report['bound']['branch']})")
+        verdicts["yau_upper"] = _verdict(
+            lam1 <= n * (1.0 + EIG_TOL),
+            f"lambda1={lam1:.6g} <= n={n}")
+    else:
+        verdicts["improved_bound"] = _verdict(
+            True, "skipped: surface not minimal")
+    genus = report["surface"]["genus"]
+    if genus is not None:
+        cap = 8.0 * math.pi * ((genus + 3) // 2)
+        product = lam1 * report["area"]["discrete"]
+        verdicts["yang_yau"] = _verdict(
+            product <= cap * (1.0 + EIG_TOL),
+            f"lambda1*area={product:.6g} <= 8*pi*floor((g+3)/2)={cap:.6g}")
 
     if cur["minimal"]:
         simons = report["simons"]["integral"]
@@ -285,47 +284,37 @@ def compute_verdicts(report):
     return verdicts
 
 
-# verdict columns of the CSV, in column order; a missing verdict is empty
+# the CSV's columns: (column, report section, key), then one verdict_<name>
+# column per verdict, its passed flag, empty where the report has none
+_CSV_COLUMNS = (
+    ("name", "surface", "name"), ("vertices", "surface", "vertices"),
+    ("triangles", "surface", "triangles"), ("genus", "surface", "genus"),
+    ("area_discrete", "area", "discrete"),
+    ("area_analytic", "area", "analytic"),
+    ("lambda1", "spectrum", "lambda1"),
+    ("lambda1_analytic", "spectrum", "lambda1_analytic"),
+    ("residual", "spectrum", "residual"),
+    ("iterations", "spectrum", "iterations"),
+    ("lam_discrete", "curvature", "lam_discrete"),
+    ("lam_analytic", "curvature", "lam_analytic"),
+    ("bound_value", "bound", "value_analytic_lam"),
+    ("branch", "bound", "branch"), ("simons", "simons", "integral"),
+    ("seconds", "timing_s", "total"))
 _VERDICTS = ("minimality", "choi_wang", "improved_bound", "yau_upper",
              "yang_yau", "simons", "volume_bound", "offsets_embedded")
 
-CSV_FIELDS = [
-    "name", "vertices", "triangles", "genus",
-    "area_discrete", "area_analytic",
-    "lambda1", "lambda1_analytic", "residual", "iterations",
-    "lam_discrete", "lam_analytic", "bound_value", "branch",
-    "simons", "seconds",
-] + [f"verdict_{name}" for name in _VERDICTS]
-
-
-# the top-level report keys report_to_csv_row reads
-_CSV_SECTIONS = ("surface", "area", "spectrum", "curvature", "bound",
-                 "simons", "timing_s", "verdicts")
+CSV_FIELDS = [column for column, _, _ in _CSV_COLUMNS] \
+    + [f"verdict_{name}" for name in _VERDICTS]
 
 
 def report_to_csv_row(report):
-    spec = report["spectrum"] or {}
+    """The CSV row of a report, read by `_CSV_COLUMNS` in column order;
+    a missing section or key raises KeyError naming it."""
+    row = {column: report[section][key]
+           for column, section, key in _CSV_COLUMNS}
     verdicts = report["verdicts"]
-    return {
-        "name": report["surface"]["name"],
-        "vertices": report["surface"]["vertices"],
-        "triangles": report["surface"]["triangles"],
-        "genus": report["surface"]["genus"],
-        "area_discrete": report["area"]["discrete"],
-        "area_analytic": report["area"]["analytic"],
-        "lambda1": spec.get("lambda1"),
-        "lambda1_analytic": spec.get("lambda1_analytic"),
-        "residual": spec.get("residual"),
-        "iterations": spec.get("iterations"),
-        "lam_discrete": report["curvature"]["lam_discrete"],
-        "lam_analytic": report["curvature"]["lam_analytic"],
-        "bound_value": report["bound"]["value_analytic_lam"],
-        "branch": report["bound"]["branch"],
-        "simons": report["simons"]["integral"],
-        "seconds": report["timing_s"]["total"],
-        **{f"verdict_{name}": int(verdicts[name]["passed"])
-           if name in verdicts else "" for name in _VERDICTS},
-    }
+    return row | {f"verdict_{name}": int(verdicts[name]["passed"])
+                  if name in verdicts else "" for name in _VERDICTS}
 
 
 def write_json_atomic(data, path):
@@ -342,16 +331,22 @@ def _read_json(path):
 
 
 def _checked_report(data, where):
-    """`data` as `load_report` returns it; `where` names it in errors."""
+    """`data` as `load_report` returns it; `where` names it in errors.
+    The check is the two readers of a report: `report_to_csv_row` must
+    read its row, and `compute_verdicts` must give the stored verdicts."""
     if not isinstance(data, dict) or "schema" not in data:
         raise SchemaMismatchError(f"{where}: missing schema field")
     if data["schema"] != SCHEMA_VERSION:
         raise SchemaMismatchError(
             f"{where}: unsupported schema version {data['schema']!r}")
-    missing = [key for key in _CSV_SECTIONS if key not in data]
-    if missing:
+    try:
+        report_to_csv_row(data)
+    except KeyError as exc:
+        raise SchemaMismatchError(f"{where}: schema {SCHEMA_VERSION} "
+                                  f"report without {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
         raise SchemaMismatchError(
-            f"{where}: schema {SCHEMA_VERSION} report without {missing[0]!r}")
+            f"{where}: no CSV row can be read ({exc!r})") from exc
     try:
         fresh = {name: v["passed"]
                  for name, v in compute_verdicts(data).items()}
@@ -370,11 +365,12 @@ def _checked_report(data, where):
 
 def load_report(path):
     """Read one JSON report.  A file without the schema field, a file of
-    any schema other than SCHEMA_VERSION, a file without a section
-    `report_to_csv_row` reads, and a file whose stored verdicts (names
-    and passed flags) differ from `compute_verdicts` of its numbers
-    raise SchemaMismatchError naming the file; the message names the
-    verdicts that differ, in the order `compute_verdicts` makes them."""
+    any schema other than SCHEMA_VERSION, a file without a section or key
+    that `report_to_csv_row` reads (the message names it) or that
+    `compute_verdicts` needs, and a file whose stored verdicts (names and
+    passed flags) differ from `compute_verdicts` of its numbers raise
+    SchemaMismatchError naming the file; the message names the verdicts
+    that differ, in the order `compute_verdicts` makes them."""
     return _checked_report(_read_json(path), path)
 
 
@@ -383,7 +379,7 @@ def merge_reports(paths):
     file, so every one is of schema SCHEMA_VERSION.
 
     A path may also hold a merged file, {"schema": 1, "reports": [...]}
-    as `report --out` writes it: its reports are read in order, each
+    as `write_merged_json` writes it: its reports are read in order, each
     checked the same way (errors name it as `path: reports[k]`).
     """
     reports = []
@@ -409,3 +405,8 @@ def merged_csv_text(reports):
     for rep in reports:
         writer.writerow(report_to_csv_row(rep))
     return buf.getvalue()
+
+
+def write_merged_json(reports, path):
+    """Write reports as the merged file that `merge_reports` reads back."""
+    write_json_atomic({"schema": SCHEMA_VERSION, "reports": reports}, path)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import sphere_spectra
@@ -13,6 +14,7 @@ from sphere_spectra.cli import main
 from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_geodesic_sphere,
 )
+from sphere_spectra.mesh import SphericalTriMesh
 from sphere_spectra.report import load_report
 from sphere_spectra.s3off import write_s3off
 
@@ -135,6 +137,30 @@ def test_mesh_error_exit_code(tmp_path, capsys):
     bad.write_text("NOPE\n")
     assert main(["verify-surface", "--mesh", str(bad)]) == 3
     assert "mesh error" in capsys.readouterr().err
+
+
+def _great_octahedron(path):
+    """An octahedron on the great sphere x0 = 0, as S3OFF: its best pole
+    clearance (pi/2, at +-e0) equals its triangles' angular size."""
+    verts = np.concatenate([np.zeros((6, 1)), np.kron(np.eye(3), [[1], [-1]])],
+                           axis=1)
+    tris = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+            [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    write_s3off(SphericalTriMesh(vertices=verts, triangles=np.array(tris),
+                                 genus=0), path)
+
+
+@pytest.mark.parametrize("argv", [["offsets", "--ts", "0"],
+                                  ["verify-surface", "--offsets", "0"]],
+                         ids=["offsets", "verify-surface"])
+def test_geometry_error_exit_code(argv, tmp_path, capsys):
+    mesh_path = tmp_path / "octahedron.s3off"
+    _great_octahedron(mesh_path)
+    assert main([*argv, "--mesh", str(mesh_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("geometry error: best pole clearance 1.5708 rad does not "
+                   "exceed 1.5708 rad, the angular size of the largest "
+                   "triangle\n")
 
 
 @pytest.mark.parametrize("body", [
@@ -294,15 +320,27 @@ def test_verify_oracles_only_skips_other_kinds(monkeypatch, capsys):
 
 
 def test_verify_oracles_tol_scales_lhs_or_rhs(capsys):
-    # --tol X: X (1 + |lhs|) for the flux identity, X (1 + |rhs|) for the
-    # three chain inequalities
+    # --tol X: X |lhs| for the flux identity, X |rhs| for the three chain
+    # inequalities
     assert main(["verify-oracles", "--dims", "2", "--only", "chain",
                  "--tol", "1e-3"]) == 0
     tols = [line.split()[-2]
             for line in capsys.readouterr().out.splitlines()[1:-1]]
     flux, *ineqs = radial.verify_choiwang_chain_hemisphere(2)
     scales = [flux.lhs] + [r.rhs for r in ineqs]
-    assert tols == [f"{1e-3 * (1.0 + abs(s)):.1e}" for s in scales]
+    assert tols == [f"{1e-3 * abs(s):.1e}" for s in scales]
+
+
+def test_main_runs_the_handler_on_the_module(monkeypatch, capsys):
+    # the parser is cached; the handler is looked up on the module at each
+    # call, so one that is replaced there (as a wrapper) is the one run
+    calls = []
+    handler = cli._cmd_verify_oracles
+    monkeypatch.setattr(cli, "_cmd_verify_oracles",
+                        lambda args: calls.append(args.dims) or handler(args))
+    assert main(["verify-oracles", "--dims", "2", "--only", "bochner"]) == 0
+    assert calls == ["2"]
+    assert capsys.readouterr().out.endswith("1/1 checks passed\n")
 
 
 def test_report_merge_and_schema_mismatch(tmp_path, capsys):
@@ -366,17 +404,35 @@ def test_report_reads_its_own_merged_output(tmp_path, capsys):
 
 
 def test_report_missing_section_is_schema_mismatch(tmp_path, capsys):
+    # a section, or a key of one, that the CSV row reads; the sphere of
+    # radius 0.9 is not minimal, so its verdicts do not read bound/branch
     out = tmp_path / "rep.json"
     assert main(["verify-surface", "--gen", "sphere", "--r", "0.9",
                  "--subdiv", "3", "--out", str(out)]) == 0
     capsys.readouterr()
-    data = json.loads(out.read_text())
-    for key in ("spectrum", "timing_s", "verdicts"):
+    for path in ("spectrum", "timing_s", "verdicts", "timing_s/total",
+                 "surface/triangles", "bound/branch"):
+        data = json.loads(out.read_text())
+        section, _, key = path.rpartition("/")
+        del (data[section] if section else data)[key]
         bad = tmp_path / f"no-{key}.json"
-        bad.write_text(json.dumps({k: v for k, v in data.items() if k != key}))
+        bad.write_text(json.dumps(data))
         assert main(["report", str(out), str(bad)]) == 6
         assert capsys.readouterr().err \
             == f"schema mismatch: {bad}: schema 1 report without '{key}'\n"
+
+
+def test_report_null_spectrum_is_schema_mismatch(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["verify-surface", "--res", "12", "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+    data["spectrum"] = None
+    out.write_text(json.dumps(data))
+    assert main(["report", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema mismatch: {out}: no CSV row can be read (")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("body", [b"nope\n", b'{"schema": "\xff"}\n'],

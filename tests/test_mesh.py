@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -176,6 +177,45 @@ def test_rejects_off_sphere_vertex():
     tris = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
     with pytest.raises(MeshError, match="unit sphere"):
         SphericalTriMesh(vertices=verts, triangles=tris)
+
+
+# the oriented tetrahedron on the coordinate axes, with a normal at each
+# vertex that is unit and tangent to S^3 (the next axis)
+_TETRA_FIELDS = {"vertices": np.eye(4), "triangles": np.array(TETRA),
+                 "normals": np.roll(np.eye(4), 1, axis=1)}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("vertices", np.ones((4, 3)) / math.sqrt(3.0),
+     "vertices must be a (V, 4) array"),
+    ("triangles", np.zeros((4, 4), dtype=int),
+     "triangles must be a (F, 3) array"),
+    ("triangles", np.array(TETRA[:3] + [[0, 3, 4]]),
+     "triangle index out of range"),
+    ("triangles", np.array(TETRA[:3] + [[0, 3, 3]]),
+     "triangle with a repeated vertex"),
+    ("normals", np.eye(4)[:, :3], "normals must match vertices in shape"),
+    ("normals", 2.0 * np.roll(np.eye(4), 1, axis=1),
+     "normals must be unit vectors"),
+    ("normals", np.eye(4), "normals must be tangent to the sphere"),
+    ("kappas", np.zeros((4, 3)), "kappas must be a (V, 2) array"),
+], ids=["vertices-shape", "triangles-shape", "index-range",
+        "repeated-vertex", "normals-shape", "normals-unit", "normals-tangent",
+        "kappas-shape"])
+def test_constructor_rejects(field, value, message):
+    SphericalTriMesh(**_TETRA_FIELDS, genus=0)     # valid as it stands
+    with pytest.raises(MeshError, match=f"^{re.escape(message)}$"):
+        SphericalTriMesh(**dict(_TETRA_FIELDS, **{field: value}))
+
+
+def test_vanishing_normal_rejected():
+    # one triangle on both sides: closed and oriented, but at each vertex
+    # the two sides' normals cancel
+    mesh = SphericalTriMesh(vertices=np.eye(4)[:3],
+                            triangles=np.array([[0, 1, 2], [0, 2, 1]]))
+    with pytest.raises(MeshQualityError,
+                       match="^vanishing discrete normal at a vertex$"):
+        mesh.estimated_normals()
 
 
 @pytest.mark.parametrize("field", ["vertices", "normals", "kappas"])

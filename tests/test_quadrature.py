@@ -96,8 +96,26 @@ def test_relative_tolerance_scales_by_first_rule():
 
     k, _ = integrate(f, 0.0, 3.0, tol=math.inf)
     val, err = integrate(f, 0.0, 3.0, tol=1e-14, relative=True)
-    assert err <= 1e-14 * (1.0 + abs(k))
-    assert (val, err) == integrate(f, 0.0, 3.0, tol=1e-14 * (1.0 + abs(k)))
+    assert err <= 1e-14 * abs(k)
+    assert (val, err) == integrate(f, 0.0, 3.0, tol=1e-14 * abs(k))
+
+
+def test_relative_target_has_no_absolute_floor():
+    # an integrand that is 0 meets the target 0 at once (the interior
+    # oracle rows from n = 455 on, where Vol(S^n) underflows), and a
+    # peaked one scaled by 1e-200 is resolved as far as unscaled
+    assert integrate(lambda x: np.zeros_like(x), 0.3, 1.3,
+                     relative=True) == (0.0, 0.0)
+
+    def peak(x):
+        return np.exp(-100.0 * (x - 0.5) ** 2)
+
+    exact = math.sqrt(math.pi) / 20.0 * (math.erf(5.0) + math.erf(25.0))
+    for scale in (1.0, 1e-200):
+        val, err = integrate(lambda x: scale * peak(x), 0.0, 3.0, 1e-10,
+                             relative=True)
+        assert val / scale == pytest.approx(exact, rel=1e-10)
+        assert err <= 1e-10 * val
 
 
 @pytest.mark.parametrize("f, a, b", [

@@ -25,14 +25,34 @@ def hyp_extension(n, theta):
 def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
     # an identity's slack is -|lhs - rhs|, an inequality's rhs - lhs
     ident = radial.judge(True, "i", -3.0, -3.5, 1e-3)
-    assert (ident.slack, ident.tol, ident.passed) == (-0.5, 1e-3 * 4.0, False)
+    assert (ident.slack, ident.tol, ident.passed) == (-0.5, 1e-3 * 3.0, False)
     assert radial.judge(True, "i", -3.5, -3.0, 1e-3).slack == -0.5
     ineq = radial.judge(False, "q", 2.0, -5.0, 0.5)
-    assert (ineq.slack, ineq.tol, ineq.passed) == (-7.0, 0.5 * 6.0, False)
+    assert (ineq.slack, ineq.tol, ineq.passed) == (-7.0, 0.5 * 5.0, False)
     assert radial.judge(False, "q", 2.0, -5.0, 2.0).passed
+    # no absolute floor: sides far below 1 that differ by half fail
+    assert not radial.judge(True, "i", 2e-20, 1e-20, 1e-8).passed
+    assert not radial.judge(False, "q", 2e-20, 1e-20, 1e-8).passed
     # a dropped term that is not positive fails the inequality
     assert not radial.judge(False, "g", 1.0, 1.0, 1e-8,
                             {"dropped_term": 0.0}).passed
+
+
+# the built-in rtol of each family of identity rows in the suite
+_IDENTITY_RTOL = {"reilly": 1e-8, "bochner": 1e-10, "chain": 1e-8}
+
+
+@pytest.mark.parametrize("n", [2, 8, 40, 100, 300])
+def test_identity_rows_fail_with_rhs_doubled(n):
+    # every identity row (Reilly, Bochner, chain flux) passes, and fails
+    # re-judged at its own rtol with its rhs doubled: no absolute floor
+    # lets a wrong side through where both sides are far below 1
+    rows = [(rtol, r) for kind, rtol in _IDENTITY_RTOL.items()
+            for r in radial.ORACLES[kind](n) if r.identity]
+    assert len(rows) == 11 and all(r.passed for _, r in rows)
+    passing = [r.name for rtol, r in rows
+               if radial.judge(True, r.name, r.lhs, 2.0 * r.rhs, rtol).passed]
+    assert passing == []
 
 
 @pytest.mark.parametrize("n,r0,r1", [(2, 0.3, 1.2), (3, 0.5, 1.0),
@@ -316,7 +336,7 @@ def _radial_integrals(monkeypatch, run):
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_relative_tolerance_equals_two_call_form(monkeypatch, n):
-    # relative=True aims at tol * (1 + |first rule|), the target a separate
+    # relative=True aims at tol * |first rule|, the target a separate
     # magnitude estimate (one rule, tol = inf) gives an absolute call
     calls = _radial_integrals(monkeypatch, lambda: (
         radial.verify_reilly_radial(n, 1.4, PROFILES["gauss"]),
@@ -326,7 +346,7 @@ def test_relative_tolerance_equals_two_call_form(monkeypatch, n):
     for f, a, b, tol in calls:
         rough, _ = integrate(f, a, b, tol=math.inf)
         one = integrate(f, a, b, tol, relative=True)
-        two = integrate(f, a, b, tol * (1.0 + abs(rough)))
+        two = integrate(f, a, b, tol * abs(rough))
         assert [x.hex() for x in one] == [x.hex() for x in two]
 
 

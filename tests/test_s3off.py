@@ -40,6 +40,22 @@ def test_rejects_wrong_counts(tmp_path):
         read_s3off(path)
 
 
+@pytest.mark.parametrize("counts", ["4", "4 4 4", "four 4", "4 4.0"])
+def test_rejects_malformed_count_line(counts, tmp_path):
+    path = tmp_path / "bad.s3off"
+    path.write_text(f"S3OFF\n{counts}\n1 0 0 0\n")
+    with pytest.raises(MeshError, match=f"^{path}: malformed count line$"):
+        read_s3off(path)
+
+
+@pytest.mark.parametrize("vertex", ["1 0 0 zero", "1 0 0 0,0"])
+def test_rejects_malformed_vertex_line(vertex, tmp_path):
+    path = tmp_path / "bad.s3off"
+    path.write_text(f"S3OFF\n1 1\n{vertex}\n3 0 0 0\n")
+    with pytest.raises(MeshError, match=f"^{path}: malformed vertex line$"):
+        read_s3off(path)
+
+
 def test_rejects_non_unit_vertex(tmp_path):
     mesh = gen_geodesic_sphere(1.0, 3)
     path = tmp_path / "scaled.s3off"
