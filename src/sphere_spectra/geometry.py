@@ -12,7 +12,9 @@ Conventions used throughout the package:
 
 Offsetting by a signed distance t moves p to cos(t) p + sin(t) X and
 transports curvatures by the tangent-addition rule
-kappa -> (kappa + tan t) / (1 - kappa tan t).
+kappa -> (kappa + tan t) / (1 - kappa tan t).  One rule sets how far:
+below the focal distance arctan(1/|kappa|) of a curvature, pi/2 for
+kappa = 0 (`embeddedness_horizon`, refused by `check_below_horizon`).
 """
 
 import math
@@ -22,9 +24,9 @@ import numpy as np
 from .quadrature import integrate
 
 __all__ = [
-    "HorizonError", "check_below_horizon",
-    "kappa_max", "curvature_transport", "embeddedness_horizon",
-    "offset_mean_curvature", "offset_mean_curvature_bound", "tube_volume",
+    "HorizonError", "check_below_horizon", "kappa_max", "tangent_addition",
+    "curvature_transport", "embeddedness_horizon", "offset_mean_curvature",
+    "offset_mean_curvature_bound", "tube_volume",
 ]
 
 
@@ -48,49 +50,36 @@ def kappa_max(kappas):
     return float(np.max(np.abs(np.asarray(kappas, dtype=float))))
 
 
-# ---------------------------------------------------------------------------
-
-def _critical_t(kappa):
-    """Offset distance at which a single curvature kappa becomes singular
-    (negative for kappa < 0: the singularity is on the t < 0 side)."""
-    return math.atan(1.0 / kappa) if kappa != 0 else math.inf
-
-
-def curvature_transport(kappa, t):
-    """Principal curvature of the offset surface at signed distance t.
-
-    (kappa + tan t) / (1 - kappa tan t), i.e. tan(arctan(kappa) + t).
-    Raises HorizonError at or beyond the singular distance arctan(1/kappa).
-    """
-    if abs(t) >= math.pi / 2.0:
-        raise HorizonError("offset distance must satisfy |t| < pi/2",
-                           critical_t=math.copysign(math.pi / 2.0, t))
-    tc = _critical_t(kappa)
-    if kappa > 0 and t >= tc:
-        raise HorizonError(
-            f"offset t={t} at or beyond curvature singularity t={tc}",
-            critical_t=tc)
-    if kappa < 0 and t <= tc:
-        raise HorizonError(
-            f"offset t={t} at or beyond curvature singularity t={tc}",
-            critical_t=tc)
+def tangent_addition(kappa, t):
+    """(kappa + tan t) / (1 - kappa tan t) for a scalar or an array kappa;
+    unchecked: callers refuse t beyond the horizon first."""
     tt = math.tan(t)
     return (kappa + tt) / (1.0 - kappa * tt)
 
 
-def embeddedness_horizon(kappas):
-    """arctan(1 / max_i |kappa_i|): guaranteed smooth-offset range.
-
-    Returns +inf for a totally geodesic curvature set (all kappas zero).
+def curvature_transport(kappa, t):
+    """Principal curvature tan(arctan(kappa) + t) of the offset at signed
+    distance t.  Raises HorizonError unless |t| is below the focal
+    distance on t's side: arctan(1/|kappa|) if kappa curves toward t
+    (kappa t > 0), else pi/2; a |t| >= pi/2, where tan t ends, at pi/2.
     """
+    toward = kappa * t > 0 and abs(t) < math.pi / 2.0
+    check_below_horizon(
+        t, embeddedness_horizon([kappa]) if toward else math.pi / 2.0)
+    return tangent_addition(kappa, t)
+
+
+def embeddedness_horizon(kappas):
+    """Focal distance arctan(1 / max_i |kappa_i|) of a curvature set, the
+    guaranteed smooth-offset range; pi/2 if all kappas are zero (a great
+    sphere's normal geodesics meet at its poles).  Never infinite."""
     km = kappa_max(kappas)
-    if km == 0.0:
-        return math.inf
-    return math.atan(1.0 / km)
+    return math.atan(1.0 / km) if km else math.pi / 2.0
 
 
 def check_below_horizon(t, horizon):
-    """Raise HorizonError unless |t| < horizon, critical_t signed as t."""
+    """Raise HorizonError unless |t| < horizon, critical_t signed as t:
+    the one refusal of every offset, `mesh.offset_mesh`'s too."""
     if abs(t) >= horizon:
         raise HorizonError(
             f"|t|={abs(t)} is not below the embeddedness horizon {horizon}",
@@ -105,7 +94,7 @@ def offset_mean_curvature(kappas, t):
     """
     kappas = np.asarray(kappas, dtype=float)
     check_below_horizon(t, embeddedness_horizon(kappas))
-    return float(sum(curvature_transport(float(k), t) for k in kappas))
+    return float(sum(tangent_addition(kappas, t)))
 
 
 def _check_dim(n):

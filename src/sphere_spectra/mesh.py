@@ -11,7 +11,6 @@ which side the normal field points to (each generator documents its
 choice).
 """
 
-import math
 import os
 import stat
 from dataclasses import dataclass, field
@@ -461,8 +460,9 @@ def discrete_shape_operator(mesh):
 
 
 def offset_horizon(mesh):
-    """Focal distance arctan(1/kappa_max) of the largest principal |kappa|:
-    the analytic kappas if the mesh has them, else the discrete ones."""
+    """Focal distance of the largest principal |kappa|, pi/2 if all are 0
+    (`geometry.embeddedness_horizon`): the analytic kappas if the mesh has
+    them, else the discrete ones."""
     kappas = mesh.kappas
     if kappas is None:
         kappas = discrete_shape_operator(mesh).kappas
@@ -475,7 +475,7 @@ def offset_mesh(mesh, t):
     Uses the mesh's analytic normals when present, otherwise estimated
     ones.  Raises HorizonError for |t| at or beyond `offset_horizon(mesh)`.
     Analytic normals and curvatures are transported to the offset mesh,
-    the curvatures as `geometry.curvature_transport` does.  The offset
+    the curvatures by `geometry.tangent_addition`.  The offset
     mesh keeps the triangles, and shares the mesh's adjacency and
     component count from the start.
     """
@@ -489,7 +489,6 @@ def offset_mesh(mesh, t):
     if analytic:
         new_normals = ct * normals - st * mesh.vertices
         if mesh.kappas is not None:
-            tt = math.tan(t)
-            new_kappas = (mesh.kappas + tt) / (1.0 - mesh.kappas * tt)
+            new_kappas = geometry.tangent_addition(mesh.kappas, t)
     return mesh._with_vertices(new_vertices, new_normals, new_kappas,
                                f"{mesh.name}|offset{t:+g}")

@@ -118,7 +118,6 @@ def verify_surface(mesh, tol=spectral.DEFAULT_TOL, seed=0, offsets=()):
         mean_h, h_tol = geom.mean_H, MINIMAL_H_TOL * max(1.0, geom.lam_max)
     minimal = bool(np.abs(mean_h).max() <= h_tol)
     mean_convex = bool(mean_h.min() >= -h_tol)
-    horizon = offset_horizon(mesh)
 
     t0 = time.perf_counter()
     pair = assemble_laplacian(mesh)
@@ -196,7 +195,7 @@ def verify_surface(mesh, tol=spectral.DEFAULT_TOL, seed=0, offsets=()):
             "h_discrete_max": float(geom.mean_H.max()),
             "minimal": minimal,
             "mean_convex": mean_convex,
-            "horizon": horizon if math.isfinite(horizon) else None,
+            "horizon": offset_horizon(mesh),
         },
         "bound": {
             "a_n": bc.a_n,

@@ -22,8 +22,9 @@ That count is the only rule: it must be exactly 1, the constant mode.
 In every other case -- an empty deflated span, a smallest Ritz value
 that is not positive, another count, off-diagonal pivots, or an exactly
 singular pivot -- the solver factors at the fixed shift instead, and the
-result records which shift it used.  A trial with a non-finite entry or
-mass norm raises ValueError before any factorization.
+result records which shift it used; `_factorization` owns this choice.
+A trial with a non-finite entry or mass norm raises ValueError before
+any factorization.
 
 The start block is drawn from a seeded generator.  When the near shift is
 used, the lowest Ritz vectors of the trial span replace its first
@@ -146,8 +147,8 @@ def smallest_nonzero_eig(pair, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     Rayleigh quotients close to lambda1 (on a minimal surface in S^3,
     the vertex coordinates); the smallest Ritz value of its deflated span
     chooses the shift and, when the near shift is used, its Ritz vectors
-    seed the start block, see the module docstring.  Its entries and mass
-    norms must be finite.
+    seed the start block (`_factorization`, see the module docstring).
+    Its entries and mass norms must be finite.
     Returns an EigenResult whose eigenvector is M-orthogonal to constants
     and M-normalized.  Raises ConvergenceError when the residual target
     is not met within max_iter outer iterations.
@@ -161,19 +162,7 @@ def smallest_nonzero_eig(pair, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     block = min(_BLOCK, n - 1)
 
     m_orth = _deflation(mass)
-
-    def factor(sigma):
-        return scipy.sparse.linalg.splu(
-            (stiff - sigma * scipy.sparse.diags(mass)).tocsc(),
-            **_SPLU_OPTIONS)
-
-    lu, shift, below, warm = None, _SHIFT, None, None
-    if trial is not None:
-        lu, mu, below, warm = _near_factorization(trial, stiff, mass, factor)
-    if lu is None:
-        lu = factor(_SHIFT)
-    else:
-        shift = mu
+    lu, shift, below, warm = _factorization(trial, stiff, mass)
 
     rng = np.random.default_rng(seed)
     x_blk = m_orth(rng.standard_normal((n, block)))
@@ -252,32 +241,40 @@ def _trial_ritz(trial, stiff, mass):
     return theta, np.einsum("ij,jk->ik", basis, w_small)
 
 
-def _near_factorization(trial, stiff, mass, factor):
-    """Factorization at the near shift mu, if certified.
+def _factor(stiff, mass, sigma):
+    """SuperLU factorization of  stiffness - sigma mass."""
+    return scipy.sparse.linalg.splu(
+        (stiff - sigma * scipy.sparse.diags(mass)).tocsc(), **_SPLU_OPTIONS)
 
-    mu is (1 - _TRIAL_MARGIN) times the smallest Ritz value theta of the
-    trial span, when theta is positive.  The factorization is certified
-    when its count of negative pivots is 1.  Returns (lu, mu, count,
-    start): `count` is the number of negative pivots, None when no valid
-    count was taken; `lu` is None unless the count is 1, and then
-    `start` holds the Ritz vectors in ascending order (None otherwise).
+
+def _factorization(trial, stiff, mass):
+    """The shift choice: returns (lu, shift, below_shift, start).
+
+    The near shift mu is (1 - _TRIAL_MARGIN) times the smallest Ritz
+    value theta of the trial span, when theta is positive; it is used
+    when its factorization has diagonal pivots and a count of 1 negative
+    pivot, and then `start` holds the Ritz vectors in ascending order.
+    Otherwise the factorization is at _SHIFT and `start` is None.
+    `below_shift` is the count, None when no valid count was taken.
     """
-    theta, ritz = _trial_ritz(trial, stiff, mass)
-    if not (theta.size and theta[0] > 0.0):
-        return None, None, None, None
-    mu = (1.0 - _TRIAL_MARGIN) * float(theta[0])
-    try:
-        lu = factor(mu)
-    except RuntimeError:            # an exactly singular pivot
-        return None, mu, None, None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, mu, None, None
-    # reading `lu.U` makes scipy build CSC copies of both L and U and keep
-    # them on `lu`; scipy offers no other route to the pivots
-    count = int(np.count_nonzero(lu.U.diagonal() < 0))
-    if count != 1:
-        return None, mu, count, None
-    return lu, mu, count, ritz
+    below = None
+    if trial is not None:
+        theta, ritz = _trial_ritz(trial, stiff, mass)
+        if theta.size and theta[0] > 0.0:
+            mu = (1.0 - _TRIAL_MARGIN) * float(theta[0])
+            try:
+                lu = _factor(stiff, mass, mu)
+            except RuntimeError:            # an exactly singular pivot
+                lu = None
+            if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+                # reading `lu.U` makes scipy build CSC copies of both L and
+                # U and keep them on `lu`; scipy offers no other route to
+                # the pivots
+                below = int(np.count_nonzero(lu.U.diagonal() < 0))
+                if below == 1:
+                    return lu, mu, below, ritz
+            del lu          # free the rejected factors before refactoring
+    return _factor(stiff, mass, _SHIFT), _SHIFT, below, None
 
 
 def rayleigh_quotient(x, pair):

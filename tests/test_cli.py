@@ -15,8 +15,8 @@ from sphere_spectra.generators import (
     combine_meshes, gen_clifford_torus, gen_geodesic_sphere,
 )
 from sphere_spectra.mesh import SphericalTriMesh
-from sphere_spectra.report import load_report
-from sphere_spectra.s3off import write_s3off
+from sphere_spectra.report import load_report, verify_surface
+from sphere_spectra.s3off import read_s3off, write_s3off
 
 
 def test_constants_table(capsys):
@@ -161,6 +161,30 @@ def test_geometry_error_exit_code(argv, tmp_path, capsys):
     assert err == ("geometry error: best pole clearance 1.5708 rad does not "
                    "exceed 1.5708 rad, the angular size of the largest "
                    "triangle\n")
+
+
+def test_flat_octahedron_offsets_stop_at_its_focal_point(tmp_path, capsys):
+    # its discrete kappas are exactly 0: the normal geodesics meet at the
+    # poles +-e0 at distance pi/2, so no row reaches the offset there
+    mesh_path = tmp_path / "octahedron.s3off"
+    _great_octahedron(mesh_path)
+    assert main(["offsets", "--mesh", str(mesh_path),
+                 "--ts", "1.5707963267948966,2.0"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].endswith("horizon T = 1.570796")
+    assert rows[2].split() == ["1.571", "beyond", "T=1.5708"]
+    assert rows[3].split() == ["2.000", "beyond", "T=1.5708"]
+
+
+def test_flat_octahedron_report_horizon(tmp_path):
+    mesh_path = tmp_path / "octahedron.s3off"
+    _great_octahedron(mesh_path)
+    rep = verify_surface(read_s3off(mesh_path), offsets=(math.pi / 2, 2.0))
+    assert rep["curvature"]["horizon"] == math.pi / 2
+    assert [row["status"] for row in rep["offsets"]] == ["beyond-horizon"] * 2
+    assert rep["verdicts"]["offsets_embedded"]["detail"] == (
+        "embedded at t in []; "
+        "beyond the horizon at t in [1.5707963267948966, 2.0]")
 
 
 @pytest.mark.parametrize("body", [

@@ -30,6 +30,48 @@ def test_curvature_transport_singularity():
         G.curvature_transport(0.0, math.pi / 2.0)
 
 
+def _reference_refusal(kappa, t):
+    """The critical_t a refusal of curvature_transport(kappa, t) carries,
+    or None, by the two-test rule: a |t| >= pi/2 is refused at pi/2,
+    else t at or beyond arctan(1/kappa) on kappa's side."""
+    if abs(t) >= math.pi / 2.0:
+        return math.copysign(math.pi / 2.0, t)
+    if kappa != 0 and (t >= math.atan(1.0 / kappa) > 0
+                       or t <= math.atan(1.0 / kappa) < 0):
+        return math.atan(1.0 / kappa)
+    return None
+
+
+def test_curvature_transport_refuses_where_the_two_test_rule_does():
+    # the one focal-distance rule refuses exactly where the two-test rule
+    # does, with the same critical_t, bit for bit
+    for kappa in (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 3.0,
+                  -3.0):
+        focal = math.atan(1.0 / abs(kappa)) if kappa else math.pi / 2.0
+        near = [focal, math.nextafter(focal, 0.0),
+                math.nextafter(focal, math.inf)]
+        for t in near + [-x for x in near] + [
+                0.0, math.pi / 2.0, -math.pi / 2.0, 1.6, -1.6]:
+            expected = _reference_refusal(kappa, t)
+            if expected is None:
+                tt = math.tan(t)
+                assert G.curvature_transport(kappa, t) == \
+                    (kappa + tt) / (1.0 - kappa * tt)
+                continue
+            with pytest.raises(G.HorizonError) as info:
+                G.curvature_transport(kappa, t)
+            assert info.value.critical_t.hex() == expected.hex(), (kappa, t)
+
+
+def test_flat_set_refused_at_its_focal_distance():
+    # a flat curvature set's normal geodesics meet at distance pi/2
+    with pytest.raises(G.HorizonError) as info:
+        G.offset_mean_curvature([0.0, 0.0], 1.6)
+    assert info.value.critical_t == math.pi / 2.0
+    with pytest.raises(ValueError, match="exceeds the embeddedness horizon"):
+        G.tube_volume([(1.0, [0.0, 0.0])], 1.6)
+
+
 def test_transport_composition_law():
     rng = np.random.default_rng(11)
     checked = 0
@@ -50,7 +92,7 @@ def test_transport_composition_law():
 
 def test_embeddedness_horizon():
     assert G.embeddedness_horizon([1.0, -1.0]) == pytest.approx(math.pi / 4.0)
-    assert G.embeddedness_horizon([0.0, 0.0]) == math.inf
+    assert G.embeddedness_horizon([0.0, 0.0]) == math.pi / 2.0
     assert G.embeddedness_horizon([2.0, -1.0]) == pytest.approx(
         math.atan(0.5), abs=1e-15)
 

@@ -136,6 +136,26 @@ def test_csv_row_covers_fields(clifford_report):
     assert row["verdict_yang_yau"] == 1
 
 
+def test_every_verdict_has_a_csv_column(clifford_report):
+    # the CSV writes verdict_<name> columns from a fixed list, so a verdict
+    # without one would vanish from every CSV; every branch of
+    # compute_verdicts is run: minimal or not, genus and volume present or
+    # None, offsets embedded, intersecting, beyond the horizon or absent
+    flat = verify_surface(gen_flat_torus(0.5, 12, 12), offsets=[0.2])
+    intersecting = [{"t": 0.5, "status": "intersecting", "witnesses": 1}]
+    emitted = set()
+    for rep in (clifford_report, flat):
+        for variant in (rep, dict(rep, offsets=[]),
+                        dict(rep, offsets=rep["offsets"] + intersecting),
+                        dict(rep, volume=None),
+                        dict(rep, surface=dict(rep["surface"], genus=None))):
+            names = set(compute_verdicts(variant))
+            assert {f"verdict_{name}" for name in names} <= set(CSV_FIELDS)
+            emitted |= names
+    assert {f"verdict_{name}" for name in emitted} == {
+        field for field in CSV_FIELDS if field.startswith("verdict_")}
+
+
 def test_merge_reports(tmp_path, clifford_report):
     paths = []
     for k in range(3):
