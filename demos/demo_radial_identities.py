@@ -23,7 +23,8 @@ from sphere_spectra import (
     verify_collar_trace_hemisphere, verify_reilly_radial,
 )
 
-print("integral Bochner (Reilly) identity on geodesic balls, gap per profile:")
+print("integral Bochner (Reilly) identity on geodesic balls, per unit "
+      "boundary area:")
 for pname in ("cos", "r2", "gauss"):
     rep = verify_reilly_radial(2, 1.0, PROFILES[pname])
     print(f"  profile {pname:7s}: lhs = {rep.lhs:12.6f}  "
@@ -58,7 +59,8 @@ for n in (2, 3, 4):
           f"   (tight: the dropped term is {hess_energy:.6f} > 0)")
     print(f"    trace inequality slack   {trace.slack:.6f}")
 
-print("\ncollar trace estimate with the exact offset mean curvature n tan t:")
+print("\ncollar trace estimate with the exact offset mean curvature n tan t,"
+      " per unit equator area:")
 betas = (0.1, 0.5, 1.0, 2.0)
 for beta, rep in zip(betas, verify_collar_trace_hemisphere(
         2, 0.2, betas, PROFILES["cos"])):

@@ -61,11 +61,10 @@ def curvature_transport(kappa, t):
     """Principal curvature tan(arctan(kappa) + t) of the offset at signed
     distance t.  Raises HorizonError unless |t| is below the focal
     distance on t's side: arctan(1/|kappa|) if kappa curves toward t
-    (kappa t > 0), else pi/2; a |t| >= pi/2, where tan t ends, at pi/2.
+    (kappa t > 0), else pi/2.
     """
-    toward = kappa * t > 0 and abs(t) < math.pi / 2.0
     check_below_horizon(
-        t, embeddedness_horizon([kappa]) if toward else math.pi / 2.0)
+        t, embeddedness_horizon([kappa]) if kappa * t > 0 else math.pi / 2.0)
     return tangent_addition(kappa, t)
 
 
@@ -135,11 +134,13 @@ def tube_volume(entries, r, side=+1):
     (areas) with the principal curvatures at the sample.  side=+1 sweeps
     along the stored normal direction (factors 1 - kappa tan t), side=-1
     the opposite side (factors 1 + kappa tan t).  r must not exceed the
-    embeddedness horizon of any entry.
+    embeddedness horizon of any entry, and every entry must carry the
+    same number n of curvatures.
 
-    The per-entry inner integral is cos(t)^n * prod(1 -/+ kappa_i tan t);
-    identical curvature rows are integrated once.  Summation order is
-    fixed and compensated, so the result is evaluation-order independent.
+    The per-entry inner integral is prod(cos t -/+ kappa_i sin t), which
+    is cos(t)^n * prod(1 -/+ kappa_i tan t); identical curvature rows
+    are integrated once.  Summation order is fixed and compensated, so
+    the result is evaluation-order independent.
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
@@ -154,12 +155,13 @@ def tube_volume(entries, r, side=+1):
             raise ValueError("weights must be nonnegative")
         weights.append(float(w))
         kap_rows.append(np.asarray(kap, dtype=float))
+    if len({len(kap) for kap in kap_rows}) > 1:
+        raise ValueError("curvature rows differ in length")
     horizon = min(embeddedness_horizon(kap) for kap in kap_rows)
     if r > horizon * (1.0 + 1e-14):
         raise ValueError(
             f"sweep distance r={r} exceeds the embeddedness horizon {horizon}")
 
-    n = len(kap_rows[0])
     cache = {}
     per_entry = []
     for kap in kap_rows:
@@ -173,9 +175,8 @@ def tube_volume(entries, r, side=+1):
                 prod = np.ones_like(t)
                 for s in signed:
                     prod = prod * (ct + s * st)
-                return ct ** (n - len(signed)) * prod
+                return prod
 
-            # cos^n * prod(1 + s tan t) written as cos^(n-k) prod(cos + s sin)
             cache[key], _ = integrate(integrand, 0.0, r)
         per_entry.append(cache[key])
     return math.fsum(w * v for w, v in zip(weights, per_entry))

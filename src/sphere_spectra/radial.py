@@ -4,9 +4,15 @@ On rotationally symmetric configurations (geodesic balls, annuli and the
 hemisphere over an equatorial S^n inside S^(n+1)) the integral identities
 relating Hessian, gradient and boundary data reduce to 1D quadrature:
 
-* dv = omega_n sin(r)^n dr against the polar radius,
+* dv = Vol(S^n) sin(r)^n dr against the polar radius,
 * Laplacian of a radial g:   g'' + n cot(r) g',
 * squared Hessian of radial g:   g''^2 + n (g' cot r)^2.
+
+Each identity is homogeneous in dv, so each row is judged in the units
+of its own boundary sphere and Vol(S^n), 0 in doubles from n = 455 on,
+never appears: a Reilly row per unit Area(dB_R) = Vol(S^n) sin^n R, an
+interior row per unit Vol(S^n) sin^-n r0, a collar row per unit
+equator area Vol(S^n).
 
 The hemisphere case additionally separates a degree-1 equatorial
 eigenfunction, leaving the radial factor ODE
@@ -29,14 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import sphere_volume
 from .geometry import _check_dim
 from .quadrature import integrate
 
 __all__ = [
     "RadialProfile", "PROFILES", "OracleReport", "HemisphereExtension",
     "ORACLES", "judge",
-    "radial_harmonic_derivative",
     "verify_bochner_radial", "verify_reilly_radial",
     "verify_interior_gradient_radial", "solve_hemisphere_extension",
     "verify_choiwang_chain_hemisphere", "verify_collar_trace_hemisphere",
@@ -113,15 +117,6 @@ _THETA_MAX = math.pi / 2.0 + 0.05
 _RESIDUAL_FD_STEP = 4e-3
 
 
-def radial_harmonic_derivative(n, r):
-    """v'(r) = 1 / sin(r)^n: derivative of the radial harmonic on annuli.
-
-    v'' + n cot r v' = 0 by construction, so any primitive v is harmonic
-    away from the poles.
-    """
-    return np.sin(r) ** (-float(n))
-
-
 # 7-point central finite-difference stencils, order h^6
 _D1 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2 = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
@@ -174,7 +169,9 @@ def verify_reilly_radial(n, radius, profile):
 
     LHS: integral of (Delta f)^2 - |Hess f|^2.
     RHS: Ricci term n * integral of f'^2, plus the boundary term
-    n cot(radius) f'(radius)^2 * Area(boundary sphere).  (The boundary
+    n cot(radius) f'(radius)^2.  Both sides are per unit Area(boundary
+    sphere) = Vol(S^n) sin^n(radius), so dv = (sin r / sin radius)^n dr.
+    (The boundary
     mean curvature enters through the divergence-form convention
     H = -Delta(distance), under which the ball boundary has H = +n cot R
     toward the center; the sign is fixed by the identity itself.)
@@ -186,24 +183,23 @@ def verify_reilly_radial(n, radius, profile):
         raise ValueError("ball radius must lie in (0, pi/2)")
     if abs(float(profile.fp(1e-8))) > 1e-6:
         raise ValueError(f"profile {profile.name} has f'(0) != 0")
-    omega = sphere_volume(n)
+    sin_radius = math.sin(radius)
 
     def lhs_integrand(r):
         s, c = np.sin(r), np.cos(r)
         fp, fpp = profile.fp(r), profile.fpp(r)
         lap = fpp + n * (c / s) * fp
         hess2 = fpp ** 2 + n * (fp * c / s) ** 2
-        return (lap ** 2 - hess2) * omega * s ** n
+        return (lap ** 2 - hess2) * (s / sin_radius) ** n
 
     def ricci_integrand(r):
-        return n * profile.fp(r) ** 2 * omega * np.sin(r) ** n
+        return n * profile.fp(r) ** 2 * (np.sin(r) / sin_radius) ** n
 
     lhs, _ = integrate(lhs_integrand, 0.0, radius, _QUAD_TOL, relative=True)
     ricci, _ = integrate(ricci_integrand, 0.0, radius, _QUAD_TOL,
                          relative=True)
-    area = omega * math.sin(radius) ** n
-    boundary = n * (math.cos(radius) / math.sin(radius)) \
-        * float(profile.fp(radius)) ** 2 * area
+    boundary = n * (math.cos(radius) / sin_radius) \
+        * float(profile.fp(radius)) ** 2
     return judge(True, f"reilly[{profile.name},n={n},R={radius:g}]",
                  lhs, ricci + boundary, 1e-8,
                  {"ricci": ricci, "boundary": boundary})
@@ -217,21 +213,22 @@ def verify_interior_gradient_radial(n, r0, r1, ts):
             <= t^-2/(n-1) * int_{annulus} |Hess v|^2
 
     where the shrunk annulus retreats 2t from both boundary spheres.
-    Requires 2t < (r1 - r0)/2.  The Hessian integral over (r0, r1) does
-    not depend on t and is taken once for all rows.
+    Both sides are per unit Vol(S^n) sin^-n r0, the integral of
+    |grad v|^2 over the inner boundary sphere.  Requires 2t < (r1 - r0)/2.
+    The Hessian integral over (r0, r1) does not depend on t and is taken
+    once for all rows.
     """
     n = _check_dim(n)
     if not (0.0 < r0 < r1 < math.pi):
         raise ValueError("need 0 < r0 < r1 < pi")
     if not all(0.0 < 2.0 * t < (r1 - r0) / 2.0 for t in ts):
         raise ValueError("need 0 < 2t < (r1 - r0)/2")
-    omega = sphere_volume(n)
+    sin_r0 = math.sin(r0)
 
-    # |v'|^2 sin^n r = sin^-n r, taken with omega as one factor: v'^2
-    # alone overflows from about n = 289 on (0.3, 1.3), where omega
-    # sin^-n r stays near 1e-25
+    # v' = sin^-n r, so |grad v|^2 sin^n r per unit sin^-n r0 is
+    # (sin r0 / sin r)^n, at most 1 for r0 <= r <= pi - r0
     def grad_integrand(r):
-        return omega * radial_harmonic_derivative(n, r)
+        return (sin_r0 / np.sin(r)) ** n
 
     # v'' = -n cot(r) v', so |Hess v|^2 = v''^2 + n (v' cot r)^2
     # = n (n + 1) cot^2(r) v'^2
@@ -422,19 +419,18 @@ def verify_collar_trace_hemisphere(n, t, betas, profile):
     inside the equator, and H_max = n tan(t) is the exact maximal mean
     curvature of the offset spheres over the collar (the equator is
     totally geodesic, so the generic curvature-chain bound degenerates
-    and the exact value is used instead).  The two band integrals do not
-    depend on beta and are taken once for all rows.
+    and the exact value is used instead).  Both sides are per unit
+    equator area Vol(S^n), so the lhs is f'(pi/2)^2.  The two band
+    integrals do not depend on beta and are taken once for all rows.
     """
     n = _check_dim(n)
     if not (0.0 < t < math.pi / 2.0):
         raise ValueError("need 0 < t < pi/2")
     if not all(beta > 0 for beta in betas):
         raise ValueError("beta must be positive")
-    omega = sphere_volume(n)
     half_pi = math.pi / 2.0
-    lhs = omega * float(profile.fp(half_pi)) ** 2
-    offset_term = omega * math.cos(t) ** n \
-        * float(profile.fp(half_pi - t)) ** 2
+    lhs = float(profile.fp(half_pi)) ** 2
+    offset_term = math.cos(t) ** n * float(profile.fp(half_pi - t)) ** 2
 
     def grad_integrand(th):
         return profile.fp(th) ** 2 * np.sin(th) ** n
@@ -449,12 +445,11 @@ def verify_collar_trace_hemisphere(n, t, betas, profile):
         for f in (grad_integrand, hess_integrand))
     h_max = n * math.tan(t)
     extras = {"offset_term": offset_term, "h_max": h_max,
-              "collar_grad": omega * collar_grad,
-              "collar_hess": omega * collar_hess}
+              "collar_grad": collar_grad, "collar_hess": collar_hess}
     return [judge(False,
                   f"collar-trace[{profile.name},n={n},t={t:g},beta={beta:g}]",
-                  lhs, offset_term + (h_max + beta) * omega * collar_grad
-                  + omega * collar_hess / beta, 1e-10, dict(extras))
+                  lhs, offset_term + (h_max + beta) * collar_grad
+                  + collar_hess / beta, 1e-10, dict(extras))
             for beta in betas]
 
 

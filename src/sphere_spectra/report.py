@@ -277,8 +277,9 @@ def compute_verdicts(report):
         if bad:
             detail = f"self-intersection at t in {bad}"
         elif beyond:    # never tested: a passing table names them
-            detail = (f"embedded at t in {ts['embedded']}; "
-                      f"beyond the horizon at t in {beyond}")
+            embedded = (f"embedded at t in {ts['embedded']}; "
+                        if ts["embedded"] else "all offsets ")
+            detail = f"{embedded}beyond the horizon at t in {beyond}"
         verdicts["offsets_embedded"] = _verdict(not bad, detail)
     return verdicts
 

@@ -183,8 +183,7 @@ def test_flat_octahedron_report_horizon(tmp_path):
     assert rep["curvature"]["horizon"] == math.pi / 2
     assert [row["status"] for row in rep["offsets"]] == ["beyond-horizon"] * 2
     assert rep["verdicts"]["offsets_embedded"]["detail"] == (
-        "embedded at t in []; "
-        "beyond the horizon at t in [1.5707963267948966, 2.0]")
+        "all offsets beyond the horizon at t in [1.5707963267948966, 2.0]")
 
 
 @pytest.mark.parametrize("body", [
@@ -249,13 +248,15 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_quadrature_failure_exit_code(monkeypatch, capsys):
-    # an oracle integrand that is not finite (here the interior oracle's,
-    # through an infinite sphere volume) gives an integral that is not
-    # finite (with a numpy warning): a solver failure, one line and no
-    # traceback
-    monkeypatch.setattr(radial, "sphere_volume", lambda n: math.inf)
+    # an oracle integrand that is not finite (here the collar oracle's,
+    # through a profile with an infinite slope) gives an integral that is
+    # not finite (with a numpy warning): a solver failure, one line and
+    # no traceback
+    cos = radial.PROFILES["cos"]
+    monkeypatch.setitem(radial.PROFILES, "cos", radial.RadialProfile(
+        "cos", lambda r: np.full(np.shape(r), math.inf), cos.fpp))
     with pytest.warns(RuntimeWarning):
-        code = main(["verify-oracles", "--dims", "3", "--only", "interior"])
+        code = main(["verify-oracles", "--dims", "3", "--only", "collar"])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("solver failure: non-finite result")
@@ -267,6 +268,12 @@ def test_verify_oracles_interior_at_large_dims(capsys):
     assert main(["verify-oracles", "--dims", "289,300,500",
                  "--only", "interior"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "6/6 checks passed"
+
+
+def test_verify_oracles_where_sphere_volume_underflows(capsys):
+    # Vol(S^n) is 0 in doubles from n = 455 on; no row carries it
+    assert main(["verify-oracles", "--dims", "455,1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "48/48 checks passed"
 
 
 def test_offsets_table(capsys):

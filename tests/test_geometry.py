@@ -32,13 +32,14 @@ def test_curvature_transport_singularity():
 
 def _reference_refusal(kappa, t):
     """The critical_t a refusal of curvature_transport(kappa, t) carries,
-    or None, by the two-test rule: a |t| >= pi/2 is refused at pi/2,
-    else t at or beyond arctan(1/kappa) on kappa's side."""
-    if abs(t) >= math.pi / 2.0:
-        return math.copysign(math.pi / 2.0, t)
+    or None, by the two-test rule: t at or beyond arctan(1/kappa) on
+    kappa's side is refused at that focal distance, else a |t| >= pi/2
+    at pi/2."""
     if kappa != 0 and (t >= math.atan(1.0 / kappa) > 0
                        or t <= math.atan(1.0 / kappa) < 0):
         return math.atan(1.0 / kappa)
+    if abs(t) >= math.pi / 2.0:
+        return math.copysign(math.pi / 2.0, t)
     return None
 
 
@@ -214,6 +215,13 @@ def test_tube_volume_zero_and_guards():
         G.tube_volume(entries, 1.0)          # beyond the pi/4 horizon
     with pytest.raises(ValueError):
         G.tube_volume([(-1.0, np.zeros(2))], 0.1)
+
+
+def test_tube_volume_rejects_rows_of_unequal_length():
+    for entries in ([(1.0, [0.5]), (1.0, [0.5, 0.5])],
+                    [(1.0, [0.5, 0.5]), (1.0, [0.5])]):
+        with pytest.raises(ValueError, match="differ in length"):
+            G.tube_volume(entries, 0.3)
 
 
 def test_kappa_helpers():

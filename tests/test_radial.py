@@ -42,7 +42,7 @@ def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
 _IDENTITY_RTOL = {"reilly": 1e-8, "bochner": 1e-10, "chain": 1e-8}
 
 
-@pytest.mark.parametrize("n", [2, 8, 40, 100, 300])
+@pytest.mark.parametrize("n", [2, 8, 40, 100, 300, 455, 1000])
 def test_identity_rows_fail_with_rhs_doubled(n):
     # every identity row (Reilly, Bochner, chain flux) passes, and fails
     # re-judged at its own rtol with its rhs doubled: no absolute floor
@@ -53,6 +53,15 @@ def test_identity_rows_fail_with_rhs_doubled(n):
     passing = [r.name for rtol, r in rows
                if radial.judge(True, r.name, r.lhs, 2.0 * r.rhs, rtol).passed]
     assert passing == []
+
+
+@pytest.mark.parametrize("n", [455, 1000])
+def test_no_row_passes_as_zero_against_zero(n):
+    # Vol(S^n) is 0 in doubles from n = 455 on; no row carries it, so
+    # every side of every row stays a real number
+    rows = [r for suite in radial.ORACLES.values() for r in suite(n)]
+    assert len(rows) == 24 and all(r.passed for r in rows)
+    assert [r.name for r in rows if r.lhs == 0.0 and r.rhs == 0.0] == []
 
 
 @pytest.mark.parametrize("n,r0,r1", [(2, 0.3, 1.2), (3, 0.5, 1.0),
@@ -72,7 +81,7 @@ def test_bochner_closed_forms_match_finite_differences():
     rep = radial.verify_bochner_radial(n, 0.3, 1.2)
     r = np.append(np.linspace(0.3, 1.2, 101), rep.extras["r"])
     d1, d2 = radial._fd_derivatives(
-        lambda x: radial.radial_harmonic_derivative(n, x) ** 2, r, 2e-3)
+        lambda x: np.sin(x) ** (-2.0 * n), r, 2e-3)
     s, c = np.sin(r), np.cos(r)
     np.testing.assert_allclose(d1, -2.0 * n * c * s ** (-2.0 * n - 1.0),
                                rtol=1e-9)
@@ -104,9 +113,10 @@ def test_bochner_domain_checks():
 # ---------------------------------------------------------------------------
 
 def test_reilly_cos_closed_form():
-    # f = cos r: both sides equal omega_2 n(n+1) int cos^2 sin^2
+    # f = cos r: both sides equal n(n+1) int cos^2 sin^2 per unit
+    # Area(boundary sphere) = Vol(S^2) sin^2 1
     rep = radial.verify_reilly_radial(2, 1.0, PROFILES["cos"])
-    exact = 4.0 * math.pi * 6.0 * (0.125 - math.sin(4.0) / 32.0)
+    exact = 6.0 * (0.125 - math.sin(4.0) / 32.0) / math.sin(1.0) ** 2
     assert rep.lhs == pytest.approx(exact, rel=1e-10)
     assert rep.passed
     assert -rep.slack <= 1e-8 * (1.0 + abs(rep.lhs))
@@ -163,9 +173,10 @@ def test_interior_gradient_extreme_t():
 
 @pytest.mark.parametrize("n", [289, 300, 400])
 def test_interior_gradient_finite_where_grad_squared_overflows(n):
-    # sin^-2n r overflows a double on (0.3, 1.3) from n = 289 on; omega
-    # sin^-n r does not, and its integrals are positive, with the Hessian
-    # side n (n + 1) cot^2 r times it (a RuntimeWarning fails the test)
+    # sin^-2n r overflows a double on (0.3, 1.3) from n = 289 on; the
+    # integrand per unit sin^-n r0, (sin r0 / sin r)^n <= 1, does not, and
+    # its integrals are positive, with the Hessian side n (n + 1) cot^2 r
+    # times it (a RuntimeWarning fails the test)
     rows = radial.verify_interior_gradient_radial(n, 0.3, 1.3, (0.1, 0.2))
     for row in rows:
         assert row.passed and 0.0 < row.lhs < row.rhs < math.inf
@@ -286,8 +297,8 @@ def test_collar_inequality_cos_profile():
                                                   PROFILES["cos"])
     assert rep.passed and not rep.identity
     assert rep.extras["h_max"] == pytest.approx(2.0 * math.tan(0.3), rel=1e-14)
-    # closed-form left side: omega_2 * sin(pi/2)^2 * v'(pi/2)^2 = 4 pi
-    assert rep.lhs == pytest.approx(4.0 * math.pi, rel=1e-12)
+    # closed-form left side per unit equator area: v'(pi/2)^2 = 1
+    assert rep.lhs == pytest.approx(1.0, rel=1e-12)
 
 
 def test_collar_inequality_constant_trivial():
