@@ -164,7 +164,6 @@ def _cmd_constants(args):
     if lam is not None:
         bound = consts.eigenvalue_lower_bound(n, lam)
         branch = consts.bound_branch(n, lam)
-        chain = None
         if lam > 0 and branch == "generic":
             chain = consts.build_parameter_chain(n, lam, args.eps, args.beta)
             out["chain"] = {name: getattr(chain, name)
@@ -265,7 +264,7 @@ def _cmd_verify_oracles(args):
                     "chain/flux" if r.identity else "chain/ineq"
                 rows.append((label, n, r.name, -r.slack, r.tol, r.passed))
     failed = [row for row in rows if not row[5]]
-    width = max(len(row[2]) for row in rows) if rows else 10
+    width = max(len(row[2]) for row in rows)
     print(f"{'kind':12s} {'n':>2s} {'check':{width}s} {'gap/-slack':>12s} "
           f"{'tol':>9s} verdict")
     for kind, n, name, gap, tol_eff, passed in rows:

@@ -91,7 +91,7 @@ def compute_bound_constants(n):
     at3 = math.atan(1.0 / (3.0 * math.sqrt(n))) ** 3
     a_n = 3.0 * (n - 1) * n ** 3.5 / 3200.0 * at3
     b_n = 5.0 * n ** 3.5 / 8.0 * at3
-    c_n = 25.0 / 3.0 * 1.25 ** (n - 2)
+    c_n = 25.0 / 3.0 * _power(1.25, n - 2)
     return BoundConstants(n=n, a_n=a_n, b_n=b_n, c_n=c_n)
 
 

@@ -2,9 +2,9 @@
 
 Single shared 1D integration engine for the whole package: a 7/15-point
 Gauss-Kronrod rule driven by greedy interval bisection to an absolute
-error target, or with `relative=True` to one scaled by the integral's
-magnitude.  Integrands must accept numpy arrays (they are evaluated
-on all 15 nodes of an interval at once).
+error target, or with `relative=True` to one scaled by the magnitude of
+the running estimate.  Integrands must accept numpy arrays (they are
+evaluated on all 15 nodes of an interval at once).
 """
 
 import heapq
@@ -37,7 +37,7 @@ _ROUNDOFF = 10.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the interval budget is exhausted before the tolerance,
+    """Raised when the error estimate stops halving before the tolerance,
     or the value or its error estimate is not finite.
 
     Carries the best value and the achieved absolute error estimate.
@@ -69,19 +69,19 @@ def _rule(f, a, b):
     return k, max(err, floor)
 
 
-def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
+def integrate(f, a, b, tol=1e-10, relative=False):
     """Integrate f over the finite interval [a, b] to absolute tolerance
-    tol, or with relative=True to tol * |k|, k the Kronrod value of the
-    first rule on [a, b], with no absolute floor: an integrand that is 0
-    on its nodes gives (0.0, 0.0), and an integral that cancels to about
-    0 raises QuadratureError.
+    tol, or with relative=True to tol * |value| of the running estimate,
+    with no absolute floor: an integrand that is 0 on its nodes gives
+    (0.0, 0.0), and an integral that cancels to about 0 raises
+    QuadratureError.
 
     Returns (value, error_estimate), the estimate summed from `_rule`'s.
     A first rule that meets the target is returned at once, with no heap;
     otherwise greedy bisection of the interval with the largest error
-    estimate.  Raises QuadratureError if more than `limit` intervals
-    would be needed or the result is not finite, and ValueError for a
-    NaN or negative tol.
+    estimate.  Raises QuadratureError if the error estimate stops
+    halving every 256 splits or the result is not finite, and ValueError
+    for a NaN or negative tol.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
@@ -92,53 +92,44 @@ def integrate(f, a, b, tol=1e-10, limit=10**6, relative=False):
             return 0.0, 0.0
         raise ValueError(f"inverted interval [{a}, {b}]")
     val, err = _rule(f, a, b)
-    if relative:
-        tol = tol * abs(val)
-    if not err > tol:
+    if not err > tol * (abs(val) if relative else 1.0):
         # + 0.0 maps -0.0 to 0.0, as the sum below does for one interval
         return _finite(val + 0.0, err)
-    # heap of (-err, seq, a, b, val, err); seq breaks ties deterministically
-    seq = 0
-    heap = [(-err, seq, a, b, val, err)]
+    # heap of (-err, a, b, val, err); the disjoint intervals' left ends
+    # are distinct and break ties deterministically
+    heap = [(-err, a, b, val, err)]
+    total_val = val
     total_err = err
     stall_mark = math.inf
     splits = 0
-    while total_err > tol:
-        if len(heap) >= limit:
-            value = sum(item[4] for item in heap)
-            raise QuadratureError(
-                f"interval budget {limit} exhausted; achieved abs error "
-                f"{total_err:.3e} > tol {tol:.3e}",
-                value=value, achieved=total_err)
+    while total_err > (target := tol * (abs(total_val) if relative else 1.0)):
         splits += 1
         if splits % 256 == 0:
             # roundoff floors are not reducible by splitting; bail out
-            # once refinement stops paying instead of burning the budget
+            # once refinement stops paying.  A double halves only ~2100
+            # times, so this ends every loop.
             if total_err > 0.5 * stall_mark:
-                value = sum(item[4] for item in heap)
                 raise QuadratureError(
-                    f"error estimate stalled at {total_err:.3e} > tol "
-                    f"{tol:.3e} (roundoff-limited)",
-                    value=value, achieved=total_err)
+                    f"error estimate stalled at {total_err:.3e} > target "
+                    f"{target:.3e} (roundoff-limited)",
+                    value=total_val, achieved=total_err)
             stall_mark = total_err
-        neg_err, _, ia, ib, ival, ierr = heapq.heappop(heap)
+        neg_err, ia, ib, ival, ierr = heapq.heappop(heap)
         im = 0.5 * (ia + ib)
         if im <= ia or im >= ib:
             # interval at roundoff width; keep its estimate and move on
-            heapq.heappush(heap, (0.0, seq + 1, ia, ib, ival, 0.0))
-            seq += 1
+            heapq.heappush(heap, (0.0, ia, ib, ival, 0.0))
             total_err -= ierr
             continue
         lv, le = _rule(f, ia, im)
         rv, re = _rule(f, im, ib)
+        total_val += lv + rv - ival
         total_err += le + re - ierr
-        seq += 1
-        heapq.heappush(heap, (-le, seq, ia, im, lv, le))
-        seq += 1
-        heapq.heappush(heap, (-re, seq, im, ib, rv, re))
+        heapq.heappush(heap, (-le, ia, im, lv, le))
+        heapq.heappush(heap, (-re, im, ib, rv, re))
     # fixed summation order for determinism
-    items = sorted(heap, key=lambda it: it[2])
-    value = float(np.sum(np.array([it[4] for it in items])))
+    items = sorted(heap, key=lambda it: it[1])
+    value = float(np.sum(np.array([it[3] for it in items])))
     return _finite(value, total_err)
 
 

@@ -65,6 +65,14 @@ def test_constants_huge_lambda(args, collar, eps_tilde, capsys):
         == ("1", collar, eps_tilde)
 
 
+def test_constants_where_c_n_overflows(capsys):
+    # (5/4) ** (n - 2) overflows from n = 3183 on; c_n prints as inf
+    assert main(["constants", "--dim", "3183"]) == 0
+    rows = {line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows["c_n"] == "inf"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["constants", "--dim"])
@@ -274,6 +282,14 @@ def test_verify_oracles_where_sphere_volume_underflows(capsys):
     # Vol(S^n) is 0 in doubles from n = 455 on; no row carries it
     assert main(["verify-oracles", "--dims", "455,1000"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "48/48 checks passed"
+
+
+def test_verify_oracles_where_first_rules_miss_the_peak(capsys):
+    # from n = 1047 on the interior integrands, and from n = 5000 on the
+    # Reilly ones, peak where a first rule sees little of them: the
+    # relative target follows the running estimate, so none stalls
+    assert main(["verify-oracles", "--dims", "1047,2000,5000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "72/72 checks passed"
 
 
 def test_offsets_table(capsys):

@@ -87,6 +87,14 @@ def test_bound_constants_satisfy_floors_up_to_64():
         assert bc.c_n <= 25.0 / 3.0 * 1.25 ** (n - 2) * (1 + 1e-15)
 
 
+def test_bound_constant_c_n_takes_its_limit():
+    # 25/3 (5/4) ** (n - 2) overflows from n = 3174 on, and the power
+    # alone from n = 3183 on: c_n is inf there, as for every other power
+    assert C.compute_bound_constants(3173).c_n < math.inf
+    assert C.compute_bound_constants(3174).c_n == math.inf
+    assert C.compute_bound_constants(3183).c_n == math.inf
+
+
 def test_eigenvalue_lower_bound_branches():
     assert C.eigenvalue_lower_bound(2, 0.0) == 2.0          # totally geodesic
     assert C.eigenvalue_lower_bound(3, 1.2) == 3.0          # lam < sqrt(3)

@@ -35,10 +35,11 @@ def test_inverted_interval_rejected():
         integrate(np.exp, 1.0, 0.0)
 
 
-def test_limit_exhaustion_reports_achieved():
-    # |x|^(1/2)-style kink with an absurd interval budget
-    with pytest.raises(QuadratureError) as info:
-        integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, tol=1e-300, limit=8)
+def test_stall_reports_achieved():
+    # |x|^(1/2)-style kink with an absurd tolerance: the error estimate
+    # stops halving, and the error carries the achieved estimate and value
+    with pytest.raises(QuadratureError, match="stalled") as info:
+        integrate(lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, tol=1e-300)
     assert info.value.achieved > 1e-300
     assert math.isfinite(info.value.value)
 
@@ -54,8 +55,8 @@ def test_tolerance_scaling():
 
 def test_roundoff_stall_detected_quickly():
     # absolute tolerance below the double-precision floor of a large
-    # integrand: must error out with the achieved estimate, not burn
-    # the whole interval budget
+    # integrand: must error out with the achieved estimate as soon as
+    # the estimate stops halving
     with pytest.raises(QuadratureError) as info:
         integrate(lambda x: 1e6 * np.exp(-x * x), 0.0, 3.0, tol=1e-14)
     assert 1e-12 < info.value.achieved < 1e-6
@@ -88,16 +89,26 @@ def test_infinite_integrand_raises():
     assert not math.isfinite(info.value.achieved)
 
 
-def test_relative_tolerance_scales_by_first_rule():
+def test_relative_tolerance_follows_running_estimate():
     # a 1e6-sized integrand: 1e-14 absolute is below the roundoff floor,
-    # 1e-14 relative to the first rule is not
+    # 1e-14 relative to the running estimate is not
     def f(x):
         return 1e6 * np.exp(-x * x)
 
-    k, _ = integrate(f, 0.0, 3.0, tol=math.inf)
     val, err = integrate(f, 0.0, 3.0, tol=1e-14, relative=True)
-    assert err <= 1e-14 * abs(k)
-    assert (val, err) == integrate(f, 0.0, 3.0, tol=1e-14 * abs(k))
+    assert err <= 1e-14 * abs(val)
+    exact = 1e6 * math.sqrt(math.pi) / 2.0 * math.erf(3.0)
+    assert val == pytest.approx(exact, rel=1e-13)
+
+
+def test_relative_target_resolves_a_peak_the_first_rule_misses():
+    # the first rule on [0.3, 1.3] sees almost none of a peak of width
+    # 1e-4 at 0.3, so a target fixed at tol * |first rule| would sit
+    # below the roundoff floor of the integral
+    val, err = integrate(lambda x: np.exp(-1e4 * (x - 0.3)), 0.3, 1.3,
+                         1e-10, relative=True)
+    assert val == pytest.approx(-math.expm1(-1e4) / 1e4, rel=1e-12)
+    assert err <= 1e-10 * val
 
 
 def test_relative_target_has_no_absolute_floor():

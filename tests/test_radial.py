@@ -42,7 +42,8 @@ def test_judge_scales_identity_by_lhs_and_inequality_by_rhs():
 _IDENTITY_RTOL = {"reilly": 1e-8, "bochner": 1e-10, "chain": 1e-8}
 
 
-@pytest.mark.parametrize("n", [2, 8, 40, 100, 300, 455, 1000])
+@pytest.mark.parametrize("n", [2, 8, 40, 100, 300, 455, 1000, 1047, 2000,
+                               5000])
 def test_identity_rows_fail_with_rhs_doubled(n):
     # every identity row (Reilly, Bochner, chain flux) passes, and fails
     # re-judged at its own rtol with its rhs doubled: no absolute floor
@@ -55,7 +56,7 @@ def test_identity_rows_fail_with_rhs_doubled(n):
     assert passing == []
 
 
-@pytest.mark.parametrize("n", [455, 1000])
+@pytest.mark.parametrize("n", [455, 1000, 1047, 2000, 5000])
 def test_no_row_passes_as_zero_against_zero(n):
     # Vol(S^n) is 0 in doubles from n = 455 on; no row carries it, so
     # every side of every row stays a real number
@@ -346,19 +347,17 @@ def _radial_integrals(monkeypatch, run):
 
 
 @pytest.mark.parametrize("n", [2, 8])
-def test_relative_tolerance_equals_two_call_form(monkeypatch, n):
-    # relative=True aims at tol * |first rule|, the target a separate
-    # magnitude estimate (one rule, tol = inf) gives an absolute call
+def test_relative_tolerance_meets_running_target(monkeypatch, n):
+    # relative=True stops where the error estimate is within tol of the
+    # magnitude of the value it returns
     calls = _radial_integrals(monkeypatch, lambda: (
         radial.verify_reilly_radial(n, 1.4, PROFILES["gauss"]),
         radial.verify_collar_trace_hemisphere(n, 0.3, (0.5,), PROFILES["cos"]),
         radial.verify_choiwang_chain_hemisphere(n)))
     assert len(calls) == 6
     for f, a, b, tol in calls:
-        rough, _ = integrate(f, a, b, tol=math.inf)
-        one = integrate(f, a, b, tol, relative=True)
-        two = integrate(f, a, b, tol * abs(rough))
-        assert [x.hex() for x in one] == [x.hex() for x in two]
+        val, err = integrate(f, a, b, tol, relative=True)
+        assert err <= tol * abs(val)
 
 
 def _integral_key(f, a, b):
